@@ -105,6 +105,12 @@ class RemoteEmbedder:
                 f"expected dimension {self.dimension}, got {vector.shape}",
             )
         norm = float(np.linalg.norm(vector))
+        # NaN and inf entries, and finite ones that overflow, make the norm
+        # non-finite; search would rank such a vector in no defined order.
+        if not np.isfinite(norm):
+            raise BackendError(
+                "embedding", "endpoint returned a vector with a non-finite norm"
+            )
         if norm == 0.0:
             raise BackendError("embedding", "endpoint returned a zero vector")
         vector = vector / norm

@@ -308,8 +308,9 @@ def process_query(
                         embedding_of=engine.store.embedding_of,
                     )
 
+                # The routing hits, when there are any, are the root's
+                # search; the cost model still counts one retrieval per node.
                 tree = expand(
-                    record.text,
                     record.text,
                     depth,
                     store=engine.store,
@@ -318,6 +319,7 @@ def process_query(
                     decomposer=lambda text: engine.runner.decompose(text, log),
                     k=config.store_k,
                     retries=config.tor_retry_decompose,
+                    root_hits=raw_hits,
                 )
                 retrievals += tree.node_count
                 warnings.extend(tree.warnings)

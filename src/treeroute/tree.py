@@ -3,11 +3,12 @@
 The tree is grown breadth first from the root query: every non-pruned
 node below the target depth is split into exactly two sub-queries, and
 every node (the root included) retrieves candidates that are immediately
-gated by the pruner. A node whose candidates are all rejected is pruned
-and grows no children, so irrelevant branches die early. A node whose
-decomposition fails after the retry is also marked pruned; its candidates
-stay on the node so the caller can degrade gracefully when this happens
-at the root.
+gated by the pruner; the root can instead take hits the caller already
+retrieved for the same query. A node whose candidates are all rejected is
+pruned and grows no children, so irrelevant branches die early. A node
+whose decomposition fails after the retry is also marked pruned; its
+candidates stay on the node so the caller can degrade gracefully when
+this happens at the root.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ def decompose(node_text: str, decomposer: Decomposer, retries: int = 1) -> tuple
 
 def expand(
     root_query: str,
-    original_query: str,
     depth: int,
     *,
     store: VectorStore,
@@ -94,22 +94,24 @@ def expand(
     decomposer: Decomposer,
     k: int = 32,
     retries: int = 1,
+    root_hits: list[ScoredPassage] | None = None,
 ) -> RetrievalTree:
     """Grow the retrieval tree level by level to the requested depth.
 
     Nodes at each level are processed in id order, which makes the whole
-    expansion deterministic for deterministic backends. original_query is
-    carried only for documentation here; the pruner closure is already
-    bound to its embedding.
+    expansion deterministic for deterministic backends. root_hits, when
+    given, must be the result of searching root_query with the same k; the
+    root then gates them instead of searching again.
     """
     if not 1 <= depth <= MAX_TREE_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_TREE_DEPTH}, got {depth}")
-    del original_query
 
     tree = RetrievalTree(root_id=ROOT_NODE_ID, nodes={}, max_depth=depth)
     root = QueryNode(id=ROOT_NODE_ID, text=root_query, depth_level=0)
     tree.nodes[root.id] = root
-    _retrieve_into(root, tree, store=store, embedder=embedder, pruner=pruner, k=k)
+    if root_hits is None:
+        root_hits = store.search(embedder(root_query), k=k)
+    _gate_into(root, tree, root_hits, pruner)
 
     frontier = [root.id]
     for _ in range(depth):
@@ -135,22 +137,15 @@ def expand(
                 )
                 node.child_ids.append(child.id)
                 tree.nodes[child.id] = child
-                _retrieve_into(child, tree, store=store, embedder=embedder, pruner=pruner, k=k)
+                _gate_into(child, tree, store.search(embedder(sub_query), k=k), pruner)
                 next_frontier.append(child.id)
         frontier = next_frontier
     return tree
 
 
-def _retrieve_into(
-    node: QueryNode,
-    tree: RetrievalTree,
-    *,
-    store: VectorStore,
-    embedder: Embedder,
-    pruner: Pruner,
-    k: int,
+def _gate_into(
+    node: QueryNode, tree: RetrievalTree, candidates: list[ScoredPassage], pruner: Pruner
 ) -> None:
-    candidates = store.search(embedder(node.text), k=k)
     result = pruner(node.text, candidates)
     node.candidates = result.survivors
     tree.judge_calls += result.judge_calls

@@ -1,10 +1,11 @@
 """Exact in-memory vector store over unit-norm embeddings.
 
-Search is exhaustive cosine similarity: a dot product against the full
-matrix followed by a full sort. Ties are broken by ascending passage id so
-results are stable under re-indexing in any order. Approximate-index
-parameters are carried as inert metadata for config compatibility; nothing
-here builds a graph index.
+Search is exhaustive cosine similarity: one dot product against the full
+matrix, then an exact top-k by partition. Rows are stored in ascending
+passage id order, so the row index breaks ties and results are stable
+under re-indexing in any order. Approximate-index parameters are carried
+as inert metadata for config compatibility; nothing here builds a graph
+index.
 """
 
 from __future__ import annotations
@@ -49,10 +50,19 @@ class ScoredPassage:
 
 
 class VectorStore:
-    """Immutable passage index; build it once with build_index()."""
+    """Immutable passage index; build it once with build_index().
+
+    Passages must be in strictly ascending id order, as build_index()
+    leaves them: search breaks score ties by row index.
+    """
 
     def __init__(self, passages: Sequence[Passage], matrix: np.ndarray):
         self._passages = tuple(passages)
+        for before, after in zip(self._passages, self._passages[1:]):
+            if not before.id < after.id:
+                raise ValueError(
+                    f"passage ids must ascend strictly: {before.id!r} before {after.id!r}"
+                )
         self._matrix = matrix
         self._row_by_id = {p.id: i for i, p in enumerate(self._passages)}
 
@@ -86,13 +96,17 @@ class VectorStore:
         if not self._passages:
             return []
         scores = np.clip(self._matrix @ query_embedding, -1.0, 1.0)
-        order = sorted(
-            range(len(self._passages)),
-            key=lambda i: (-scores[i], self._passages[i].id),
-        )
+        n = len(scores)
+        if k < n:
+            # Every row tied with the k-th score competes for the last places.
+            kth = np.partition(scores, n - k)[n - k]
+            rows = np.flatnonzero(scores >= kth)
+        else:
+            rows = np.arange(n)
+        order = rows[np.lexsort((rows, -scores[rows]))][:k]
         return [
             ScoredPassage(passage=self._passages[i], score=float(scores[i]))
-            for i in order[:k]
+            for i in order
         ]
 
 
@@ -119,4 +133,4 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity of two unit-norm vectors, clamped to [-1, 1]."""
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.clip(np.dot(a, b), -1.0, 1.0))
+    return min(max(float(np.dot(a, b)), -1.0), 1.0)

@@ -181,7 +181,6 @@ def test_criterion_05_tree_structure_bounds():
 
     tree = expand(
         "alpha beta gamma delta epsilon zeta eta theta",
-        "alpha beta gamma delta epsilon zeta eta theta",
         3,
         store=store,
         embedder=embedder.embed,
@@ -204,7 +203,6 @@ def test_criterion_05_tree_structure_bounds():
             return PruneResult(survivors=list(candidates), judge_calls=0)
 
         tree = expand(
-            "alpha beta gamma delta epsilon zeta eta theta",
             "alpha beta gamma delta epsilon zeta eta theta",
             depth,
             store=store,

@@ -115,6 +115,8 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             payload = {"data": [{"embedding": values}]}
         elif cls.payload_shape == "zero":
             payload = {"embedding": [0.0] * cls.dimension}
+        elif cls.payload_shape in ("nan", "inf"):
+            payload = {"embedding": values[:-1] + [float(cls.payload_shape)]}
         else:
             payload = {"surprise": True}
         data = json.dumps(payload).encode("utf-8")
@@ -181,6 +183,14 @@ def test_remote_rejects_zero_vector(embed_server):
     _EmbedHandler.payload_shape = "zero"
     with pytest.raises(BackendError, match="zero"):
         _remote(embed_server).embed("hello")
+
+
+@pytest.mark.parametrize("shape", ["nan", "inf"])
+def test_remote_rejects_non_finite_vector_without_retry(embed_server, shape):
+    _EmbedHandler.payload_shape = shape
+    with pytest.raises(BackendError, match="non-finite"):
+        _remote(embed_server).embed("hello")
+    assert _EmbedHandler.requests_seen == 1
 
 
 def test_remote_rejects_wrong_dimension(embed_server):

@@ -166,6 +166,56 @@ def test_tree_latency_counts_per_node_retrievals():
     assert trace.ledger.latency_ms == pytest.approx(expected, abs=1e-9)
 
 
+def _count_searches(monkeypatch, engine) -> list[int]:
+    calls = [0]
+    search = engine.store.search
+
+    def spy(*args, **kwargs):
+        calls[0] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(engine.store, "search", spy)
+    return calls
+
+
+def _model_latency(config, retrievals: int, llm_calls: int) -> float:
+    return (
+        config.latency_base_ms
+        + config.latency_per_retrieval_ms * retrievals
+        + config.latency_per_llm_call_ms * llm_calls
+    )
+
+
+@pytest.mark.parametrize(
+    ("text", "depth"),
+    [
+        ("freeze my card and order a replacement", 1),
+        ("compare savings rates and open the new account", 2),
+        ("which card is better and how do i activate it or replace it today", 3),
+    ],
+    ids=["depth1", "depth2", "depth3"],
+)
+def test_adaptive_tree_root_reuses_the_routing_search(monkeypatch, engine, text, depth):
+    searches = _count_searches(monkeypatch, engine)
+    trace = process_query(engine, QueryRecord(id="q", text=text, intents=frozenset()))
+    assert (trace.mode, trace.depth) == ("tree", depth)
+    assert searches[0] == trace.node_count
+    # The cost model still counts the routing search and every node.
+    assert trace.ledger.latency_ms == _model_latency(
+        engine.config, trace.node_count + 1, trace.ledger.total_calls
+    )
+
+
+def test_fixed3_root_still_searches(monkeypatch):
+    engine = _never_pruning()
+    searches = _count_searches(monkeypatch, engine)
+    trace = process_query(engine, SIMPLE, mode=ExecutionMode.FIXED_DEPTH_3)
+    assert searches[0] == trace.node_count == 15
+    assert trace.ledger.latency_ms == _model_latency(
+        engine.config, 15, trace.ledger.total_calls
+    )
+
+
 def test_non_deterministic_runs_record_wall_clock():
     engine = make_engine(run_deterministic=False)
     trace = process_query(engine, SIMPLE)

@@ -41,7 +41,6 @@ def _drop_all(sub_query, candidates):
 def _expand(depth, pruner=_keep_all, decomposer=stub_decompose, **kwargs):
     return expand(
         "compare savings rates and open the better account",
-        "compare savings rates and open the better account",
         depth,
         store=STORE,
         embedder=EMBEDDER.embed,

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeroute.embeddings import HashedBagEmbedder
 from treeroute.vectorstore import (
@@ -80,9 +82,56 @@ def test_ties_break_by_ascending_id():
     assert [h.passage.id for h in hits] == ["a", "m", "z"]
 
 
+def test_ties_across_the_k_boundary_keep_the_smallest_ids():
+    ids = [f"p{i}" for i in range(10)]
+    random.Random(3).shuffle(ids)
+    passages = [Passage(id=pid, text="same words") for pid in ids]
+    embedder = HashedBagEmbedder(dimension=32)
+    store = build_index(passages, embedder)
+    hits = store.search(embedder.embed("same words"), k=4)
+    assert [h.passage.id for h in hits] == ["p0", "p1", "p2", "p3"]
+    assert len({h.score for h in hits}) == 1
+
+
 def test_k_larger_than_store_returns_everything(store):
-    hits = store.search(HashedBagEmbedder(dimension=64).embed("card"), k=100)
-    assert len(hits) == 5
+    q = HashedBagEmbedder(dimension=64).embed("card")
+    expected = sorted(
+        store.passages, key=lambda p: (-float(np.dot(store.embedding_of(p.id), q)), p.id)
+    )
+    # k == n is the edge where no partition runs; k > n must behave the same.
+    for k in (store.size, 100):
+        hits = store.search(q, k=k)
+        assert [h.passage.id for h in hits] == [p.id for p in expected]
+
+
+def _sorted_reference(passages, matrix, q, k):
+    """The full-sort search that exact top-k must reproduce."""
+    scores = np.clip(matrix @ q, -1.0, 1.0)
+    order = sorted(range(len(passages)), key=lambda i: (-scores[i], passages[i].id))
+    return [(passages[i].id, float(scores[i])) for i in order[:k]]
+
+
+# Rows are drawn from a few small integer vectors, so scores tie often and
+# some exceed 1 before the clamp.
+_small_vectors = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(_small_vectors, min_size=1, max_size=4),
+    picks=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+    query=_small_vectors,
+)
+def test_search_equals_sorted_reference(pool, picks, query):
+    matrix = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64) / 2.0
+    passages = tuple(Passage(id=f"p{i:02d}", text="t") for i in range(len(picks)))
+    store = VectorStore(passages, matrix)
+    q = np.array(query, dtype=np.float64)
+    for k in range(1, len(passages) + 3):
+        hits = store.search(q, k=k)
+        assert [(h.passage.id, h.score) for h in hits] == _sorted_reference(
+            passages, matrix, q, k
+        )
 
 
 def test_k_below_one_rejected(store):
@@ -127,6 +176,14 @@ def test_embedding_of_unknown_id(store):
         store.embedding_of("nope")
 
 
+def test_rows_must_be_in_ascending_id_order():
+    matrix = np.eye(2)
+    with pytest.raises(ValueError, match="ascend"):
+        VectorStore((Passage(id="b", text="t"), Passage(id="a", text="t")), matrix)
+    with pytest.raises(ValueError, match="ascend"):
+        VectorStore((Passage(id="a", text="t"), Passage(id="a", text="u")), matrix)
+
+
 def test_scores_clamped_to_cosine_range():
     matrix = np.array([[1.0 + 1e-9, 0.0]])
     store = VectorStore((Passage(id="p", text="t"),), matrix)
@@ -140,6 +197,8 @@ def test_cosine_function():
     assert cosine(a, a) == 1.0
     assert cosine(a, b) == 0.0
     assert cosine(a, -a) == -1.0
+    assert cosine(np.array([1.0 + 1e-9]), np.array([1.0])) == 1.0
+    assert cosine(np.array([-1.0 - 1e-9]), np.array([1.0])) == -1.0
     with pytest.raises(ValueError):
         cosine(a, np.ones(3))
 
