@@ -29,7 +29,7 @@ from .dataset import (
     ingest,
     load_catalog,
 )
-from .embeddings import HashedBagEmbedder, RemoteEmbedder, embed
+from .embeddings import HashedBagEmbedder, RemoteEmbedder
 from .errors import (
     BackendError,
     ConfigError,
@@ -63,7 +63,6 @@ from .pipeline import (
 )
 from .pruning import GateOutcome, GateThresholds, PruneResult, prune, quantitative_gate
 from .rerank import (
-    ConsolidationResult,
     DedupPolicy,
     SelectionRule,
     consolidate,

@@ -155,12 +155,8 @@ class StubChatBackend:
 
     def __init__(self, behavior: StubBehavior = StubBehavior()):
         self.behavior = behavior
-        self._lock = threading.Lock()
-        self.calls = 0
 
     def chat(self, request: ChatRequest) -> str:
-        with self._lock:
-            self.calls += 1
         handler = {
             BackendRole.DECOMPOSER: self._decompose,
             BackendRole.LEVEL_ASSESSOR: self._assess,

@@ -79,8 +79,6 @@ class EngineConfig:
     # Vector store
     store_dimension: int = _opt(768, "store.dimension")
     store_k: int = _opt(32, "store.k")
-    store_hnsw_m: int = _opt(32, "store.hnsw.m")
-    store_hnsw_ef_construction: int = _opt(200, "store.hnsw.ef_construction")
 
     # Embedding provider
     embed_backend: str = _opt("stub", "embed.backend")
@@ -89,7 +87,6 @@ class EngineConfig:
 
     # Tree expansion
     tor_retry_decompose: int = _opt(1, "tor.retry_decompose")
-    tor_deterministic: bool = _opt(True, "tor.deterministic")
 
     # Pruning gate
     apm_hi: float = _opt(0.70, "apm.hi")
@@ -339,7 +336,3 @@ def env_overrides(environ: Mapping[str, str] | None = None) -> dict[str, str]:
     """Config overrides taken from the process environment."""
     environ = os.environ if environ is None else environ
     return {ENV_KEYS[name]: value for name, value in environ.items() if name in ENV_KEYS}
-
-
-def default_config() -> EngineConfig:
-    return EngineConfig()

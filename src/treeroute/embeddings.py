@@ -128,13 +128,3 @@ def _extract_embedding(data: object) -> list[float] | None:
         if isinstance(items[0].get("embedding"), list):
             return items[0]["embedding"]
     return None
-
-
-def embed(text: str, provider: EmbeddingProvider) -> np.ndarray:
-    """Embed text, checking the provider honored its dimension contract."""
-    vector = provider.embed(text)
-    if vector.shape != (provider.dimension,):
-        raise ValueError(
-            f"provider returned shape {vector.shape}, expected ({provider.dimension},)"
-        )
-    return vector

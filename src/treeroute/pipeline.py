@@ -3,10 +3,22 @@
 Three execution modes share one engine: the adaptive mode routes each
 query and spends retrieval depth only where the router asks for it, the
 fixed-depth mode forces a full depth-3 tree for every query, and the
-standard mode is a single retrieval plus rerank. Every processed query
-yields one trace with its routing fields, evidence, predictions, and an
-exact per-role cost ledger; a backend failure yields a failed trace, never
-a crashed batch.
+standard mode is a single retrieval plus rerank. Every query takes the
+same four steps:
+
+1. plan: compute the signals and complexity index, search the store once
+   for the query, and pick the route and depth (standard mode and forced
+   depths are plan choices; the adaptive mode asks the router);
+2. gather: at depth 0 the evidence pool is the search hits; a tree's root
+   gates those hits and every other node searches its own sub-query;
+3. consolidate: deduplicate with the indexed passage embeddings, rerank
+   once, and select (simple and hybrid queries skip this and keep their
+   top hits);
+4. classify the intents from the final evidence.
+
+Every processed query yields one trace with its routing fields, evidence,
+predictions, and an exact per-role cost ledger; a backend failure yields
+a failed trace, never a crashed batch.
 
 Latency in a trace is wall-clock unless the run is deterministic, in
 which case a synthetic per-call latency model is recorded instead so that
@@ -25,7 +37,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .backends import (
-    BackendRole,
     CallLog,
     ChatBackend,
     RemoteChatBackend,
@@ -41,7 +52,7 @@ from .rerank import consolidate
 from .roles import PromptLibrary, RoleRunner
 from .routing import RouteMode, decide
 from .signals import compute_qci, extract_signals, tokenize
-from .tree import collect_evidence, expand
+from .tree import RetrievalTree, collect_evidence, expand
 from .vectorstore import Passage, ScoredPassage, VectorStore, build_index
 
 __all__ = [
@@ -227,125 +238,98 @@ def process_query(
 
     force_depth skips routing and pins the tree depth (0 behaves like the
     simple path); the fixed-depth mode is equivalent to force_depth=3.
+    Standard mode ignores force_depth.
     """
     config = engine.config
     log = CallLog()
     warnings: list[str] = []
-    retrievals = 0
     started = time.perf_counter()
+    standard = mode is ExecutionMode.STANDARD_RAG
+    if mode is ExecutionMode.FIXED_DEPTH_3 and force_depth is None:
+        force_depth = 3
+    routed = not standard and force_depth is None
 
     tokenized = tokenize(record.text)
     signals = extract_signals(tokenized, engine.lexicons)
     qci = compute_qci(signals, engine.weights)
-    mode_value = RouteMode.SIMPLE.value
-    depth = 0
-    node_count = 0
-    pruned_node_count = 0
+    route, depth = RouteMode.SIMPLE, 0
+    searched = False
+    tree: RetrievalTree | None = None
     evidence: list[ScoredPassage] = []
     predicted: set[str] = set()
     error: str | None = None
 
-    if mode is ExecutionMode.FIXED_DEPTH_3 and force_depth is None:
-        force_depth = 3
-
     try:
+        # Plan: one search of the query in every mode, then route and depth.
         query_embedding = engine.embedder.embed(record.text)
+        hits = engine.store.search(query_embedding, k=config.store_k)
+        searched = True
+        if routed:
+            decision = decide(
+                tokenized,
+                [hit.passage.text for hit in hits[: config.qtc_assessor_snippets]],
+                lambda text, snips, initial, value: engine.runner.assess_level(
+                    text, snips, initial, value, log, warnings
+                ),
+                lexicons=engine.lexicons,
+                weights=engine.weights,
+                tau_simple=config.qtc_tau_simple,
+            )
+            route, depth = decision.mode, decision.depth
+        elif not standard and force_depth >= 1:
+            route, depth = RouteMode.TREE, force_depth
 
-        if mode is ExecutionMode.STANDARD_RAG:
-            raw_hits = engine.store.search(query_embedding, k=config.store_k)
-            retrievals += 1
-            result = consolidate(
+        # Gather: the hits themselves, or a tree whose root gates them.
+        pool = hits
+        if depth >= 1:
+            def pruner(sub_query: str, candidates: list[ScoredPassage]):
+                def judge(passage: Passage, sim: float) -> bool:
+                    return engine.runner.judge(
+                        record.text, sub_query, passage.text, sim, log, warnings
+                    )
+
+                return prune(
+                    query_embedding,
+                    candidates,
+                    engine.thresholds,
+                    judge,
+                    embedding_of=engine.store.embedding_of,
+                )
+
+            tree = expand(
                 record.text,
-                raw_hits,
+                depth,
+                store=engine.store,
+                embedder=engine.embedder.embed,
+                pruner=pruner,
+                decomposer=lambda text: engine.runner.decompose(text, log),
+                k=config.store_k,
+                retries=config.tor_retry_decompose,
+                root_hits=hits,
+            )
+            warnings.extend(tree.warnings)
+            pool = collect_evidence(tree)
+
+        # Consolidate: simple and hybrid queries keep their top hits unranked.
+        if depth == 0 and not standard:
+            evidence = hits[: config.rrl_cap]
+        elif pool:
+            evidence = consolidate(
+                record.text,
+                pool,
                 engine.dedup_policy,
                 engine.selection_rule,
-                engine.embedder,
-                lambda query, candidates: engine.runner.rerank(query, candidates, log, warnings),
+                engine.store.embedding_of,
+                lambda query, candidates: engine.runner.rerank(
+                    query, candidates, log, warnings
+                ),
                 warnings,
             )
-            evidence = result.evidence
-        else:
-            if force_depth is None:
-                raw_hits = engine.store.search(query_embedding, k=config.store_k)
-                retrievals += 1
-                snippets = [
-                    hit.passage.text for hit in raw_hits[: config.qtc_assessor_snippets]
-                ]
-                decision = decide(
-                    tokenized,
-                    snippets,
-                    lambda text, snips, initial, value: engine.runner.assess_level(
-                        text, snips, initial, value, log, warnings
-                    ),
-                    lexicons=engine.lexicons,
-                    weights=engine.weights,
-                    tau_simple=config.qtc_tau_simple,
-                )
-                mode_value = decision.mode.value
-                depth = decision.depth
-            else:
-                depth = force_depth
-                mode_value = (RouteMode.TREE if depth >= 1 else RouteMode.SIMPLE).value
-                raw_hits = None
-                if depth == 0:
-                    raw_hits = engine.store.search(query_embedding, k=config.store_k)
-                    retrievals += 1
-
-            if depth == 0:
-                evidence = list(raw_hits[: config.rrl_cap])
-            else:
-                def pruner(sub_query: str, candidates: list[ScoredPassage]):
-                    def judge(passage: Passage, sim: float) -> bool:
-                        return engine.runner.judge(
-                            record.text, sub_query, passage.text, sim, log, warnings
-                        )
-
-                    return prune(
-                        query_embedding,
-                        candidates,
-                        engine.thresholds,
-                        judge,
-                        embedding_of=engine.store.embedding_of,
-                    )
-
-                # The routing hits, when there are any, are the root's
-                # search; the cost model still counts one retrieval per node.
-                tree = expand(
-                    record.text,
-                    depth,
-                    store=engine.store,
-                    embedder=engine.embedder.embed,
-                    pruner=pruner,
-                    decomposer=lambda text: engine.runner.decompose(text, log),
-                    k=config.store_k,
-                    retries=config.tor_retry_decompose,
-                    root_hits=raw_hits,
-                )
-                retrievals += tree.node_count
-                warnings.extend(tree.warnings)
-                node_count = tree.node_count
-                pruned_node_count = tree.pruned_count
-                raw_evidence = collect_evidence(tree)
-                if raw_evidence:
-                    result = consolidate(
-                        record.text,
-                        raw_evidence,
-                        engine.dedup_policy,
-                        engine.selection_rule,
-                        engine.embedder,
-                        lambda query, candidates: engine.runner.rerank(
-                            query, candidates, log, warnings
-                        ),
-                        warnings,
-                    )
-                    evidence = result.evidence
-                else:
-                    root = tree.nodes[tree.root_id]
-                    if root.pruned and root.candidates:
-                        warnings.append(
-                            "root decomposition failed; using single-step evidence"
-                        )
-                        evidence = list(root.candidates[: config.rrl_cap])
+        elif tree is not None:
+            root = tree.nodes[tree.root_id]
+            if root.pruned and root.candidates:
+                warnings.append("root decomposition failed; using single-step evidence")
+                evidence = root.candidates[: config.rrl_cap]
 
         predicted = engine.runner.classify(
             record.text, evidence, engine.intent_names, log, warnings
@@ -353,7 +337,10 @@ def process_query(
     except EngineError as exc:
         error = f"{record.id}: {exc}"
 
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    node_count = tree.node_count if tree is not None else 0
+    # The plan search is an extra retrieval of routed and depth-0 queries;
+    # a forced tree counts it as its root node.
+    retrievals = node_count + int(searched and (routed or depth == 0))
     if config.run_deterministic:
         latency_ms = (
             config.latency_base_ms
@@ -361,7 +348,7 @@ def process_query(
             + config.latency_per_llm_call_ms * log.total_calls
         )
     else:
-        latency_ms = elapsed_ms
+        latency_ms = (time.perf_counter() - started) * 1000.0
 
     ledger = CostLedger(
         calls_by_role=log.counts_by_role(),
@@ -371,12 +358,12 @@ def process_query(
     )
     return QueryTrace(
         query_id=record.id,
-        mode=mode_value,
+        mode=route.value,
         qci=qci,
         signals=signals.as_dict(),
         depth=depth,
         node_count=node_count,
-        pruned_node_count=pruned_node_count,
+        pruned_node_count=tree.pruned_count if tree is not None else 0,
         evidence=[
             {"id": e.passage.id, "score": e.score, "source": e.source} for e in evidence
         ],
@@ -435,7 +422,3 @@ def run_manifest(
         "finished_at": finished_at,
     }
 
-
-def ledger_roles() -> tuple[str, ...]:
-    """Names of all ledger roles, for report headers."""
-    return tuple(role.value for role in BackendRole)

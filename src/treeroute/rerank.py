@@ -1,9 +1,10 @@
 """Evidence consolidation: deduplicate, rescore once, select.
 
 Tree expansion hands over a pool of per-node survivors that usually
-overlaps heavily. The pool is deduplicated first (exact text after
-normalization, then near-duplicates by embedding cosine), rescored with a
-single batched reranker call against the original query, and reduced to a
+overlaps heavily; standard mode hands over its search hits. The pool is
+deduplicated first (exact text after normalization, then near-duplicates
+by the cosine of the indexed passage embeddings), rescored with a single
+batched reranker call against the original query, and reduced to a
 bounded evidence set by rank and score floor.
 """
 
@@ -12,12 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .embeddings import EmbeddingProvider
+import numpy as np
+
 from .errors import BackendError
 from .vectorstore import ScoredPassage, cosine
 
 # (original query, candidates) -> one score per candidate in [0, 1]
 Reranker = Callable[[str, Sequence[ScoredPassage]], Sequence[float]]
+# passage id -> its unit-norm embedding, as indexed
+EmbeddingOf = Callable[[str], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -51,13 +55,6 @@ class SelectionRule:
             )
 
 
-@dataclass
-class ConsolidationResult:
-    evidence: list[ScoredPassage]
-    reranker_calls: int
-    deduped_count: int
-
-
 def normalize_text(text: str) -> str:
     return " ".join(text.lower().split())
 
@@ -69,7 +66,7 @@ def _ranked(candidates: Sequence[ScoredPassage]) -> list[ScoredPassage]:
 def deduplicate(
     candidates: Sequence[ScoredPassage],
     policy: DedupPolicy,
-    embedder: EmbeddingProvider,
+    embedding_of: EmbeddingOf,
 ) -> list[ScoredPassage]:
     """Merge exact and near duplicates, keeping the better-scored copy.
 
@@ -84,7 +81,7 @@ def deduplicate(
         normalized = normalize_text(candidate.passage.text)
         if normalized in seen_text:
             continue
-        embedding = embedder.embed(candidate.passage.text)
+        embedding = embedding_of(candidate.passage.id)
         if any(
             cosine(embedding, other) >= policy.near_dup_threshold
             for other in kept_embeddings
@@ -101,36 +98,29 @@ def global_rescore(
     candidates: Sequence[ScoredPassage],
     reranker: Reranker,
     warnings: list[str] | None = None,
-) -> tuple[list[ScoredPassage], int]:
-    """Rescore all candidates in one batched call.
+) -> list[ScoredPassage]:
+    """Rescore all candidates in one batched call; none for an empty pool.
 
     If the reranker fails outright, retrieval cosines clamped to [0, 1]
-    stand in so consolidation still completes. Returns the rescored list
-    and the number of reranker calls made (0 for an empty pool, else 1).
+    stand in so consolidation still completes.
     """
     if not candidates:
-        return [], 0
+        return []
     try:
         scores = list(reranker(original_query, candidates))
     except BackendError as exc:
         if warnings is not None:
             warnings.append(f"reranker failed, falling back to retrieval scores: {exc}")
-        scores = [min(max(c.score, 0.0), 1.0) for c in candidates]
-        return (
-            [ScoredPassage(c.passage, s, source="rerank") for c, s in zip(candidates, scores)],
-            1,
-        )
-    if len(scores) != len(candidates):
-        raise ValueError(
-            f"reranker returned {len(scores)} scores for {len(candidates)} candidates"
-        )
-    return (
-        [
-            ScoredPassage(c.passage, min(max(float(s), 0.0), 1.0), source="rerank")
-            for c, s in zip(candidates, scores)
-        ],
-        1,
-    )
+        scores = [c.score for c in candidates]
+    else:
+        if len(scores) != len(candidates):
+            raise ValueError(
+                f"reranker returned {len(scores)} scores for {len(candidates)} candidates"
+            )
+    return [
+        ScoredPassage(c.passage, min(max(float(s), 0.0), 1.0), source="rerank")
+        for c, s in zip(candidates, scores)
+    ]
 
 
 def select_topk(scored: Sequence[ScoredPassage], rule: SelectionRule) -> list[ScoredPassage]:
@@ -150,17 +140,13 @@ def select_topk(scored: Sequence[ScoredPassage], rule: SelectionRule) -> list[Sc
 
 def consolidate(
     original_query: str,
-    tree_evidence: Sequence[ScoredPassage],
+    candidates: Sequence[ScoredPassage],
     policy: DedupPolicy,
     rule: SelectionRule,
-    embedder: EmbeddingProvider,
+    embedding_of: EmbeddingOf,
     reranker: Reranker,
     warnings: list[str] | None = None,
-) -> ConsolidationResult:
-    """Full consolidation pass over tree evidence."""
-    deduped = deduplicate(tree_evidence, policy, embedder)
-    rescored, calls = global_rescore(original_query, deduped, reranker, warnings)
-    evidence = select_topk(rescored, rule)
-    return ConsolidationResult(
-        evidence=evidence, reranker_calls=calls, deduped_count=len(deduped)
-    )
+) -> list[ScoredPassage]:
+    """Full consolidation pass over the evidence pool: the final evidence."""
+    deduped = deduplicate(candidates, policy, embedding_of)
+    return select_topk(global_rescore(original_query, deduped, reranker, warnings), rule)

@@ -23,17 +23,10 @@ from .backends import (
     CallLog,
     call_chat,
 )
+from .config import EngineConfig
 from .errors import BackendError, ConfigError, EngineError
 from .routing import RouteMode, SemanticLevel
 from .vectorstore import ScoredPassage
-
-DEFAULT_TEMPERATURES: Mapping[BackendRole, float] = {
-    BackendRole.DECOMPOSER: 0.3,
-    BackendRole.LEVEL_ASSESSOR: 0.0,
-    BackendRole.JUDGE: 0.1,
-    BackendRole.RERANKER: 0.0,
-    BackendRole.INTENT_CLASSIFIER: 0.0,
-}
 
 DEFAULT_MAX_OUTPUT_TOKENS: Mapping[BackendRole, int] = {
     BackendRole.DECOMPOSER: 256,
@@ -157,7 +150,7 @@ class RoleRunner:
         self.backend = backend
         self.prompts = prompts if prompts is not None else PromptLibrary()
         self.model = model
-        self.temperatures = dict(DEFAULT_TEMPERATURES)
+        self.temperatures = EngineConfig().temperatures()
         if temperatures:
             self.temperatures.update(temperatures)
         self.fallback_level = fallback_level

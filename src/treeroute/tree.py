@@ -50,8 +50,6 @@ class RetrievalTree:
     root_id: str
     nodes: dict[str, QueryNode]
     max_depth: int
-    judge_calls: int = 0
-    decompose_calls: int = 0
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -61,6 +59,11 @@ class RetrievalTree:
     @property
     def pruned_count(self) -> int:
         return sum(1 for node in self.nodes.values() if node.pruned)
+
+    @property
+    def decompose_calls(self) -> int:
+        """Successful decompositions: every node with children had one."""
+        return sum(1 for node in self.nodes.values() if node.child_ids)
 
     @property
     def leaf_count(self) -> int:
@@ -111,7 +114,7 @@ def expand(
     tree.nodes[root.id] = root
     if root_hits is None:
         root_hits = store.search(embedder(root_query), k=k)
-    _gate_into(root, tree, root_hits, pruner)
+    _gate_into(root, root_hits, pruner)
 
     frontier = [root.id]
     for _ in range(depth):
@@ -127,7 +130,6 @@ def expand(
                 node.pruned = True
                 tree.warnings.append(f"node {node.id}: {exc}")
                 continue
-            tree.decompose_calls += 1
             for branch, sub_query in enumerate((first, second)):
                 child = QueryNode(
                     id=f"{node.id}.{branch}",
@@ -137,18 +139,14 @@ def expand(
                 )
                 node.child_ids.append(child.id)
                 tree.nodes[child.id] = child
-                _gate_into(child, tree, store.search(embedder(sub_query), k=k), pruner)
+                _gate_into(child, store.search(embedder(sub_query), k=k), pruner)
                 next_frontier.append(child.id)
         frontier = next_frontier
     return tree
 
 
-def _gate_into(
-    node: QueryNode, tree: RetrievalTree, candidates: list[ScoredPassage], pruner: Pruner
-) -> None:
-    result = pruner(node.text, candidates)
-    node.candidates = result.survivors
-    tree.judge_calls += result.judge_calls
+def _gate_into(node: QueryNode, candidates: list[ScoredPassage], pruner: Pruner) -> None:
+    node.candidates = pruner(node.text, candidates).survivors
     if not node.candidates:
         node.pruned = True
 

@@ -3,9 +3,7 @@
 Search is exhaustive cosine similarity: one dot product against the full
 matrix, then an exact top-k by partition. Rows are stored in ascending
 passage id order, so the row index breaks ties and results are stable
-under re-indexing in any order. Approximate-index parameters are carried
-as inert metadata for config compatibility; nothing here builds a graph
-index.
+under re-indexing in any order.
 """
 
 from __future__ import annotations
@@ -18,10 +16,6 @@ import numpy as np
 from .embeddings import EmbeddingProvider
 
 DEFAULT_SEARCH_K = 32
-
-# Carried in config and manifests only; exact search ignores them.
-HNSW_DEFAULT_M = 32
-HNSW_DEFAULT_EF_CONSTRUCTION = 200
 
 
 @dataclass(frozen=True)

@@ -215,13 +215,6 @@ def test_stub_classifier_joins_labels():
     assert backend.chat(_request(BackendRole.INTENT_CLASSIFIER, payload={})) == "none"
 
 
-def test_stub_counts_calls():
-    backend = StubChatBackend()
-    backend.chat(_request(payload={"sim": 1.0}))
-    backend.chat(_request(payload={"sim": 1.0}))
-    assert backend.calls == 2
-
-
 def test_stub_behavior_validation():
     with pytest.raises(ValueError):
         StubBehavior(assessor_low=0.6, assessor_high=0.5)

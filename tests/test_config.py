@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from treeroute.backends import BackendRole
-from treeroute.config import ENV_KEYS, EngineConfig, default_config, env_overrides
+from treeroute.config import ENV_KEYS, EngineConfig, env_overrides
 from treeroute.errors import ConfigError
 from treeroute.routing import SemanticLevel
 
 
 def test_defaults_validate():
-    default_config().validate()
+    EngineConfig().validate()
 
 
 def test_canonical_round_trip_is_byte_stable():
@@ -105,6 +108,16 @@ def test_remote_backend_with_endpoint_validates():
 def test_from_text_rejects_garbage():
     with pytest.raises(ConfigError, match="invalid config"):
         EngineConfig.from_text("this is not ini [")
+
+
+def test_readme_example_config_loads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    config = EngineConfig.from_text(blocks[0])
+    config.validate()
+    assert config.qtc_tau_simple == 0.10
+    assert (config.apm_hi, config.apm_lo, config.backend_kind) == (0.70, 0.35, "stub")
 
 
 def test_from_file(tmp_path):

@@ -12,7 +12,6 @@ from treeroute.embeddings import (
     EmbeddingProvider,
     HashedBagEmbedder,
     RemoteEmbedder,
-    embed,
 )
 from treeroute.errors import BackendError
 from treeroute.vectorstore import cosine
@@ -78,17 +77,6 @@ def test_rejects_bad_dimension():
 
 def test_provider_protocol():
     assert isinstance(HashedBagEmbedder(), EmbeddingProvider)
-
-
-def test_embed_wrapper_enforces_dimension_contract():
-    class Lying:
-        dimension = 10
-
-        def embed(self, text):
-            return np.ones(3)
-
-    with pytest.raises(ValueError, match="shape"):
-        embed("x", Lying())
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):

@@ -7,7 +7,6 @@ import pytest
 from treeroute.embeddings import HashedBagEmbedder
 from treeroute.errors import BackendError
 from treeroute.rerank import (
-    ConsolidationResult,
     DedupPolicy,
     SelectionRule,
     consolidate,
@@ -25,8 +24,9 @@ def _sp(pid: str, text: str, score: float) -> ScoredPassage:
     return ScoredPassage(passage=Passage(id=pid, text=text), score=score)
 
 
-def _echo_reranker(query, candidates):
-    return [c.score for c in candidates]
+def _index(candidates):
+    """Passage id -> embedding of its text, as a built store holds it."""
+    return {c.passage.id: EMBEDDER.embed(c.passage.text) for c in candidates}.__getitem__
 
 
 def test_normalize_text():
@@ -53,7 +53,7 @@ def test_exact_duplicates_keep_best_score():
         _sp("b", "Freeze  my CARD", 0.9),
         _sp("c", "unrelated text entirely", 0.5),
     ]
-    kept = deduplicate(candidates, DedupPolicy(), EMBEDDER)
+    kept = deduplicate(candidates, DedupPolicy(), _index(candidates))
     assert [(c.passage.id, c.score) for c in kept] == [("b", 0.9), ("c", 0.5)]
 
 
@@ -62,7 +62,7 @@ def test_exact_duplicate_tie_keeps_lowest_id():
         _sp("z", "freeze my card", 0.5),
         _sp("a", "freeze my card", 0.5),
     ]
-    kept = deduplicate(candidates, DedupPolicy(), EMBEDDER)
+    kept = deduplicate(candidates, DedupPolicy(), _index(candidates))
     assert [c.passage.id for c in kept] == ["a"]
 
 
@@ -74,7 +74,7 @@ def test_near_duplicates_merge_by_embedding():
         _sp("b", "gamma beta alpha", 0.6),
         _sp("c", "totally different words", 0.7),
     ]
-    kept = deduplicate(candidates, DedupPolicy(), EMBEDDER)
+    kept = deduplicate(candidates, DedupPolicy(), _index(candidates))
     assert [c.passage.id for c in kept] == ["a", "c"]
 
 
@@ -83,7 +83,7 @@ def test_near_dup_threshold_is_inclusive_boundary():
         _sp("a", "alpha beta gamma", 0.8),
         _sp("b", "gamma beta alpha", 0.6),
     ]
-    kept_tight = deduplicate(candidates, DedupPolicy(near_dup_threshold=1.0), EMBEDDER)
+    kept_tight = deduplicate(candidates, DedupPolicy(near_dup_threshold=1.0), _index(candidates))
     assert [c.passage.id for c in kept_tight] == ["a"]
 
 
@@ -94,9 +94,9 @@ def test_deduplicate_output_is_ranked_and_idempotent():
         for i in range(20)
     ]
     rng.shuffle(candidates)
-    once = deduplicate(candidates, DedupPolicy(), EMBEDDER)
+    once = deduplicate(candidates, DedupPolicy(), _index(candidates))
     assert once == sorted(once, key=lambda c: (-c.score, c.passage.id))
-    assert deduplicate(once, DedupPolicy(), EMBEDDER) == once
+    assert deduplicate(once, DedupPolicy(), _index(candidates)) == once
 
 
 def test_global_rescore_marks_source_and_counts_one_call():
@@ -107,8 +107,8 @@ def test_global_rescore_marks_source_and_counts_one_call():
         calls += 1
         return [0.9, 0.1]
 
-    rescored, n = global_rescore("q", [_sp("a", "ta", 0.2), _sp("b", "tb", 0.8)], reranker)
-    assert n == calls == 1
+    rescored = global_rescore("q", [_sp("a", "ta", 0.2), _sp("b", "tb", 0.8)], reranker)
+    assert calls == 1
     assert [(c.passage.id, c.score, c.source) for c in rescored] == [
         ("a", 0.9, "rerank"),
         ("b", 0.1, "rerank"),
@@ -116,26 +116,31 @@ def test_global_rescore_marks_source_and_counts_one_call():
 
 
 def test_global_rescore_empty_pool_makes_no_call():
-    rescored, n = global_rescore("q", [], _echo_reranker)
-    assert rescored == [] and n == 0
+    calls = []
+    rescored = global_rescore("q", [], lambda q, c: calls.append(c) or [])
+    assert rescored == [] and calls == []
 
 
 def test_global_rescore_clamps():
-    rescored, _ = global_rescore(
+    rescored = global_rescore(
         "q", [_sp("a", "ta", 0.2)], lambda q, c: [1.7]
     )
     assert rescored[0].score == 1.0
 
 
 def test_global_rescore_backend_failure_falls_back_to_retrieval_scores():
+    calls = 0
+
     def failing(query, candidates):
+        nonlocal calls
+        calls += 1
         raise BackendError("reranker", "down")
 
     warnings: list[str] = []
-    rescored, n = global_rescore(
+    rescored = global_rescore(
         "q", [_sp("a", "ta", 0.83), _sp("b", "tb", -0.2)], failing, warnings
     )
-    assert n == 1
+    assert calls == 1
     assert [(c.passage.id, c.score) for c in rescored] == [("a", 0.83), ("b", 0.0)]
     assert all(c.source == "rerank" for c in rescored)
     assert warnings and "falling back" in warnings[0]
@@ -222,19 +227,16 @@ def test_consolidate_reranks_exactly_the_deduped_pool():
         _sp("c", "order a replacement", 0.7),
         _sp("d", "check my balance", 0.6),
     ]
-    result = consolidate("q", pool, DedupPolicy(), SelectionRule(), EMBEDDER, reranker)
-    assert isinstance(result, ConsolidationResult)
-    assert result.deduped_count == 3
+    evidence = consolidate("q", pool, DedupPolicy(), SelectionRule(), _index(pool), reranker)
     assert batch_sizes == [3]
-    assert result.reranker_calls == 1
-    assert [c.passage.id for c in result.evidence] == ["a", "c", "d"]
-    assert all(c.source == "rerank" for c in result.evidence)
+    assert [c.passage.id for c in evidence] == ["a", "c", "d"]
+    assert all(c.source == "rerank" for c in evidence)
 
 
 def test_consolidate_empty_pool():
-    result = consolidate(
-        "q", [], DedupPolicy(), SelectionRule(), EMBEDDER, _echo_reranker
+    calls = []
+    evidence = consolidate(
+        "q", [], DedupPolicy(), SelectionRule(), _index([]), lambda q, c: calls.append(c) or []
     )
-    assert result.evidence == []
-    assert result.reranker_calls == 0
-    assert result.deduped_count == 0
+    assert evidence == []
+    assert calls == []

@@ -7,10 +7,10 @@ from treeroute.backends import (
     CallLog,
     StubChatBackend,
 )
+from treeroute.config import EngineConfig
 from treeroute.errors import BackendError, ConfigError
 from treeroute.roles import (
     DEFAULT_MAX_OUTPUT_TOKENS,
-    DEFAULT_TEMPERATURES,
     ParseError,
     PromptLibrary,
     RoleRunner,
@@ -255,13 +255,14 @@ def test_runner_uses_configured_temperatures_and_budgets():
     runner = RoleRunner(backend)
     runner.decompose("query text")
     request = backend.requests[0]
-    assert request.temperature == DEFAULT_TEMPERATURES[BackendRole.DECOMPOSER] == 0.3
+    defaults = EngineConfig().temperatures()
+    assert request.temperature == defaults[BackendRole.DECOMPOSER] == 0.3
     assert request.max_output_tokens == DEFAULT_MAX_OUTPUT_TOKENS[BackendRole.DECOMPOSER] == 256
 
     backend.reply = "Relevant"
     runner.judge("q", "sq", "p", 0.4)
     judge_request = backend.requests[-1]
-    assert judge_request.temperature == 0.1
+    assert judge_request.temperature == defaults[BackendRole.JUDGE] == 0.1
     assert judge_request.max_output_tokens == 16
 
 

@@ -116,14 +116,6 @@ def test_pruned_branch_stops_but_sibling_grows():
     assert tree.decompose_calls == 2
 
 
-def test_judge_calls_accumulate():
-    def pruner(sub_query, candidates):
-        return PruneResult(survivors=list(candidates), judge_calls=3)
-
-    tree = _expand(1, pruner=pruner)
-    assert tree.judge_calls == 9
-
-
 def test_retrieval_k_is_passed_through():
     sizes: list[int] = []
 
