@@ -2,9 +2,10 @@
 
 Two providers implement the same contract: map text to a unit-norm vector
 of a fixed dimension. The hashed bag-of-tokens provider is fully
-deterministic and needs no network; the remote provider calls an HTTP
-embedding endpoint. Every vector returned by a provider is L2-normalized,
-which the vector store relies on.
+deterministic and needs no network; it is a pure function of the text and
+keeps no cache (the vector store memoizes repeated searches). The remote
+provider calls an HTTP embedding endpoint. Every vector returned by a
+provider is L2-normalized, which the vector store relies on.
 """
 
 from __future__ import annotations
@@ -44,16 +45,12 @@ class HashedBagEmbedder:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
         self.seed = seed
-        self._cache: dict[str, np.ndarray] = {}
 
     def _coordinate(self, token: str) -> int:
         digest = hashlib.sha256(f"{self.seed}:{token}".encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") % self.dimension
 
     def embed(self, text: str) -> np.ndarray:
-        cached = self._cache.get(text)
-        if cached is not None:
-            return cached
         vector = np.zeros(self.dimension, dtype=np.float64)
         # An empty token bag still has to produce a unit vector.
         tokens = tokenize(text).tokens or ("",)
@@ -61,7 +58,6 @@ class HashedBagEmbedder:
             vector[self._coordinate(token)] += 1.0
         vector /= np.linalg.norm(vector)
         vector.setflags(write=False)
-        self._cache[text] = vector
         return vector
 
 

@@ -4,10 +4,17 @@ Search is exhaustive cosine similarity: one dot product against the full
 matrix, then an exact top-k by partition. Rows are stored in ascending
 passage id order, so the row index breaks ties and results are stable
 under re-indexing in any order.
+
+The store never changes after build_index(), so search memoizes its
+result on the query vector's bytes and k: a repeated query skips the
+matrix product and returns the same scores bit for bit. The memo keeps
+the SEARCH_CACHE_SIZE most recently used results.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -16,6 +23,7 @@ import numpy as np
 from .embeddings import EmbeddingProvider
 
 DEFAULT_SEARCH_K = 32
+SEARCH_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,10 @@ class VectorStore:
                 )
         self._matrix = matrix
         self._row_by_id = {p.id: i for i, p in enumerate(self._passages)}
+        self._memo: OrderedDict[tuple, tuple[ScoredPassage, ...]] = OrderedDict()
+        # Worker threads share one store. Two misses on the same key may both
+        # scan; they store equal results.
+        self._memo_lock = threading.Lock()
 
     @property
     def size(self) -> int:
@@ -79,7 +91,10 @@ class VectorStore:
         return self._matrix[row]
 
     def search(self, query_embedding: np.ndarray, k: int = DEFAULT_SEARCH_K) -> list[ScoredPassage]:
-        """Top-k passages by cosine, ties broken by ascending passage id."""
+        """Top-k passages by cosine, ties broken by ascending passage id.
+
+        A query vector and k seen before get the memoized hits in a new list.
+        """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if query_embedding.shape != (self.dimension,):
@@ -89,6 +104,20 @@ class VectorStore:
             )
         if not self._passages:
             return []
+        key = (query_embedding.dtype.str, query_embedding.tobytes(), k)
+        with self._memo_lock:
+            hits = self._memo.get(key)
+            if hits is not None:
+                self._memo.move_to_end(key)
+                return list(hits)
+        hits = self._scan(query_embedding, k)
+        with self._memo_lock:
+            self._memo[key] = hits
+            while len(self._memo) > SEARCH_CACHE_SIZE:
+                self._memo.popitem(last=False)
+        return list(hits)
+
+    def _scan(self, query_embedding: np.ndarray, k: int) -> tuple[ScoredPassage, ...]:
         scores = np.clip(self._matrix @ query_embedding, -1.0, 1.0)
         n = len(scores)
         if k < n:
@@ -98,10 +127,10 @@ class VectorStore:
         else:
             rows = np.arange(n)
         order = rows[np.lexsort((rows, -scores[rows]))][:k]
-        return [
+        return tuple(
             ScoredPassage(passage=self._passages[i], score=float(scores[i]))
             for i in order
-        ]
+        )
 
 
 def build_index(passages: Iterable[Passage], provider: EmbeddingProvider) -> VectorStore:
@@ -116,9 +145,16 @@ def build_index(passages: Iterable[Passage], provider: EmbeddingProvider) -> Vec
         if passage.id in seen:
             raise ValueError(f"duplicate passage id: {passage.id}")
         seen.add(passage.id)
-    if not ordered:
-        return VectorStore((), np.zeros((0, provider.dimension), dtype=np.float64))
-    matrix = np.stack([provider.embed(p.text) for p in ordered])
+    # Filled in place, so the build never holds the vectors twice.
+    matrix = np.empty((len(ordered), provider.dimension), dtype=np.float64)
+    for row, passage in enumerate(ordered):
+        vector = provider.embed(passage.text)
+        if vector.shape != (provider.dimension,):
+            raise ValueError(
+                f"passage {passage.id}: embedding has shape {vector.shape}, "
+                f"provider dimension is {provider.dimension}"
+            )
+        matrix[row] = vector
     matrix.setflags(write=False)
     return VectorStore(ordered, matrix)
 

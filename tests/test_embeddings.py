@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -62,12 +63,14 @@ def test_tokenization_normalizes_before_hashing():
     )
 
 
-def test_cache_returns_same_readonly_array():
+def test_embed_is_pure_and_readonly():
     embedder = HashedBagEmbedder(dimension=16)
+    state = copy.deepcopy(vars(embedder))
     first = embedder.embed("hello")
-    assert embedder.embed("hello") is first
+    assert embedder.embed("hello").tobytes() == first.tobytes()
     with pytest.raises(ValueError):
         first[0] = 9.0
+    assert vars(embedder) == state
 
 
 def test_rejects_bad_dimension():

@@ -3,8 +3,9 @@ from __future__ import annotations
 import json
 
 import pytest
-from conftest import build_workload, make_engine
+from conftest import TEMPLATES, build_workload, make_engine
 
+from treeroute import vectorstore
 from treeroute.backends import BackendRole, StubChatBackend
 from treeroute.dataset import QueryRecord
 from treeroute.errors import BackendError
@@ -18,6 +19,7 @@ from treeroute.pipeline import (
     run_workload,
     write_traces,
 )
+from treeroute.vectorstore import VectorStore
 
 SIMPLE = QueryRecord(id="q_simple", text="cancel my card", intents=frozenset({"cancel_card"}))
 HYBRID = QueryRecord(
@@ -346,6 +348,30 @@ def test_identical_runs_serialize_identically(tmp_path):
     write_traces(a_path, run_workload(make_engine(), workload))
     write_traces(b_path, run_workload(make_engine(), workload))
     assert a_path.read_bytes() == b_path.read_bytes()
+
+
+@pytest.mark.parametrize("mode", [ExecutionMode.ADAPTIVE, ExecutionMode.FIXED_DEPTH_3])
+def test_search_memo_leaves_traces_byte_identical(tmp_path, monkeypatch, mode):
+    # Every template text three times over, so repeated searches hit the memo.
+    workload = [
+        QueryRecord(id=f"q{i:03d}", text=text, intents=frozenset(intents))
+        for i, (text, intents) in enumerate(TEMPLATES * 3)
+    ]
+    scans = [0]
+    scan = VectorStore._scan
+
+    def counting_scan(self, *args):
+        scans[0] += 1
+        return scan(self, *args)
+
+    monkeypatch.setattr(VectorStore, "_scan", counting_scan)
+    memo_path, plain_path = tmp_path / "memo.jsonl", tmp_path / "plain.jsonl"
+    write_traces(memo_path, run_workload(make_engine(), workload, mode=mode))
+    memo_scans, scans[0] = scans[0], 0
+    monkeypatch.setattr(vectorstore, "SEARCH_CACHE_SIZE", 0)
+    write_traces(plain_path, run_workload(make_engine(), workload, mode=mode))
+    assert memo_path.read_bytes() == plain_path.read_bytes()
+    assert 0 < memo_scans < scans[0]
 
 
 def test_write_and_read_traces(tmp_path, engine):

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import random
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeroute import vectorstore
 from treeroute.embeddings import HashedBagEmbedder
 from treeroute.vectorstore import (
     DEFAULT_SEARCH_K,
@@ -206,3 +210,145 @@ def test_cosine_function():
 def test_scored_passage_defaults():
     sp = ScoredPassage(passage=Passage(id="p", text="t"), score=0.5)
     assert sp.source == "cosine"
+
+
+class _ShortVectorProvider:
+    """Returns a one-element vector for one text, which would broadcast."""
+
+    dimension = 4
+
+    def embed(self, text: str) -> np.ndarray:
+        if text == "short":
+            return np.ones(1)
+        return np.full(4, 0.5)
+
+
+def test_build_rejects_a_wrong_embedding_shape_by_passage_id():
+    passages = [Passage(id="ok", text="fine"), Passage(id="bad", text="short")]
+    with pytest.raises(ValueError, match="bad.*shape"):
+        build_index(passages, _ShortVectorProvider())
+
+
+def test_built_matrix_is_readonly_float64_rows_of_the_provider():
+    embedder = HashedBagEmbedder(dimension=16)
+    texts = {f"p{i}": f"passage {i} about cards" for i in range(6)}
+    store = build_index(_passages(texts), embedder)
+    matrix = store._matrix
+    assert matrix.dtype == np.float64
+    assert matrix.flags.c_contiguous
+    assert not matrix.flags.writeable
+    for row, passage in enumerate(store.passages):
+        assert matrix[row].tobytes() == embedder.embed(passage.text).tobytes()
+
+
+def test_build_peak_memory_stays_near_one_matrix():
+    embedder = HashedBagEmbedder(dimension=256)
+    passages = [
+        Passage(id=f"p{i:04d}", text=f"passage {i} word{i % 50} card rate") for i in range(2000)
+    ]
+    tracemalloc.start()
+    try:
+        store = build_index(passages, embedder)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Stacking a list of every vector would peak at about twice the matrix.
+    assert peak < 1.5 * store._matrix.nbytes
+
+
+def _hits(hits):
+    return [(h.passage.id, h.score) for h in hits]
+
+
+def test_repeated_search_returns_identical_hits(store):
+    q = HashedBagEmbedder(dimension=64).embed("card rates")
+    first = store.search(q, k=3)
+    again = store.search(q.copy(), k=3)
+    assert again == first
+    assert [h.score for h in again] == [h.score for h in first]
+
+
+def test_mutating_a_result_leaves_the_memo_intact(store):
+    q = HashedBagEmbedder(dimension=64).embed("card")
+    first = store.search(q, k=3)
+    expected = list(first)
+    first.clear()
+    second = store.search(q, k=3)
+    assert second == expected
+    second.reverse()
+    assert store.search(q, k=3) == expected
+
+
+def test_each_k_is_its_own_memo_entry(store):
+    q = HashedBagEmbedder(dimension=64).embed("card")
+    assert len(store.search(q, k=1)) == 1
+    assert len(store.search(q, k=5)) == 5
+    assert len(store._memo) == 2
+    assert store.search(q, k=1) == store.search(q, k=5)[:1]
+
+
+def test_memo_never_exceeds_its_bound(store, monkeypatch):
+    monkeypatch.setattr(vectorstore, "SEARCH_CACHE_SIZE", 3)
+    embedder = HashedBagEmbedder(dimension=64)
+    queries = [embedder.embed(f"card number {i}") for i in range(10)]
+    for q in queries:
+        store.search(q, k=2)
+        assert len(store._memo) <= 3
+    # The least recently used entries went first.
+    assert [key[1] for key in store._memo] == [q.tobytes() for q in queries[-3:]]
+
+
+def test_memo_of_size_zero_stores_nothing(store, monkeypatch):
+    q = HashedBagEmbedder(dimension=64).embed("card rates")
+    expected = store.search(q, k=3)
+    store._memo.clear()
+    monkeypatch.setattr(vectorstore, "SEARCH_CACHE_SIZE", 0)
+    for _ in range(3):
+        assert store.search(q, k=3) == expected
+        assert len(store._memo) == 0
+
+
+def test_identical_searches_scan_once(store, monkeypatch):
+    scans = []
+    scan = store._scan
+
+    def spy(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(store, "_scan", spy)
+    q = HashedBagEmbedder(dimension=64).embed("freeze my card")
+    results = [store.search(q, k=4) for _ in range(6)]
+    assert len(scans) == 1
+    assert all(r == results[0] for r in results)
+
+
+@pytest.mark.parametrize("bound", [vectorstore.SEARCH_CACHE_SIZE, 3])
+def test_threaded_searches_match_sequential(store, monkeypatch, bound):
+    # A bound of 3 makes the threads evict each other's entries.
+    monkeypatch.setattr(vectorstore, "SEARCH_CACHE_SIZE", bound)
+    embedder = HashedBagEmbedder(dimension=64)
+    texts = ["card", "savings account", "interest rates", "dispute charge", "freeze"] * 40
+    queries = [embedder.embed(t) for t in texts]
+    fresh = build_index(store.passages, embedder)
+    sequential = [_hits(fresh.search(q, k=3)) for q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda q: _hits(store.search(q, k=3)), queries, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == sequential
+    assert len(store._memo) <= bound
+
+
+def test_checks_still_run_on_a_memoized_vector(store):
+    q = HashedBagEmbedder(dimension=64).embed("card")
+    store.search(q, k=3)
+    with pytest.raises(ValueError):
+        store.search(q, k=0)
+    with pytest.raises(ValueError, match="shape"):
+        store.search(np.concatenate([q, q]), k=3)
+    with pytest.raises(ValueError, match="shape"):
+        store.search(q.reshape(1, -1), k=3)
