@@ -89,6 +89,6 @@ from .signals import (
     tokenize,
 )
 from .tree import QueryNode, RetrievalTree, collect_evidence, decompose, expand
-from .vectorstore import Passage, ScoredPassage, VectorStore, build_index, cosine
+from .vectorstore import Passage, ScoredPassage, VectorStore, build_index
 
 __version__ = "0.1.0"

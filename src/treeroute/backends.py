@@ -155,16 +155,16 @@ class StubChatBackend:
 
     def __init__(self, behavior: StubBehavior = StubBehavior()):
         self.behavior = behavior
-
-    def chat(self, request: ChatRequest) -> str:
-        handler = {
+        self._handlers = {
             BackendRole.DECOMPOSER: self._decompose,
             BackendRole.LEVEL_ASSESSOR: self._assess,
             BackendRole.JUDGE: self._judge,
             BackendRole.RERANKER: self._rerank,
             BackendRole.INTENT_CLASSIFIER: self._classify,
-        }[request.role]
-        return handler(request.payload)
+        }
+
+    def chat(self, request: ChatRequest) -> str:
+        return self._handlers[request.role](request.payload)
 
     def _decompose(self, payload: Mapping[str, Any]) -> str:
         first, second = stub_decompose(

@@ -4,7 +4,9 @@ Stage one is a pure cosine gate against the original query embedding:
 clearly relevant candidates are retained, clearly irrelevant ones
 discarded. Only the borderline band between the two thresholds is
 escalated to a judge call, so judge volume is exactly the borderline
-count. Survivors keep their input order.
+count. Survivors keep their input order. The cosines, one matrix-vector
+product per node, are not clamped: with thresholds in [0, 1] only search
+needs to clamp.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .vectorstore import Passage, ScoredPassage, cosine
+from .vectorstore import Passage, ScoredPassage
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,13 @@ def prune(
     not the sub-query that retrieved the candidate, so one detached branch
     cannot flood the evidence pool.
     """
+    if not candidates:
+        return PruneResult(survivors=[], judge_calls=0)
     lookup = embedding_of.__getitem__ if isinstance(embedding_of, Mapping) else embedding_of
+    sims = np.array([lookup(c.passage.id) for c in candidates]) @ original_embedding
     survivors: list[ScoredPassage] = []
     judge_calls = 0
-    for candidate in candidates:
-        sim = cosine(original_embedding, lookup(candidate.passage.id))
+    for candidate, sim in zip(candidates, sims.tolist()):
         outcome = quantitative_gate(sim, thresholds)
         if outcome is GateOutcome.BORDERLINE:
             judge_calls += 1

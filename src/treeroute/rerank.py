@@ -5,7 +5,8 @@ overlaps heavily; standard mode hands over its search hits. The pool is
 deduplicated first (exact text after normalization, then near-duplicates
 by the cosine of the indexed passage embeddings), rescored with a single
 batched reranker call against the original query, and reduced to a
-bounded evidence set by rank and score floor.
+bounded evidence set by rank and score floor. Dedup cosines are not
+clamped: with the threshold in (0, 1], only search needs to clamp.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BackendError
-from .vectorstore import ScoredPassage, cosine
+from .vectorstore import ScoredPassage
 
 # (original query, candidates) -> one score per candidate in [0, 1]
 Reranker = Callable[[str, Sequence[ScoredPassage]], Sequence[float]]
@@ -75,21 +76,21 @@ def deduplicate(
     result is already ranked. Applying this twice changes nothing.
     """
     kept: list[ScoredPassage] = []
-    kept_embeddings = []
+    # Row i is kept[i]'s embedding; the first embedding is always kept.
+    kept_rows: np.ndarray | None = None
     seen_text: set[str] = set()
     for candidate in _ranked(candidates):
         normalized = normalize_text(candidate.passage.text)
         if normalized in seen_text:
             continue
         embedding = embedding_of(candidate.passage.id)
-        if any(
-            cosine(embedding, other) >= policy.near_dup_threshold
-            for other in kept_embeddings
-        ):
+        if kept_rows is None:
+            kept_rows = np.empty((len(candidates), embedding.shape[0]))
+        elif (kept_rows[: len(kept)] @ embedding >= policy.near_dup_threshold).any():
             continue
         seen_text.add(normalized)
+        kept_rows[len(kept)] = embedding
         kept.append(candidate)
-        kept_embeddings.append(embedding)
     return kept
 
 

@@ -1,9 +1,10 @@
 """Exact in-memory vector store over unit-norm embeddings.
 
 Search is exhaustive cosine similarity: one dot product against the full
-matrix, then an exact top-k by partition. Rows are stored in ascending
-passage id order, so the row index breaks ties and results are stable
-under re-indexing in any order.
+matrix, clamped to [-1, 1] (the only clamp on a similarity, since search
+scores reach the traces), then an exact top-k by partition. Rows are
+stored in ascending passage id order, so the row index breaks ties and
+results are stable under re-indexing in any order.
 
 The store never changes after build_index(), so search memoizes its
 result on the query vector's bytes and k: a repeated query skips the
@@ -157,10 +158,3 @@ def build_index(passages: Iterable[Passage], provider: EmbeddingProvider) -> Vec
         matrix[row] = vector
     matrix.setflags(write=False)
     return VectorStore(ordered, matrix)
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two unit-norm vectors, clamped to [-1, 1]."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return min(max(float(np.dot(a, b)), -1.0), 1.0)

@@ -38,9 +38,8 @@ TEMPLATES = [
 ]
 
 
-def build_workload(n: int, seed: int = 0) -> list[QueryRecord]:
+def build_workload(n: int) -> list[QueryRecord]:
     """Deterministic synthetic workload cycling through the template mix."""
-    del seed  # the workload is a pure function of n; kept for call sites
     records = []
     for i in range(n):
         base, intents = TEMPLATES[i % len(TEMPLATES)]

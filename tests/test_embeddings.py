@@ -15,7 +15,6 @@ from treeroute.embeddings import (
     RemoteEmbedder,
 )
 from treeroute.errors import BackendError
-from treeroute.vectorstore import cosine
 
 
 def test_default_dimension():
@@ -45,7 +44,7 @@ def test_contributions_are_nonnegative_so_cosines_are_too():
     texts = ["alpha beta", "gamma", "delta epsilon zeta", "unrelated words here"]
     for a in texts:
         for b in texts:
-            assert cosine(embedder.embed(a), embedder.embed(b)) >= 0.0
+            assert embedder.embed(a) @ embedder.embed(b) >= 0.0
 
 
 def test_token_overlap_raises_similarity():
@@ -53,7 +52,7 @@ def test_token_overlap_raises_similarity():
     compare_rates = embedder.embed("compare interest rates")
     compare_fees = embedder.embed("compare account fees")
     unrelated = embedder.embed("walk the dog tonight")
-    assert cosine(compare_rates, compare_fees) > cosine(compare_rates, unrelated)
+    assert compare_rates @ compare_fees > compare_rates @ unrelated
 
 
 def test_tokenization_normalizes_before_hashing():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 
+import numpy as np
 import pytest
 from conftest import TEMPLATES, build_workload, make_engine
 
-from treeroute import vectorstore
+from treeroute import pipeline, rerank, vectorstore
 from treeroute.backends import BackendRole, StubChatBackend
 from treeroute.dataset import QueryRecord
 from treeroute.errors import BackendError
@@ -19,6 +21,7 @@ from treeroute.pipeline import (
     run_workload,
     write_traces,
 )
+from treeroute.pruning import GateOutcome, PruneResult, quantitative_gate
 from treeroute.vectorstore import VectorStore
 
 SIMPLE = QueryRecord(id="q_simple", text="cancel my card", intents=frozenset({"cancel_card"}))
@@ -372,6 +375,70 @@ def test_search_memo_leaves_traces_byte_identical(tmp_path, monkeypatch, mode):
     write_traces(plain_path, run_workload(make_engine(), workload, mode=mode))
     assert memo_path.read_bytes() == plain_path.read_bytes()
     assert 0 < memo_scans < scans[0]
+
+
+def _scalar_cosine(a, b) -> float:
+    return min(max(float(np.dot(a, b)), -1.0), 1.0)
+
+
+def _reference_prune(original_embedding, candidates, thresholds, judge, *, embedding_of):
+    """The gate as one clamped scalar np.dot per candidate."""
+    lookup = embedding_of.__getitem__ if isinstance(embedding_of, Mapping) else embedding_of
+    survivors, judge_calls = [], 0
+    for candidate in candidates:
+        sim = _scalar_cosine(original_embedding, lookup(candidate.passage.id))
+        outcome = quantitative_gate(sim, thresholds)
+        if outcome is GateOutcome.BORDERLINE:
+            judge_calls += 1
+            keep = judge(candidate.passage, sim)
+        else:
+            keep = outcome is GateOutcome.RETAIN
+        if keep:
+            survivors.append(candidate)
+    return PruneResult(survivors=survivors, judge_calls=judge_calls)
+
+
+def _reference_deduplicate(candidates, policy, embedding_of):
+    """Dedup as one clamped scalar np.dot per candidate and kept passage."""
+    kept, kept_embeddings, seen_text = [], [], set()
+    for candidate in sorted(candidates, key=lambda c: (-c.score, c.passage.id)):
+        normalized = rerank.normalize_text(candidate.passage.text)
+        if normalized in seen_text:
+            continue
+        embedding = embedding_of(candidate.passage.id)
+        if any(
+            _scalar_cosine(embedding, other) >= policy.near_dup_threshold
+            for other in kept_embeddings
+        ):
+            continue
+        seen_text.add(normalized)
+        kept.append(candidate)
+        kept_embeddings.append(embedding)
+    return kept
+
+
+@pytest.mark.parametrize("mode", [ExecutionMode.ADAPTIVE, ExecutionMode.FIXED_DEPTH_3])
+def test_matvec_gate_and_dedup_match_scalar_reference(tmp_path, monkeypatch, mode):
+    workload = build_workload(48)
+    fast_path, reference_path = tmp_path / "fast.jsonl", tmp_path / "reference.jsonl"
+    write_traces(fast_path, run_workload(make_engine(), workload, mode=mode))
+    judged, dedups = [0], [0]
+
+    def counting_prune(*args, **kwargs):
+        result = _reference_prune(*args, **kwargs)
+        judged[0] += result.judge_calls
+        return result
+
+    def counting_deduplicate(*args):
+        dedups[0] += 1
+        return _reference_deduplicate(*args)
+
+    monkeypatch.setattr(pipeline, "prune", counting_prune)
+    monkeypatch.setattr(rerank, "deduplicate", counting_deduplicate)
+    write_traces(reference_path, run_workload(make_engine(), workload, mode=mode))
+    assert fast_path.read_bytes() == reference_path.read_bytes()
+    assert judged[0] > 0
+    assert dedups[0] > 0
 
 
 def test_write_and_read_traces(tmp_path, engine):

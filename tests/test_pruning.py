@@ -183,3 +183,34 @@ def test_empty_candidates():
         embedding_of={},
     )
     assert result == PruneResult(survivors=[], judge_calls=0)
+
+
+def test_raw_sims_past_unit_range_gate_without_judging():
+    # The gate sees the raw product: 1 + 1e-9 clears hi == 1.0 and
+    # -1 - 1e-9 falls below any lo, as their clamped values would.
+    query = np.array([1.0, 0.0])
+    table = {"over": np.array([1.0 + 1e-9, 0.0]), "under": np.array([-1.0 - 1e-9, 0.0])}
+    candidates = [
+        ScoredPassage(passage=Passage(id=pid, text=pid), score=0.5) for pid in table
+    ]
+
+    def forbidden(passage, sim):
+        raise AssertionError("neither sim is borderline")
+
+    for thresholds in (GateThresholds(hi=1.0, lo=0.0), GateThresholds()):
+        result = prune(query, candidates, thresholds, forbidden, embedding_of=table)
+        assert [s.passage.id for s in result.survivors] == ["over"]
+        assert result.judge_calls == 0
+
+
+def test_wrong_dimension_embedding_raises():
+    query = np.array([1.0, 0.0])
+    for table in (
+        {"a": np.ones(3)},
+        {"a": np.array([1.0, 0.0]), "b": np.ones(3)},
+    ):
+        candidates = [
+            ScoredPassage(passage=Passage(id=pid, text=pid), score=0.5) for pid in table
+        ]
+        with pytest.raises(ValueError):
+            prune(query, candidates, GateThresholds(), lambda p, s: True, embedding_of=table)

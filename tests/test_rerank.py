@@ -87,6 +87,23 @@ def test_near_dup_threshold_is_inclusive_boundary():
     assert [c.passage.id for c in kept_tight] == ["a"]
 
 
+def test_near_duplicates_of_blocked_and_tail_rows_merge():
+    # Six kept rows before the near-duplicates: BLAS gemv kernels take rows
+    # in blocks of four, so row 0 falls in a block and row 5 in the tail.
+    words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
+    candidates = [
+        _sp(f"k{i}", f"{word} {word}x {word}y", 0.9 - 0.01 * i)
+        for i, word in enumerate(words)
+    ]
+    candidates += [
+        _sp("dup_first", "alphay alphax alpha", 0.5),
+        _sp("dup_last", "foxtroty foxtrot foxtrotx", 0.4),
+        _sp("fresh", "golf hotel india", 0.3),
+    ]
+    kept = deduplicate(candidates, DedupPolicy(), _index(candidates))
+    assert [c.passage.id for c in kept] == [f"k{i}" for i in range(6)] + ["fresh"]
+
+
 def test_deduplicate_output_is_ranked_and_idempotent():
     rng = random.Random(3)
     candidates = [

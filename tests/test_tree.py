@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from treeroute.backends import StubChatBackend, stub_decompose
+from treeroute.backends import stub_decompose
 from treeroute.embeddings import HashedBagEmbedder
 from treeroute.errors import BackendError, DecompositionError
 from treeroute.pruning import PruneResult
@@ -249,8 +249,6 @@ def test_leaf_bound_under_randomized_pruning():
 
 
 def test_stub_backend_end_to_end_depth_two():
-    backend = StubChatBackend()
-    del backend  # decomposition goes through stub_decompose directly here
     tree = _expand(2)
     assert isinstance(tree, RetrievalTree)
     # The conjunction split puts "compare savings rates" at n.0.

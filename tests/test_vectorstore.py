@@ -18,7 +18,6 @@ from treeroute.vectorstore import (
     ScoredPassage,
     VectorStore,
     build_index,
-    cosine,
 )
 
 
@@ -193,18 +192,6 @@ def test_scores_clamped_to_cosine_range():
     store = VectorStore((Passage(id="p", text="t"),), matrix)
     hits = store.search(np.array([1.0, 0.0]))
     assert hits[0].score <= 1.0
-
-
-def test_cosine_function():
-    a = np.array([1.0, 0.0])
-    b = np.array([0.0, 1.0])
-    assert cosine(a, a) == 1.0
-    assert cosine(a, b) == 0.0
-    assert cosine(a, -a) == -1.0
-    assert cosine(np.array([1.0 + 1e-9]), np.array([1.0])) == 1.0
-    assert cosine(np.array([-1.0 - 1e-9]), np.array([1.0])) == -1.0
-    with pytest.raises(ValueError):
-        cosine(a, np.ones(3))
 
 
 def test_scored_passage_defaults():
