@@ -12,7 +12,6 @@ dominance analysis.
 from .backends import (
     BackendRole,
     CallLog,
-    ChatMessage,
     ChatRequest,
     RemoteChatBackend,
     StubBehavior,

@@ -1,27 +1,32 @@
 """Chat model backends and call accounting.
 
 Every model interaction in the engine is a single chat exchange tagged
-with one of five roles. The remote backend speaks a chat-completion style
-HTTP protocol; the stub backend answers each role with a deterministic
-transform of the request so full runs work offline and reproduce exactly.
+with one of five roles. A request is the role, the rendered prompt (what
+a remote model sees) and a small structured payload (what the stub keys
+its transform on). The remote backend speaks a chat-completion style
+HTTP protocol and owns everything else a remote model is sent: the model
+name, a temperature per role and an output token budget per role. The
+stub backend answers each role with a deterministic transform of the
+payload so full runs work offline and reproduce exactly. It still
+answers in plain text, so response parsing is exercised on every path.
 
-Requests carry both the rendered prompt messages (what a remote model
-sees) and a small structured payload (what the stub keys its transform
-on). The stub still answers in plain text, so response parsing is
-exercised on every path.
+Every call goes through call_chat, which records it on a CallLog first.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Mapping, Protocol, runtime_checkable
+from functools import partial
+from typing import Any, Callable, Mapping, Protocol, TypeVar, runtime_checkable
 
 import requests
 
 from .errors import BackendError
 from .signals import DEFAULT_CONJUNCTION_TERMS, tokenize
+
+T = TypeVar("T")
 
 
 def estimate_tokens(text: str) -> int:
@@ -38,34 +43,12 @@ class BackendRole(Enum):
 
 
 @dataclass(frozen=True)
-class ChatMessage:
-    role: str
-    content: str
-
-
-@dataclass(frozen=True)
 class ChatRequest:
-    """One chat exchange: rendered messages plus structured stub inputs."""
+    """One chat exchange: the rendered prompt plus structured stub inputs."""
 
     role: BackendRole
-    model: str
-    messages: tuple[ChatMessage, ...]
-    temperature: float
-    max_output_tokens: int
-    payload: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.messages:
-            raise ValueError("chat request needs at least one message")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.max_output_tokens < 1:
-            raise ValueError(
-                f"max_output_tokens must be >= 1, got {self.max_output_tokens}"
-            )
-
-    def prompt_text(self) -> str:
-        return "".join(m.content for m in self.messages)
+    prompt: str
+    payload: Mapping[str, Any]
 
 
 @runtime_checkable
@@ -82,7 +65,7 @@ class CallLog:
         self._prompt_tokens = 0
 
     def record(self, request: ChatRequest) -> None:
-        tokens = estimate_tokens(request.prompt_text())
+        tokens = estimate_tokens(request.prompt)
         with self._lock:
             self._counts[request.role] += 1
             self._prompt_tokens += tokens
@@ -197,6 +180,44 @@ class StubChatBackend:
         return ", ".join(labels) if labels else "none"
 
 
+# Output token budget per role; only the remote backend sends it.
+MAX_OUTPUT_TOKENS: Mapping[BackendRole, int] = {
+    BackendRole.DECOMPOSER: 256,
+    BackendRole.LEVEL_ASSESSOR: 16,
+    BackendRole.JUDGE: 16,
+    BackendRole.RERANKER: 512,
+    BackendRole.INTENT_CLASSIFIER: 256,
+}
+
+
+def post_json(
+    endpoint: str,
+    body: Mapping[str, Any],
+    timeout_s: float,
+    role: str,
+    parse: Callable[[object], T],
+) -> T:
+    """POST a JSON body and parse the reply, retrying once.
+
+    A 4xx other than 429 means the request itself is wrong, so it is not
+    sent again. A failed connection, a timeout, 429, 5xx, or a reply that
+    is not JSON or that parse rejects with ValueError is retried once; a
+    BackendError from parse is not.
+    """
+    last_error: Exception | None = None
+    for _ in range(2):
+        try:
+            response = requests.post(endpoint, json=body, timeout=timeout_s)
+            status = response.status_code
+            if 400 <= status < 500 and status != 429:
+                raise BackendError(role, f"request rejected with HTTP {status}")
+            response.raise_for_status()
+            return parse(response.json())
+        except (requests.RequestException, ValueError) as exc:
+            last_error = exc
+    raise BackendError(role, f"request failed after retry: {last_error}")
+
+
 class RemoteChatBackend:
     """HTTP chat client; bounded in-flight requests, one retry per call."""
 
@@ -204,6 +225,7 @@ class RemoteChatBackend:
         self,
         endpoint: str,
         model: str,
+        temperatures: Mapping[BackendRole, float],
         timeout_ms: int = 30_000,
         max_in_flight: int = 4,
     ):
@@ -211,6 +233,11 @@ class RemoteChatBackend:
             raise ValueError("remote chat backend requires an endpoint")
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
+        # A role without a temperature fails here, with a KeyError.
+        self.temperatures = {role: temperatures[role] for role in BackendRole}
+        for role, temperature in self.temperatures.items():
+            if temperature < 0:
+                raise ValueError(f"temperature for {role.value} must be >= 0, got {temperature}")
         self.endpoint = endpoint
         self.model = model
         self.timeout_s = timeout_ms / 1000.0
@@ -218,21 +245,14 @@ class RemoteChatBackend:
 
     def chat(self, request: ChatRequest) -> str:
         body = {
-            "model": request.model or self.model,
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
+            "model": self.model,
+            "messages": [{"role": "user", "content": request.prompt}],
+            "temperature": self.temperatures[request.role],
+            "max_tokens": MAX_OUTPUT_TOKENS[request.role],
         }
-        last_error: Exception | None = None
+        parse = partial(self._extract_text, request.role)
         with self._slots:
-            for _ in range(2):
-                try:
-                    response = requests.post(self.endpoint, json=body, timeout=self.timeout_s)
-                    response.raise_for_status()
-                    return self._extract_text(request.role, response.json())
-                except (requests.RequestException, ValueError) as exc:
-                    last_error = exc
-        raise BackendError(request.role.value, f"request failed after retry: {last_error}")
+            return post_json(self.endpoint, body, self.timeout_s, request.role.value, parse)
 
     @staticmethod
     def _extract_text(role: BackendRole, data: object) -> str:
@@ -262,8 +282,7 @@ def _response_text(data: object) -> str | None:
     return None
 
 
-def call_chat(backend: ChatBackend, request: ChatRequest, log: CallLog | None = None) -> str:
+def call_chat(backend: ChatBackend, request: ChatRequest, log: CallLog) -> str:
     """Single entry point for every chat call; keeps the ledger exact."""
-    if log is not None:
-        log.record(request)
+    log.record(request)
     return backend.chat(request)

@@ -20,6 +20,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
+from .backends import CallLog
 from .config import EngineConfig, env_overrides
 from .dataset import build_kb, derive_catalog, ingest, load_catalog
 from .errors import EngineError
@@ -167,7 +168,7 @@ def cmd_route(args: argparse.Namespace) -> int:
         tokenize(args.query),
         [],
         lambda text, snippets, initial, qci: engine_stub.runner.assess_level(
-            text, snippets, initial, qci, None, warnings
+            text, snippets, initial, qci, CallLog(), warnings
         ),
         lexicons=engine_stub.lexicons,
         weights=engine_stub.weights,

@@ -14,8 +14,8 @@ import hashlib
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-import requests
 
+from .backends import post_json
 from .errors import BackendError
 from .signals import tokenize
 
@@ -62,7 +62,7 @@ class HashedBagEmbedder:
 
 
 class RemoteEmbedder:
-    """Embedding client for an HTTP endpoint; retries each request once."""
+    """Embedding client for an HTTP endpoint; retries a transient failure once."""
 
     def __init__(
         self,
@@ -80,15 +80,7 @@ class RemoteEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         body = {"model": self.model, "input": text}
-        last_error: Exception | None = None
-        for _ in range(2):
-            try:
-                response = requests.post(self.endpoint, json=body, timeout=self.timeout_s)
-                response.raise_for_status()
-                return self._to_vector(response.json())
-            except (requests.RequestException, ValueError) as exc:
-                last_error = exc
-        raise BackendError("embedding", f"request failed after retry: {last_error}")
+        return post_json(self.endpoint, body, self.timeout_s, "embedding", self._to_vector)
 
     def _to_vector(self, data: object) -> np.ndarray:
         values = _extract_embedding(data)

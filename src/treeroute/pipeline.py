@@ -164,14 +164,12 @@ class Engine:
         config: EngineConfig,
         store: VectorStore,
         embedder: EmbeddingProvider,
-        backend: ChatBackend,
         runner: RoleRunner,
         intent_names: tuple[str, ...],
     ):
         self.config = config
         self.store = store
         self.embedder = embedder
-        self.backend = backend
         self.runner = runner
         self.intent_names = intent_names
         self.lexicons = config.lexicons()
@@ -202,6 +200,7 @@ def build_engine(
         backend: ChatBackend = RemoteChatBackend(
             config.backend_endpoint,
             config.backend_model,
+            config.temperatures(),
             config.backend_timeout_ms,
             config.backend_max_in_flight,
         )
@@ -210,8 +209,6 @@ def build_engine(
     runner = RoleRunner(
         backend,
         PromptLibrary(config.backend_prompt_dir or None),
-        model=config.backend_model or "stub",
-        temperatures=config.temperatures(),
         fallback_level=config.fallback_level(),
     )
     if intent_names is None:
@@ -222,7 +219,6 @@ def build_engine(
         config=config,
         store=store,
         embedder=embedder,
-        backend=backend,
         runner=runner,
         intent_names=names,
     )

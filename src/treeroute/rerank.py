@@ -98,7 +98,7 @@ def global_rescore(
     original_query: str,
     candidates: Sequence[ScoredPassage],
     reranker: Reranker,
-    warnings: list[str] | None = None,
+    warnings: list[str],
 ) -> list[ScoredPassage]:
     """Rescore all candidates in one batched call; none for an empty pool.
 
@@ -110,8 +110,7 @@ def global_rescore(
     try:
         scores = list(reranker(original_query, candidates))
     except BackendError as exc:
-        if warnings is not None:
-            warnings.append(f"reranker failed, falling back to retrieval scores: {exc}")
+        warnings.append(f"reranker failed, falling back to retrieval scores: {exc}")
         scores = [c.score for c in candidates]
     else:
         if len(scores) != len(candidates):
@@ -146,7 +145,7 @@ def consolidate(
     rule: SelectionRule,
     embedding_of: EmbeddingOf,
     reranker: Reranker,
-    warnings: list[str] | None = None,
+    warnings: list[str],
 ) -> list[ScoredPassage]:
     """Full consolidation pass over the evidence pool: the final evidence."""
     deduped = deduplicate(candidates, policy, embedding_of)

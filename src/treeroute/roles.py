@@ -1,10 +1,13 @@
 """Prompt rendering and response parsing for the five model roles.
 
 Templates are plain text files with $name placeholders, shipped as package
-data and overridable with a prompt directory in config. Parsers are
-deliberately forgiving about formatting and strict about semantics: every
-recoverable parse failure falls back to a documented default and records a
-warning instead of failing the query.
+data and overridable with a prompt directory in config. A role call is a
+rendered prompt plus the payload the stub answers from; what else a
+remote model is sent (model, temperature, output budget) belongs to the
+remote backend. Every call is recorded on the caller's CallLog. Parsers
+are deliberately forgiving about formatting and strict about semantics:
+every recoverable parse failure falls back to a documented default and
+appends a warning to the caller's list instead of failing the query.
 """
 
 from __future__ import annotations
@@ -15,26 +18,10 @@ from pathlib import Path
 from string import Template
 from typing import Any, Mapping, Sequence
 
-from .backends import (
-    BackendRole,
-    ChatBackend,
-    ChatMessage,
-    ChatRequest,
-    CallLog,
-    call_chat,
-)
-from .config import EngineConfig
+from .backends import BackendRole, CallLog, ChatBackend, ChatRequest, call_chat
 from .errors import BackendError, ConfigError, EngineError
 from .routing import RouteMode, SemanticLevel
 from .vectorstore import ScoredPassage
-
-DEFAULT_MAX_OUTPUT_TOKENS: Mapping[BackendRole, int] = {
-    BackendRole.DECOMPOSER: 256,
-    BackendRole.LEVEL_ASSESSOR: 16,
-    BackendRole.JUDGE: 16,
-    BackendRole.RERANKER: 512,
-    BackendRole.INTENT_CLASSIFIER: 256,
-}
 
 _NUMBERED_LINE = re.compile(r"^\s*(\d+)\s*[.):\-]\s*(.*\S)\s*$", re.MULTILINE)
 _NUMBERED_SCORE = re.compile(
@@ -143,16 +130,10 @@ class RoleRunner:
         backend: ChatBackend,
         prompts: PromptLibrary | None = None,
         *,
-        model: str = "stub",
-        temperatures: Mapping[BackendRole, float] | None = None,
         fallback_level: SemanticLevel = SemanticLevel.MID,
     ):
         self.backend = backend
         self.prompts = prompts if prompts is not None else PromptLibrary()
-        self.model = model
-        self.temperatures = EngineConfig().temperatures()
-        if temperatures:
-            self.temperatures.update(temperatures)
         self.fallback_level = fallback_level
 
     def _call(
@@ -160,19 +141,12 @@ class RoleRunner:
         role: BackendRole,
         fields: dict[str, str],
         payload: Mapping[str, Any],
-        log: CallLog | None,
+        log: CallLog,
     ) -> str:
-        request = ChatRequest(
-            role=role,
-            model=self.model,
-            messages=(ChatMessage("user", self.prompts.render(role, **fields)),),
-            temperature=self.temperatures[role],
-            max_output_tokens=DEFAULT_MAX_OUTPUT_TOKENS[role],
-            payload=payload,
-        )
+        request = ChatRequest(role, self.prompts.render(role, **fields), payload)
         return call_chat(self.backend, request, log)
 
-    def decompose(self, node_text: str, log: CallLog | None = None) -> tuple[str, str]:
+    def decompose(self, node_text: str, log: CallLog) -> tuple[str, str]:
         response = self._call(
             BackendRole.DECOMPOSER,
             {"query": node_text},
@@ -187,8 +161,8 @@ class RoleRunner:
         snippets: Sequence[str],
         initial_mode: RouteMode,
         qci: float,
-        log: CallLog | None = None,
-        warnings: list[str] | None = None,
+        log: CallLog,
+        warnings: list[str],
     ) -> SemanticLevel:
         response = self._call(
             BackendRole.LEVEL_ASSESSOR,
@@ -202,10 +176,7 @@ class RoleRunner:
         )
         level = parse_level(response)
         if level is None:
-            if warnings is not None:
-                warnings.append(
-                    f"level assessor returned no level, using {self.fallback_level.value}"
-                )
+            warnings.append(f"level assessor returned no level, using {self.fallback_level.value}")
             return self.fallback_level
         return level
 
@@ -215,8 +186,8 @@ class RoleRunner:
         sub_query: str,
         passage_text: str,
         sim: float,
-        log: CallLog | None = None,
-        warnings: list[str] | None = None,
+        log: CallLog,
+        warnings: list[str],
     ) -> bool:
         """Borderline relevance verdict; every failure keeps the passage."""
         try:
@@ -227,13 +198,11 @@ class RoleRunner:
                 log,
             )
         except BackendError as exc:
-            if warnings is not None:
-                warnings.append(f"judge call failed, retaining passage: {exc}")
+            warnings.append(f"judge call failed, retaining passage: {exc}")
             return True
         verdict = parse_verdict(response)
         if verdict is None:
-            if warnings is not None:
-                warnings.append("judge returned no verdict, retaining passage")
+            warnings.append("judge returned no verdict, retaining passage")
             return True
         return verdict
 
@@ -241,8 +210,8 @@ class RoleRunner:
         self,
         original_query: str,
         candidates: Sequence[ScoredPassage],
-        log: CallLog | None = None,
-        warnings: list[str] | None = None,
+        log: CallLog,
+        warnings: list[str],
     ) -> list[float]:
         """One batched scoring call; missing entries default to 0.5."""
         response = self._call(
@@ -258,8 +227,7 @@ class RoleRunner:
         scores: list[float] = []
         for position, value in enumerate(parsed, start=1):
             if value is None:
-                if warnings is not None:
-                    warnings.append(f"reranker gave no score for candidate {position}, using 0.5")
+                warnings.append(f"reranker gave no score for candidate {position}, using 0.5")
                 scores.append(0.5)
             else:
                 scores.append(_clamp01(value))
@@ -270,8 +238,8 @@ class RoleRunner:
         query: str,
         evidence: Sequence[ScoredPassage],
         catalog: Sequence[str],
-        log: CallLog | None = None,
-        warnings: list[str] | None = None,
+        log: CallLog,
+        warnings: list[str],
     ) -> set[str]:
         labels = sorted({label for c in evidence for label in c.passage.intent_labels})
         response = self._call(
@@ -285,6 +253,6 @@ class RoleRunner:
             log,
         )
         intents = parse_intents(response, catalog)
-        if not intents and warnings is not None:
+        if not intents:
             warnings.append("classifier named no catalog intent")
         return intents

@@ -49,7 +49,6 @@ class QueryNode:
 class RetrievalTree:
     root_id: str
     nodes: dict[str, QueryNode]
-    max_depth: int
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -109,7 +108,7 @@ def expand(
     if not 1 <= depth <= MAX_TREE_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_TREE_DEPTH}, got {depth}")
 
-    tree = RetrievalTree(root_id=ROOT_NODE_ID, nodes={}, max_depth=depth)
+    tree = RetrievalTree(root_id=ROOT_NODE_ID, nodes={})
     root = QueryNode(id=ROOT_NODE_ID, text=root_query, depth_level=0)
     tree.nodes[root.id] = root
     if root_hits is None:

@@ -6,12 +6,13 @@ from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from conftest import build_workload, make_engine
 
 from treeroute.backends import (
+    MAX_OUTPUT_TOKENS,
     BackendRole,
     CallLog,
     ChatBackend,
-    ChatMessage,
     ChatRequest,
     RemoteChatBackend,
     StubBehavior,
@@ -21,17 +22,14 @@ from treeroute.backends import (
     stub_decompose,
 )
 from treeroute.errors import BackendError
+from treeroute.pipeline import process_query
+
+# A distinct temperature per role: 0.0, 0.1, 0.2 (judge), 0.3, 0.4.
+_TEMPERATURES = {role: i / 10 for i, role in enumerate(BackendRole)}
 
 
 def _request(role=BackendRole.JUDGE, content="hello world", payload=None):
-    return ChatRequest(
-        role=role,
-        model="stub",
-        messages=(ChatMessage(role="user", content=content),),
-        temperature=0.0,
-        max_output_tokens=16,
-        payload=payload or {},
-    )
+    return ChatRequest(role, content, payload or {})
 
 
 def test_estimate_tokens_floor_division():
@@ -41,45 +39,6 @@ def test_estimate_tokens_floor_division():
     assert estimate_tokens("abcdefg") == 1
     assert estimate_tokens("a" * 10) == 2
     assert estimate_tokens("a" * 401) == 100
-
-
-def test_chat_request_validation():
-    with pytest.raises(ValueError):
-        ChatRequest(
-            role=BackendRole.JUDGE,
-            model="m",
-            messages=(),
-            temperature=0.0,
-            max_output_tokens=16,
-        )
-    with pytest.raises(ValueError):
-        _request_with(temperature=-0.1)
-    with pytest.raises(ValueError):
-        _request_with(max_output_tokens=0)
-
-
-def _request_with(temperature=0.0, max_output_tokens=16):
-    return ChatRequest(
-        role=BackendRole.JUDGE,
-        model="m",
-        messages=(ChatMessage(role="user", content="x"),),
-        temperature=temperature,
-        max_output_tokens=max_output_tokens,
-    )
-
-
-def test_prompt_text_concatenates_messages():
-    request = ChatRequest(
-        role=BackendRole.JUDGE,
-        model="m",
-        messages=(
-            ChatMessage(role="system", content="abcd"),
-            ChatMessage(role="user", content="efgh"),
-        ),
-        temperature=0.0,
-        max_output_tokens=16,
-    )
-    assert request.prompt_text() == "abcdefgh"
 
 
 def test_call_log_counts_and_tokens():
@@ -226,8 +185,31 @@ def test_stub_satisfies_backend_protocol():
     assert isinstance(StubChatBackend(), ChatBackend)
 
 
+# The first word of each packaged prompt template names its role.
+_ROLE_BY_FIRST_WORD = {
+    "Split": BackendRole.DECOMPOSER,
+    "Rate": BackendRole.LEVEL_ASSESSOR,
+    "Decide": BackendRole.JUDGE,
+    "Score": BackendRole.RERANKER,
+    "Identify": BackendRole.INTENT_CLASSIFIER,
+}
+# Replies that parse, for the "roles" shape.
+_ROLE_REPLIES = {
+    BackendRole.DECOMPOSER: "1. freeze my card\n2. order a replacement",
+    BackendRole.LEVEL_ASSESSOR: "Low",
+    BackendRole.JUDGE: "Relevant",
+    BackendRole.RERANKER: "1. 0.9",
+    BackendRole.INTENT_CLASSIFIER: "freeze_card",
+}
+
+
+def _role_of(body: dict) -> BackendRole:
+    return _ROLE_BY_FIRST_WORD[body["messages"][0]["content"].split()[0]]
+
+
 class _ChatHandler(BaseHTTPRequestHandler):
     fail_first = 0
+    fail_status = 502
     shape = "chat"
     bodies: list[dict] = []
     lock = threading.Lock()
@@ -242,11 +224,13 @@ class _ChatHandler(BaseHTTPRequestHandler):
             if should_fail:
                 cls.fail_first -= 1
         if should_fail:
-            self.send_response(502)
+            self.send_response(cls.fail_status)
             self.end_headers()
             return
         if cls.shape == "chat":
             payload = {"choices": [{"message": {"content": "Relevant"}}]}
+        elif cls.shape == "roles":
+            payload = {"choices": [{"message": {"content": _ROLE_REPLIES[_role_of(body)]}}]}
         elif cls.shape == "completion":
             payload = {"choices": [{"text": "Relevant"}]}
         elif cls.shape == "bare":
@@ -270,26 +254,31 @@ def chat_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _ChatHandler.fail_first = 0
+    _ChatHandler.fail_status = 502
     _ChatHandler.shape = "chat"
     _ChatHandler.bodies = []
     yield f"http://127.0.0.1:{server.server_port}/chat"
     server.shutdown()
 
 
+def _remote(endpoint, model="m", **kwargs):
+    return RemoteChatBackend(endpoint, model, _TEMPERATURES, timeout_ms=5000, **kwargs)
+
+
 def test_remote_chat_happy_path(chat_server):
-    backend = RemoteChatBackend(chat_server, model="remote-model", timeout_ms=5000)
+    backend = _remote(chat_server, model="remote-model")
     answer = backend.chat(_request(payload={"ignored": True}))
     assert answer == "Relevant"
     body = _ChatHandler.bodies[0]
-    assert body["model"] == "stub"
+    assert body["model"] == "remote-model"
     assert body["messages"] == [{"role": "user", "content": "hello world"}]
-    assert body["temperature"] == 0.0
-    assert body["max_tokens"] == 16
+    assert body["temperature"] == _TEMPERATURES[BackendRole.JUDGE] == 0.2
+    assert body["max_tokens"] == MAX_OUTPUT_TOKENS[BackendRole.JUDGE] == 16
     assert "payload" not in body
 
 
 def test_remote_chat_alternate_shapes(chat_server):
-    backend = RemoteChatBackend(chat_server, model="m", timeout_ms=5000)
+    backend = _remote(chat_server)
     for shape in ("completion", "bare"):
         _ChatHandler.shape = shape
         assert backend.chat(_request()) == "Relevant"
@@ -297,37 +286,73 @@ def test_remote_chat_alternate_shapes(chat_server):
 
 def test_remote_chat_retries_once(chat_server):
     _ChatHandler.fail_first = 1
-    backend = RemoteChatBackend(chat_server, model="m", timeout_ms=5000)
-    assert backend.chat(_request()) == "Relevant"
+    assert _remote(chat_server).chat(_request()) == "Relevant"
     assert len(_ChatHandler.bodies) == 2
 
 
 def test_remote_chat_fails_after_retry(chat_server):
     _ChatHandler.fail_first = 2
-    backend = RemoteChatBackend(chat_server, model="m", timeout_ms=5000)
     with pytest.raises(BackendError) as excinfo:
-        backend.chat(_request())
+        _remote(chat_server).chat(_request())
     assert excinfo.value.role == "judge"
     assert len(_ChatHandler.bodies) == 2
 
 
+@pytest.mark.parametrize("status, sent", [(400, 1), (401, 1), (404, 1), (429, 2), (503, 2)])
+def test_remote_chat_retries_only_transient_statuses(chat_server, status, sent):
+    _ChatHandler.fail_first = 2
+    _ChatHandler.fail_status = status
+    with pytest.raises(BackendError, match=str(status)):
+        _remote(chat_server).chat(_request())
+    assert len(_ChatHandler.bodies) == sent
+
+
 def test_remote_chat_unknown_shape(chat_server):
     _ChatHandler.shape = "weird"
-    backend = RemoteChatBackend(chat_server, model="m", timeout_ms=5000)
     with pytest.raises(BackendError, match="shape"):
-        backend.chat(_request())
+        _remote(chat_server).chat(_request())
 
 
 def test_remote_chat_validation():
     with pytest.raises(ValueError):
-        RemoteChatBackend("", model="m")
+        _remote("")
     with pytest.raises(ValueError):
-        RemoteChatBackend("http://x", model="m", max_in_flight=0)
+        _remote("http://x", max_in_flight=0)
+
+
+def test_chat_request_validation():
+    # A request carries only role, prompt and payload; what the remote model
+    # is sent besides is checked once, when the client is built.
+    assert _request().prompt == "hello world"
+    with pytest.raises(ValueError, match="judge"):
+        RemoteChatBackend("http://x", "m", {**_TEMPERATURES, BackendRole.JUDGE: -0.1})
+    without_judge = {r: t for r, t in _TEMPERATURES.items() if r is not BackendRole.JUDGE}
+    with pytest.raises(KeyError):
+        RemoteChatBackend("http://x", "m", without_judge)
 
 
 def test_remote_chat_concurrent_calls(chat_server):
-    backend = RemoteChatBackend(chat_server, model="m", timeout_ms=5000, max_in_flight=2)
+    backend = _remote(chat_server, max_in_flight=2)
     with ThreadPoolExecutor(max_workers=6) as pool:
         answers = list(pool.map(lambda _: backend.chat(_request()), range(12)))
     assert answers == ["Relevant"] * 12
     assert len(_ChatHandler.bodies) == 12
+
+
+def test_config_reaches_every_remote_request(chat_server):
+    _ChatHandler.shape = "roles"
+    engine = make_engine(
+        backend_kind="remote", backend_endpoint=chat_server, apm_judge_temperature=0.7
+    )
+    assert engine.config.backend_model == ""
+    trace = process_query(engine, build_workload(8)[5])
+    assert trace.error is None and trace.depth >= 1
+    temperatures = engine.config.temperatures()
+    assert temperatures[BackendRole.JUDGE] == 0.7
+    for body in _ChatHandler.bodies:
+        role = _role_of(body)
+        assert body["model"] == ""
+        assert body["temperature"] == temperatures[role]
+        assert body["max_tokens"] == MAX_OUTPUT_TOKENS[role]
+    assert {_role_of(body) for body in _ChatHandler.bodies} == set(BackendRole)
+    assert len(_ChatHandler.bodies) == trace.ledger.total_calls

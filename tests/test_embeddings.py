@@ -83,6 +83,7 @@ def test_provider_protocol():
 
 class _EmbedHandler(BaseHTTPRequestHandler):
     fail_first = 0
+    fail_status = 500
     payload_shape = "flat"
     dimension = 8
     requests_seen = 0
@@ -95,7 +96,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
         assert "input" in body and "model" in body
         if cls.fail_first > 0:
             cls.fail_first -= 1
-            self.send_response(500)
+            self.send_response(cls.fail_status)
             self.end_headers()
             return
         values = [float(i + 1) for i in range(cls.dimension)]
@@ -126,6 +127,7 @@ def embed_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _EmbedHandler.fail_first = 0
+    _EmbedHandler.fail_status = 500
     _EmbedHandler.payload_shape = "flat"
     _EmbedHandler.requests_seen = 0
     yield f"http://127.0.0.1:{server.server_port}/embed"
@@ -161,6 +163,15 @@ def test_remote_gives_up_after_one_retry(embed_server):
     with pytest.raises(BackendError, match="embedding"):
         _remote(embed_server).embed("hello")
     assert _EmbedHandler.requests_seen == 2
+
+
+@pytest.mark.parametrize("status, sent", [(400, 1), (503, 2)])
+def test_remote_retries_only_transient_statuses(embed_server, status, sent):
+    _EmbedHandler.fail_first = 2
+    _EmbedHandler.fail_status = status
+    with pytest.raises(BackendError, match=str(status)):
+        _remote(embed_server).embed("hello")
+    assert _EmbedHandler.requests_seen == sent
 
 
 def test_remote_rejects_unknown_shape(embed_server):

@@ -142,13 +142,13 @@ class _CountingBackend:
 
 
 def test_ledger_matches_backend_call_count(engine):
-    engine.backend = engine.runner.backend = _CountingBackend()
+    engine.runner.backend = _CountingBackend()
     traces = [
         process_query(engine, record, mode=mode)
         for mode in ExecutionMode
         for record in (SIMPLE, HYBRID, TREE_MID)
     ]
-    assert engine.backend.calls == sum(t.ledger.total_calls for t in traces) > 0
+    assert engine.runner.backend.calls == sum(t.ledger.total_calls for t in traces) > 0
 
 
 def test_deterministic_latency_follows_the_model(engine):
@@ -260,8 +260,7 @@ class _RoleFailingBackend:
 
 
 def test_classifier_failure_yields_failed_trace_not_crash(engine):
-    engine.backend = _RoleFailingBackend(BackendRole.INTENT_CLASSIFIER)
-    engine.runner.backend = engine.backend
+    engine.runner.backend = _RoleFailingBackend(BackendRole.INTENT_CLASSIFIER)
     trace = process_query(engine, SIMPLE)
     assert trace.error is not None
     assert trace.error.startswith("q_simple:")
@@ -275,8 +274,7 @@ def test_judge_failure_degrades_to_retention_with_warning():
     # Default thresholds put stub-embedding cosines in the borderline band
     # often enough that at least one judge call happens on a full tree.
     engine = make_engine()
-    engine.backend = _RoleFailingBackend(BackendRole.JUDGE)
-    engine.runner.backend = engine.backend
+    engine.runner.backend = _RoleFailingBackend(BackendRole.JUDGE)
     trace = process_query(engine, SIMPLE, mode=ExecutionMode.FIXED_DEPTH_3)
     assert trace.error is None
     assert trace.ledger.calls_by_role["judge"] > 0
@@ -294,8 +292,7 @@ def test_assessor_garbage_falls_back_to_configured_level():
             return self.inner.chat(request)
 
     engine = make_engine()
-    engine.backend = GarbageAssessor()
-    engine.runner.backend = engine.backend
+    engine.runner.backend = GarbageAssessor()
     trace = process_query(engine, TREE_MID)
     assert trace.depth == 2  # fallback level is mid
     assert any("level assessor" in w for w in trace.warnings)
@@ -312,8 +309,7 @@ def test_root_decomposition_failure_degrades_to_single_step():
             return self.inner.chat(request)
 
     engine = _never_pruning()
-    engine.backend = BrokenDecomposer()
-    engine.runner.backend = engine.backend
+    engine.runner.backend = BrokenDecomposer()
     trace = process_query(engine, TREE_MID)
     assert trace.error is None
     assert trace.mode == "tree"
@@ -451,8 +447,7 @@ def test_write_and_read_traces(tmp_path, engine):
 
 
 def test_batch_continues_after_per_query_failure(engine):
-    engine.backend = _RoleFailingBackend(BackendRole.INTENT_CLASSIFIER)
-    engine.runner.backend = engine.backend
+    engine.runner.backend = _RoleFailingBackend(BackendRole.INTENT_CLASSIFIER)
     traces = run_workload(engine, [SIMPLE, HYBRID, TREE_MID])
     assert len(traces) == 3
     assert all(t.error is not None for t in traces)

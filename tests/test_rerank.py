@@ -124,7 +124,7 @@ def test_global_rescore_marks_source_and_counts_one_call():
         calls += 1
         return [0.9, 0.1]
 
-    rescored = global_rescore("q", [_sp("a", "ta", 0.2), _sp("b", "tb", 0.8)], reranker)
+    rescored = global_rescore("q", [_sp("a", "ta", 0.2), _sp("b", "tb", 0.8)], reranker, [])
     assert calls == 1
     assert [(c.passage.id, c.score, c.source) for c in rescored] == [
         ("a", 0.9, "rerank"),
@@ -134,14 +134,12 @@ def test_global_rescore_marks_source_and_counts_one_call():
 
 def test_global_rescore_empty_pool_makes_no_call():
     calls = []
-    rescored = global_rescore("q", [], lambda q, c: calls.append(c) or [])
+    rescored = global_rescore("q", [], lambda q, c: calls.append(c) or [], [])
     assert rescored == [] and calls == []
 
 
 def test_global_rescore_clamps():
-    rescored = global_rescore(
-        "q", [_sp("a", "ta", 0.2)], lambda q, c: [1.7]
-    )
+    rescored = global_rescore("q", [_sp("a", "ta", 0.2)], lambda q, c: [1.7], [])
     assert rescored[0].score == 1.0
 
 
@@ -165,7 +163,7 @@ def test_global_rescore_backend_failure_falls_back_to_retrieval_scores():
 
 def test_global_rescore_length_mismatch_is_a_bug_not_a_fallback():
     with pytest.raises(ValueError, match="2 scores"):
-        global_rescore("q", [_sp("a", "ta", 0.5)], lambda q, c: [0.1, 0.2])
+        global_rescore("q", [_sp("a", "ta", 0.5)], lambda q, c: [0.1, 0.2], [])
 
 
 def _brute_force_select(scored, rule):
@@ -244,7 +242,9 @@ def test_consolidate_reranks_exactly_the_deduped_pool():
         _sp("c", "order a replacement", 0.7),
         _sp("d", "check my balance", 0.6),
     ]
-    evidence = consolidate("q", pool, DedupPolicy(), SelectionRule(), _index(pool), reranker)
+    evidence = consolidate(
+        "q", pool, DedupPolicy(), SelectionRule(), _index(pool), reranker, []
+    )
     assert batch_sizes == [3]
     assert [c.passage.id for c in evidence] == ["a", "c", "d"]
     assert all(c.source == "rerank" for c in evidence)
@@ -253,7 +253,13 @@ def test_consolidate_reranks_exactly_the_deduped_pool():
 def test_consolidate_empty_pool():
     calls = []
     evidence = consolidate(
-        "q", [], DedupPolicy(), SelectionRule(), _index([]), lambda q, c: calls.append(c) or []
+        "q",
+        [],
+        DedupPolicy(),
+        SelectionRule(),
+        _index([]),
+        lambda q, c: calls.append(c) or [],
+        [],
     )
     assert evidence == []
     assert calls == []

@@ -2,15 +2,17 @@ from __future__ import annotations
 
 import pytest
 
+from treeroute import backends
 from treeroute.backends import (
+    MAX_OUTPUT_TOKENS,
     BackendRole,
     CallLog,
+    RemoteChatBackend,
     StubChatBackend,
 )
 from treeroute.config import EngineConfig
 from treeroute.errors import BackendError, ConfigError
 from treeroute.roles import (
-    DEFAULT_MAX_OUTPUT_TOKENS,
     ParseError,
     PromptLibrary,
     RoleRunner,
@@ -158,13 +160,13 @@ def test_runner_decompose_via_stub():
 def test_runner_decompose_propagates_parse_error():
     runner = RoleRunner(_FixedBackend("no numbered lines"))
     with pytest.raises(ParseError):
-        runner.decompose("anything at all")
+        runner.decompose("anything at all", CallLog())
 
 
 def test_runner_assess_level_happy_path():
     runner = RoleRunner(StubChatBackend())
     log = CallLog()
-    level = runner.assess_level("q", ["s1"], RouteMode.TREE, qci=0.7, log=log)
+    level = runner.assess_level("q", ["s1"], RouteMode.TREE, qci=0.7, log=log, warnings=[])
     assert level is SemanticLevel.HIGH
     assert log.count(BackendRole.LEVEL_ASSESSOR) == 1
 
@@ -172,28 +174,29 @@ def test_runner_assess_level_happy_path():
 def test_runner_assess_level_falls_back_with_warning():
     runner = RoleRunner(_FixedBackend("???"))
     warnings: list[str] = []
-    level = runner.assess_level("q", [], RouteMode.TREE, 0.9, warnings=warnings)
+    level = runner.assess_level("q", [], RouteMode.TREE, 0.9, CallLog(), warnings)
     assert level is SemanticLevel.MID
     assert warnings and "mid" in warnings[0]
 
 
 def test_runner_assess_level_custom_fallback():
     runner = RoleRunner(_FixedBackend("???"), fallback_level=SemanticLevel.HIGH)
-    assert runner.assess_level("q", [], RouteMode.TREE, 0.9) is SemanticLevel.HIGH
+    level = runner.assess_level("q", [], RouteMode.TREE, 0.9, CallLog(), [])
+    assert level is SemanticLevel.HIGH
 
 
 def test_runner_judge_verdicts():
     runner = RoleRunner(StubChatBackend())
     log = CallLog()
-    assert runner.judge("q", "sq", "passage", sim=0.6, log=log) is True
-    assert runner.judge("q", "sq", "passage", sim=0.4, log=log) is False
+    assert runner.judge("q", "sq", "passage", sim=0.6, log=log, warnings=[]) is True
+    assert runner.judge("q", "sq", "passage", sim=0.4, log=log, warnings=[]) is False
     assert log.count(BackendRole.JUDGE) == 2
 
 
 def test_runner_judge_retains_on_parse_failure():
     runner = RoleRunner(_FixedBackend("shrug"))
     warnings: list[str] = []
-    assert runner.judge("q", "sq", "p", 0.4, warnings=warnings) is True
+    assert runner.judge("q", "sq", "p", 0.4, CallLog(), warnings) is True
     assert warnings and "no verdict" in warnings[0]
 
 
@@ -211,7 +214,7 @@ def test_runner_rerank_round_trips_scores():
     runner = RoleRunner(StubChatBackend())
     log = CallLog()
     candidates = [_sp("a", "text a", 0.31), _sp("b", "text b", 0.72)]
-    scores = runner.rerank("q", candidates, log)
+    scores = runner.rerank("q", candidates, log, [])
     assert scores == [0.31, 0.72]
     assert log.count(BackendRole.RERANKER) == 1
 
@@ -219,14 +222,14 @@ def test_runner_rerank_round_trips_scores():
 def test_runner_rerank_fills_missing_with_half():
     runner = RoleRunner(_FixedBackend("2. 0.9"))
     warnings: list[str] = []
-    scores = runner.rerank("q", [_sp("a", "ta", 0.1), _sp("b", "tb", 0.2)], warnings=warnings)
+    scores = runner.rerank("q", [_sp("a", "ta", 0.1), _sp("b", "tb", 0.2)], CallLog(), warnings)
     assert scores == [0.5, 0.9]
     assert warnings and "candidate 1" in warnings[0]
 
 
 def test_runner_rerank_clamps_out_of_range():
     runner = RoleRunner(_FixedBackend("1. 3.5\n2. -0.2"))
-    scores = runner.rerank("q", [_sp("a", "ta", 0.1), _sp("b", "tb", 0.2)])
+    scores = runner.rerank("q", [_sp("a", "ta", 0.1), _sp("b", "tb", 0.2)], CallLog(), [])
     assert scores == [1.0, 0.0]
 
 
@@ -237,7 +240,8 @@ def test_runner_classify_unions_evidence_labels():
         _sp("a", "ta", 0.9, labels=("freeze_card",)),
         _sp("b", "tb", 0.8, labels=("cancel_card", "freeze_card")),
     ]
-    intents = runner.classify("q", evidence, ["cancel_card", "freeze_card", "open_savings"], log)
+    catalog = ["cancel_card", "freeze_card", "open_savings"]
+    intents = runner.classify("q", evidence, catalog, log, [])
     assert intents == {"cancel_card", "freeze_card"}
     assert log.count(BackendRole.INTENT_CLASSIFIER) == 1
 
@@ -245,38 +249,48 @@ def test_runner_classify_unions_evidence_labels():
 def test_runner_classify_warns_on_empty():
     runner = RoleRunner(StubChatBackend())
     warnings: list[str] = []
-    intents = runner.classify("q", [], ["cancel_card"], warnings=warnings)
+    intents = runner.classify("q", [], ["cancel_card"], CallLog(), warnings)
     assert intents == set()
     assert warnings
 
 
-def test_runner_uses_configured_temperatures_and_budgets():
-    backend = _FixedBackend("1. a\n2. b")
+def _recording_remote(monkeypatch, config: EngineConfig, replies: dict[BackendRole, str]):
+    """A remote client built from config whose POSTs are recorded, not sent."""
+    bodies = []
+
+    def fake_post_json(endpoint, body, timeout_s, role, parse):
+        bodies.append(body)
+        return parse({"response": replies[BackendRole(role)]})
+
+    monkeypatch.setattr(backends, "post_json", fake_post_json)
+    return RemoteChatBackend("http://unused", "m", config.temperatures()), bodies
+
+
+def test_runner_uses_configured_temperatures_and_budgets(monkeypatch):
+    replies = {BackendRole.DECOMPOSER: "1. a\n2. b", BackendRole.JUDGE: "Relevant"}
+    backend, bodies = _recording_remote(monkeypatch, EngineConfig(), replies)
     runner = RoleRunner(backend)
-    runner.decompose("query text")
-    request = backend.requests[0]
+    runner.decompose("query text", CallLog())
     defaults = EngineConfig().temperatures()
-    assert request.temperature == defaults[BackendRole.DECOMPOSER] == 0.3
-    assert request.max_output_tokens == DEFAULT_MAX_OUTPUT_TOKENS[BackendRole.DECOMPOSER] == 256
+    assert bodies[0]["temperature"] == defaults[BackendRole.DECOMPOSER] == 0.3
+    assert bodies[0]["max_tokens"] == MAX_OUTPUT_TOKENS[BackendRole.DECOMPOSER] == 256
 
-    backend.reply = "Relevant"
-    runner.judge("q", "sq", "p", 0.4)
-    judge_request = backend.requests[-1]
-    assert judge_request.temperature == defaults[BackendRole.JUDGE] == 0.1
-    assert judge_request.max_output_tokens == 16
+    runner.judge("q", "sq", "p", 0.4, CallLog(), [])
+    assert bodies[1]["temperature"] == defaults[BackendRole.JUDGE] == 0.1
+    assert bodies[1]["max_tokens"] == MAX_OUTPUT_TOKENS[BackendRole.JUDGE] == 16
 
 
-def test_runner_temperature_override():
-    backend = _FixedBackend("Relevant")
-    runner = RoleRunner(backend, temperatures={BackendRole.JUDGE: 0.9})
-    runner.judge("q", "sq", "p", 0.4)
-    assert backend.requests[0].temperature == 0.9
+def test_runner_temperature_override(monkeypatch):
+    config = EngineConfig(apm_judge_temperature=0.9)
+    backend, bodies = _recording_remote(monkeypatch, config, {BackendRole.JUDGE: "Relevant"})
+    assert RoleRunner(backend).judge("q", "sq", "p", 0.4, CallLog(), []) is True
+    assert bodies[0]["temperature"] == 0.9
 
 
 def test_runner_prompts_carry_role_inputs():
     backend = _FixedBackend("Relevant")
     runner = RoleRunner(backend)
-    runner.judge("the original", "the sub query", "the passage text", 0.4)
-    prompt = backend.requests[0].prompt_text()
+    runner.judge("the original", "the sub query", "the passage text", 0.4, CallLog(), [])
+    prompt = backend.requests[0].prompt
     for fragment in ("the original", "the sub query", "the passage text"):
         assert fragment in prompt
