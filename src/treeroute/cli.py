@@ -92,6 +92,10 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("traces", help="trace file from the run command")
     p_eval.add_argument("golds", help="workload file with gold intents")
     p_eval.add_argument("--label", help="system label for the report")
+    p_eval.add_argument(
+        "--catalog",
+        help="intent catalog file (JSON lines); macro-F1 averages over its intents",
+    )
 
     p_pareto = sub.add_parser("pareto", parents=[common], help="dominance analysis over report files")
     p_pareto.add_argument("reports", nargs="+", help="report files from the eval command")
@@ -231,7 +235,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if missing:
         raise CliError(f"no gold labels for queries: {', '.join(missing[:5])}")
     gold_sets = [golds[t.query_id] for t in traces]
-    catalog = sorted(set().union(*gold_sets, *predictions))
+    if args.catalog:
+        catalog = [entry.name for entry in load_catalog(args.catalog)]
+        if not catalog:
+            raise CliError(f"no intents in catalog {args.catalog}")
+    else:
+        catalog = sorted(set().union(*gold_sets, *predictions))
     report_by_depth = depth_report(traces, golds)
     n = len(traces)
     overall = {

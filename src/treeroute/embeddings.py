@@ -86,7 +86,12 @@ class RemoteEmbedder:
         values = _extract_embedding(data)
         if values is None:
             raise BackendError("embedding", "unrecognized response shape")
-        vector = np.asarray(values, dtype=np.float64)
+        try:
+            vector = np.asarray(values, dtype=np.float64)
+        except TypeError as exc:
+            # An element such as {} fails as a string element does, with a
+            # ValueError that post_json retries once.
+            raise ValueError(f"embedding holds a non-number: {exc}") from exc
         if vector.shape != (self.dimension,):
             raise BackendError(
                 "embedding",

@@ -289,7 +289,7 @@ def process_query(
                     candidates,
                     engine.thresholds,
                     judge,
-                    embedding_of=engine.store.embedding_of,
+                    embedding_of=engine.store,
                 )
 
             tree = expand(

@@ -4,9 +4,14 @@ Stage one is a pure cosine gate against the original query embedding:
 clearly relevant candidates are retained, clearly irrelevant ones
 discarded. Only the borderline band between the two thresholds is
 escalated to a judge call, so judge volume is exactly the borderline
-count. Survivors keep their input order. The cosines, one matrix-vector
-product per node, are not clamped: with thresholds in [0, 1] only search
-needs to clamp.
+count. Survivors keep their input order.
+
+A node's cosines are the vector store's ordered fold: over the store's
+rows for the candidates, gathered from the query's nonzero columns in one
+call, or over the rows of a plain id -> embedding table. Either way a
+candidate's similarity has the bits of its search score against the same
+query, before search's clamp. The gate does not clamp: with thresholds in
+[0, 1], only search needs to, since its scores reach the traces.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .vectorstore import Passage, ScoredPassage
+from .vectorstore import Passage, ScoredPassage, VectorStore, similarities
 
 
 @dataclass(frozen=True)
@@ -69,18 +74,23 @@ def prune(
     thresholds: GateThresholds,
     judge: SemanticJudge,
     *,
-    embedding_of: Callable[[str], np.ndarray] | Mapping[str, np.ndarray],
+    embedding_of: VectorStore | Mapping[str, np.ndarray],
 ) -> PruneResult:
     """Gate every candidate, escalating only the borderline band.
 
     Similarity is always computed against the original query embedding,
     not the sub-query that retrieved the candidate, so one detached branch
-    cannot flood the evidence pool.
+    cannot flood the evidence pool. embedding_of is the store that holds
+    the candidates, or a table of their embeddings; an embedding whose
+    dimension differs from the query's raises ValueError.
     """
     if not candidates:
         return PruneResult(survivors=[], judge_calls=0)
-    lookup = embedding_of.__getitem__ if isinstance(embedding_of, Mapping) else embedding_of
-    sims = np.array([lookup(c.passage.id) for c in candidates]) @ original_embedding
+    ids = [c.passage.id for c in candidates]
+    if isinstance(embedding_of, VectorStore):
+        sims = embedding_of.similarities(ids, original_embedding)
+    else:
+        sims = similarities(np.array([embedding_of[pid] for pid in ids]), original_embedding)
     survivors: list[ScoredPassage] = []
     judge_calls = 0
     for candidate, sim in zip(candidates, sims.tolist()):

@@ -1,15 +1,28 @@
 """Exact in-memory vector store over unit-norm embeddings.
 
-Search is exhaustive cosine similarity: one dot product against the full
+The matrix is stored column-major: one row per passage, in ascending
+passage id order, and each coordinate's column contiguous in memory.
+Search and the pruning gate compute similarities with one ordered fold,
+similarities(): for each nonzero coordinate j of the query, in ascending
+order, add column j times q[j]. Its bits depend only on the two vectors,
+never on the BLAS build, the thread split or a passage's row, and a
+sparse hashed-bag query reads only its few nonzero columns. A dense
+query reads every column, and then the fold is slower than a BLAS
+matrix-vector product.
+
+Search is exhaustive cosine similarity by that fold over the whole
 matrix, clamped to [-1, 1] (the only clamp on a similarity, since search
-scores reach the traces), then an exact top-k by partition. Rows are
-stored in ascending passage id order, so the row index breaks ties and
-results are stable under re-indexing in any order.
+scores reach the traces), then an exact top-k by partition. The row index
+breaks ties, so results are stable under re-indexing in any order. The
+gate folds the same columns over a node's candidate rows, so the root's
+gate similarities equal its hit scores before the clamp. Dedup reads
+rows through embedding_of() and takes its own product; its values never
+reach the traces.
 
 The store never changes after build_index(), so search memoizes its
 result on the query vector's bytes and k: a repeated query skips the
-matrix product and returns the same scores bit for bit. The memo keeps
-the SEARCH_CACHE_SIZE most recently used results.
+fold and returns the same scores bit for bit. The memo keeps the
+SEARCH_CACHE_SIZE most recently used results.
 """
 
 from __future__ import annotations
@@ -25,6 +38,30 @@ from .embeddings import EmbeddingProvider
 
 DEFAULT_SEARCH_K = 32
 SEARCH_CACHE_SIZE = 1024
+# Rows embedded into a row-major block before one copy into the
+# column-major matrix; row-by-row writes would stride across every column.
+BUILD_BLOCK_ROWS = 128
+
+
+def similarities(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Every row of matrix dotted with vector, as one left fold.
+
+    For each nonzero coordinate j of vector, in ascending order, the
+    result accumulates matrix[:, j] * vector[j], starting from zero. Each
+    row's value is thus the left-to-right float sum of its products over
+    the vector's nonzero coordinates, whatever the row's position or the
+    number of rows. Not clamped.
+    """
+    if vector.shape != (matrix.shape[1],):
+        raise ValueError(
+            f"vector has shape {vector.shape}, matrix rows have {matrix.shape[1]} coordinates"
+        )
+    out = np.zeros(matrix.shape[0])
+    term = np.empty_like(out)
+    for j in np.flatnonzero(vector):
+        np.multiply(matrix[:, j], vector[j], out=term)
+        out += term
+    return out
 
 
 @dataclass(frozen=True)
@@ -66,7 +103,8 @@ class VectorStore:
                 raise ValueError(
                     f"passage ids must ascend strictly: {before.id!r} before {after.id!r}"
                 )
-        self._matrix = matrix
+        # A column-major matrix is kept as is; any other is copied once.
+        self._matrix = np.asfortranarray(matrix)
         self._row_by_id = {p.id: i for i, p in enumerate(self._passages)}
         self._memo: OrderedDict[tuple, tuple[ScoredPassage, ...]] = OrderedDict()
         # Worker threads share one store. Two misses on the same key may both
@@ -90,6 +128,21 @@ class VectorStore:
         if row is None:
             raise KeyError(f"unknown passage id: {passage_id}")
         return self._matrix[row]
+
+    def similarities(self, passage_ids: Sequence[str], vector: np.ndarray) -> np.ndarray:
+        """Unclamped fold similarities of the given passages to vector, in order.
+
+        The rows are gathered from the vector's nonzero columns in one call,
+        so each value has the bits of the passage's search score before the
+        clamp.
+        """
+        if vector.shape != (self.dimension,):
+            raise ValueError(
+                f"vector has shape {vector.shape}, store dimension is {self.dimension}"
+            )
+        rows = [self._row_by_id[pid] for pid in passage_ids]
+        columns = np.flatnonzero(vector)
+        return similarities(self._matrix[np.ix_(rows, columns)], vector[columns])
 
     def search(self, query_embedding: np.ndarray, k: int = DEFAULT_SEARCH_K) -> list[ScoredPassage]:
         """Top-k passages by cosine, ties broken by ascending passage id.
@@ -119,7 +172,8 @@ class VectorStore:
         return list(hits)
 
     def _scan(self, query_embedding: np.ndarray, k: int) -> tuple[ScoredPassage, ...]:
-        scores = np.clip(self._matrix @ query_embedding, -1.0, 1.0)
+        scores = similarities(self._matrix, query_embedding)
+        np.clip(scores, -1.0, 1.0, out=scores)
         n = len(scores)
         if k < n:
             # Every row tied with the k-th score competes for the last places.
@@ -147,14 +201,18 @@ def build_index(passages: Iterable[Passage], provider: EmbeddingProvider) -> Vec
             raise ValueError(f"duplicate passage id: {passage.id}")
         seen.add(passage.id)
     # Filled in place, so the build never holds the vectors twice.
-    matrix = np.empty((len(ordered), provider.dimension), dtype=np.float64)
-    for row, passage in enumerate(ordered):
-        vector = provider.embed(passage.text)
-        if vector.shape != (provider.dimension,):
-            raise ValueError(
-                f"passage {passage.id}: embedding has shape {vector.shape}, "
-                f"provider dimension is {provider.dimension}"
-            )
-        matrix[row] = vector
+    matrix = np.empty((len(ordered), provider.dimension), dtype=np.float64, order="F")
+    block = np.empty((BUILD_BLOCK_ROWS, provider.dimension), dtype=np.float64)
+    for start in range(0, len(ordered), BUILD_BLOCK_ROWS):
+        chunk = ordered[start : start + BUILD_BLOCK_ROWS]
+        for offset, passage in enumerate(chunk):
+            vector = provider.embed(passage.text)
+            if vector.shape != (provider.dimension,):
+                raise ValueError(
+                    f"passage {passage.id}: embedding has shape {vector.shape}, "
+                    f"provider dimension is {provider.dimension}"
+                )
+            block[offset] = vector
+        matrix[start : start + len(chunk)] = block[: len(chunk)]
     matrix.setflags(write=False)
     return VectorStore(ordered, matrix)

@@ -228,6 +228,33 @@ def test_eval_with_true_golds_reports_depth_buckets(capsys, tmp_path, workload_f
     assert sum(shares) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_eval_catalog_averages_macro_f1_over_its_intents(capsys, tmp_path, workload_file):
+    traces_path = tmp_path / "traces.jsonl"
+    _run_cli(capsys, ["run", str(workload_file), "--out", str(traces_path)])
+    seen = {label for t in read_traces(traces_path) for label in t.predicted_intents}
+    seen |= {label for r in build_workload(16) for label in r.intents}
+    catalog_path = tmp_path / "catalog.jsonl"
+    # close_account is absent from both golds and predictions.
+    catalog_path.write_text(
+        "\n".join(json.dumps({"name": name}) for name in sorted(seen | {"close_account"})),
+        encoding="utf-8",
+    )
+    argv = ["eval", str(traces_path), str(workload_file), "--out", str(tmp_path / "r.json")]
+    default = _last_json(_run_cli(capsys, argv)[1])["macro_f1"]
+    code, out, _ = _run_cli(capsys, argv + ["--catalog", str(catalog_path)])
+    assert code == 0
+    assert default < 1.0
+    # The absent class scores 1.0 under the default zero_support rule.
+    assert _last_json(out)["macro_f1"] == pytest.approx(
+        (default * len(seen) + 1.0) / (len(seen) + 1), abs=1e-12
+    )
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    code, _, err = _run_cli(capsys, argv + ["--catalog", str(empty)])
+    assert code == 2
+    assert "no intents" in json.loads(err.strip())["error"]
+
+
 def test_eval_missing_golds_is_usage_error(capsys, tmp_path, workload_file):
     traces_path = tmp_path / "traces.jsonl"
     _run_cli(capsys, ["run", str(workload_file), "--out", str(traces_path)])

@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from conftest import build_workload, make_engine
 
 from treeroute.embeddings import (
     DEFAULT_DIMENSION,
@@ -15,6 +16,7 @@ from treeroute.embeddings import (
     RemoteEmbedder,
 )
 from treeroute.errors import BackendError
+from treeroute.pipeline import run_workload
 
 
 def test_default_dimension():
@@ -87,6 +89,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
     payload_shape = "flat"
     dimension = 8
     requests_seen = 0
+    bad_input: str | None = None  # an input answered with a non-number element
 
     def do_POST(self):
         cls = type(self)
@@ -100,7 +103,9 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         values = [float(i + 1) for i in range(cls.dimension)]
-        if cls.payload_shape == "flat":
+        if body["input"] == cls.bad_input:
+            payload = {"embedding": [{}] + values[1:]}
+        elif cls.payload_shape == "flat":
             payload = {"embedding": values}
         elif cls.payload_shape == "openai":
             payload = {"data": [{"embedding": values}]}
@@ -130,6 +135,7 @@ def embed_server():
     _EmbedHandler.fail_status = 500
     _EmbedHandler.payload_shape = "flat"
     _EmbedHandler.requests_seen = 0
+    _EmbedHandler.bad_input = None
     yield f"http://127.0.0.1:{server.server_port}/embed"
     server.shutdown()
 
@@ -192,6 +198,23 @@ def test_remote_rejects_non_finite_vector_without_retry(embed_server, shape):
     with pytest.raises(BackendError, match="non-finite"):
         _remote(embed_server).embed("hello")
     assert _EmbedHandler.requests_seen == 1
+
+
+def test_remote_non_number_element_is_retried_then_a_backend_error(embed_server):
+    _EmbedHandler.bad_input = "hello"
+    with pytest.raises(BackendError, match="non-number"):
+        _remote(embed_server).embed("hello")
+    assert _EmbedHandler.requests_seen == 2
+
+
+def test_non_number_query_embedding_fails_its_trace_not_the_batch(embed_server):
+    engine = make_engine(embed_backend="remote", embed_endpoint=embed_server, store_dimension=8)
+    good, bad = build_workload(2)
+    _EmbedHandler.bad_input = bad.text
+    traces = run_workload(engine, [good, bad])
+    assert [t.query_id for t in traces] == [good.id, bad.id]
+    assert traces[0].error is None
+    assert "non-number" in traces[1].error
 
 
 def test_remote_rejects_wrong_dimension(embed_server):

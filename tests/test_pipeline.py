@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import TEMPLATES, build_workload, make_engine
 
-from treeroute import pipeline, rerank, vectorstore
+from treeroute import pipeline, pruning, rerank, vectorstore
 from treeroute.backends import BackendRole, StubChatBackend
 from treeroute.dataset import QueryRecord
 from treeroute.errors import BackendError
@@ -377,12 +377,22 @@ def _scalar_cosine(a, b) -> float:
     return min(max(float(np.dot(a, b)), -1.0), 1.0)
 
 
+def _scalar_fold(embedding, query) -> float:
+    """Left-to-right float sum over the query's nonzero coordinates."""
+    total = 0.0
+    for j in np.flatnonzero(query).tolist():
+        total += float(embedding[j]) * float(query[j])
+    return total
+
+
 def _reference_prune(original_embedding, candidates, thresholds, judge, *, embedding_of):
-    """The gate as one clamped scalar np.dot per candidate."""
-    lookup = embedding_of.__getitem__ if isinstance(embedding_of, Mapping) else embedding_of
+    """The gate as one scalar fold per candidate."""
+    lookup = (
+        embedding_of.__getitem__ if isinstance(embedding_of, Mapping) else embedding_of.embedding_of
+    )
     survivors, judge_calls = [], 0
     for candidate in candidates:
-        sim = _scalar_cosine(original_embedding, lookup(candidate.passage.id))
+        sim = _scalar_fold(lookup(candidate.passage.id), original_embedding)
         outcome = quantitative_gate(sim, thresholds)
         if outcome is GateOutcome.BORDERLINE:
             judge_calls += 1
@@ -435,6 +445,36 @@ def test_matvec_gate_and_dedup_match_scalar_reference(tmp_path, monkeypatch, mod
     assert fast_path.read_bytes() == reference_path.read_bytes()
     assert judged[0] > 0
     assert dedups[0] > 0
+
+
+@pytest.mark.parametrize("mode", [ExecutionMode.ADAPTIVE, ExecutionMode.FIXED_DEPTH_3])
+def test_root_gate_similarities_equal_root_hit_scores(monkeypatch, mode):
+    root_hits, gated, checked = [], [], [0]
+    expand, prune, gate = pipeline.expand, pipeline.prune, pruning.quantitative_gate
+
+    def spy_expand(*args, **kwargs):
+        root_hits.append(kwargs["root_hits"])
+        return expand(*args, **kwargs)
+
+    def spy_gate(sim, thresholds):
+        gated.append(sim)
+        return gate(sim, thresholds)
+
+    def spy_prune(embedding, candidates, *args, **kwargs):
+        gated.clear()
+        result = prune(embedding, candidates, *args, **kwargs)
+        if candidates is root_hits[-1]:
+            # The gate does not clamp; search does.
+            assert [min(max(s, -1.0), 1.0) for s in gated] == [c.score for c in candidates]
+            checked[0] += len(candidates)
+        return result
+
+    monkeypatch.setattr(pipeline, "expand", spy_expand)
+    monkeypatch.setattr(pipeline, "prune", spy_prune)
+    monkeypatch.setattr(pruning, "quantitative_gate", spy_gate)
+    traces = run_workload(make_engine(), build_workload(48), mode=mode, jobs=1)
+    assert all(t.error is None for t in traces)
+    assert checked[0] >= len(root_hits) > 0
 
 
 def test_write_and_read_traces(tmp_path, engine):

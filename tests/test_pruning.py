@@ -13,7 +13,7 @@ from treeroute.pruning import (
     prune,
     quantitative_gate,
 )
-from treeroute.vectorstore import Passage, ScoredPassage
+from treeroute.vectorstore import Passage, ScoredPassage, VectorStore
 
 
 def _unit(angle: float) -> np.ndarray:
@@ -161,17 +161,19 @@ def test_similarity_is_against_supplied_query_embedding():
     assert result.survivors == []
 
 
-def test_embedding_lookup_accepts_callable():
-    query = np.array([1.0, 0.0])
-    candidate = ScoredPassage(passage=Passage(id="p", text="t"), score=0.1)
+def test_embedding_lookup_accepts_a_store():
+    store = VectorStore(
+        (Passage(id="a", text="a"), Passage(id="b", text="b")), np.array([[0.0, 1.0], [1.0, 0.0]])
+    )
+    candidates = [ScoredPassage(passage=p, score=0.1) for p in reversed(store.passages)]
     result = prune(
-        query,
-        [candidate],
+        np.array([1.0, 0.0]),
+        candidates,
         GateThresholds(),
         lambda p, s: True,
-        embedding_of=lambda pid: query,
+        embedding_of=store,
     )
-    assert len(result.survivors) == 1
+    assert [s.passage.id for s in result.survivors] == ["b"]
 
 
 def test_empty_candidates():
@@ -214,3 +216,9 @@ def test_wrong_dimension_embedding_raises():
         ]
         with pytest.raises(ValueError):
             prune(query, candidates, GateThresholds(), lambda p, s: True, embedding_of=table)
+    # A store gathers only the query's nonzero columns, so it checks the
+    # query's dimension itself.
+    store = VectorStore((Passage(id="a", text="a"),), np.array([[1.0, 0.0, 0.0]]))
+    candidates = [ScoredPassage(passage=store.passages[0], score=0.5)]
+    with pytest.raises(ValueError):
+        prune(query, candidates, GateThresholds(), lambda p, s: True, embedding_of=store)

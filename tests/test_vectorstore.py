@@ -216,16 +216,99 @@ def test_build_rejects_a_wrong_embedding_shape_by_passage_id():
         build_index(passages, _ShortVectorProvider())
 
 
-def test_built_matrix_is_readonly_float64_rows_of_the_provider():
+def test_built_matrix_is_readonly_float64_rows_of_the_provider(monkeypatch):
+    # Six passages fill one block of four and part of a second.
+    monkeypatch.setattr(vectorstore, "BUILD_BLOCK_ROWS", 4)
     embedder = HashedBagEmbedder(dimension=16)
     texts = {f"p{i}": f"passage {i} about cards" for i in range(6)}
     store = build_index(_passages(texts), embedder)
     matrix = store._matrix
     assert matrix.dtype == np.float64
-    assert matrix.flags.c_contiguous
+    assert matrix.flags.f_contiguous
     assert not matrix.flags.writeable
     for row, passage in enumerate(store.passages):
         assert matrix[row].tobytes() == embedder.embed(passage.text).tobytes()
+
+
+def _fold_reference(row, q) -> float:
+    """Left-to-right float sum over the query's nonzero coordinates, clipped."""
+    total = 0.0
+    for j in range(len(q)):
+        if q[j] != 0.0:
+            total += float(row[j]) * float(q[j])
+    return min(max(total, -1.0), 1.0)
+
+
+def _unit_rows(rng, n, dimension):
+    rows = rng.standard_normal((n, dimension))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _assert_scores_are_the_fold(store, queries):
+    for q in queries:
+        hits = store.search(q, k=store.size)
+        expected = sorted(
+            ((_fold_reference(store.embedding_of(p.id), q), p.id) for p in store.passages),
+            key=lambda pair: (-pair[0], pair[1]),
+        )
+        assert [(h.score, h.passage.id) for h in hits] == expected
+
+
+def test_dense_scores_equal_the_scalar_fold_bit_for_bit():
+    rng = np.random.default_rng(7)
+    n = 203  # not a multiple of 4, so no row count hides a lane remainder
+    passages = tuple(Passage(id=f"p{i:03d}", text="t") for i in range(n))
+    store = VectorStore(passages, _unit_rows(rng, n, 48))
+    _assert_scores_are_the_fold(store, list(_unit_rows(rng, 5, 48)))
+
+
+def test_hashed_bag_scores_equal_the_scalar_fold_bit_for_bit():
+    embedder = HashedBagEmbedder(dimension=64)
+    rng = random.Random(13)
+    vocab = ["card", "savings", "rates", "charge", "account", "freeze", "open", "limit"]
+    texts = {f"p{i:03d}": " ".join(rng.choices(vocab, k=rng.randint(1, 6))) for i in range(101)}
+    store = build_index(_passages(texts), embedder)
+    queries = [embedder.embed(" ".join(rng.choices(vocab, k=rng.randint(1, 6)))) for _ in range(20)]
+    _assert_scores_are_the_fold(store, queries)
+
+
+class _DenseProvider:
+    """Seeded dense unit vectors, one per text."""
+
+    dimension = 48
+
+    def embed(self, text: str) -> np.ndarray:
+        seed = int.from_bytes(text.encode("utf-8"), "big") % (2**32)
+        return _unit_rows(np.random.default_rng(seed), 1, self.dimension)[0]
+
+
+def test_a_passage_score_does_not_depend_on_its_row():
+    provider = _DenseProvider()
+    passages = [Passage(id=f"p{i:03d}", text=f"passage {i}") for i in range(61)]
+    # Extra passages sort first and shift every original row by 3.
+    extras = [Passage(id=f"a{i}", text=f"extra {i}") for i in range(3)]
+    small = build_index(passages, provider)
+    large = build_index(passages + extras, provider)
+    for text in ("query one", "query two", "query three"):
+        q = provider.embed(text)
+        scores = {h.passage.id: h.score for h in large.search(q, k=large.size)}
+        for hit in small.search(q, k=small.size):
+            assert scores[hit.passage.id] == hit.score
+
+
+def test_store_similarities_are_search_scores_before_the_clamp(store):
+    embedder = HashedBagEmbedder(dimension=64)
+    q = embedder.embed("freeze my card and compare rates")
+    hits = store.search(q, k=store.size)
+    ids = [h.passage.id for h in reversed(hits)]
+    sims = store.similarities(ids, q)
+    assert [min(max(s, -1.0), 1.0) for s in sims.tolist()] == [
+        h.score for h in reversed(hits)
+    ]
+    with pytest.raises(ValueError, match="shape"):
+        store.similarities(ids, np.concatenate([q, q]))
+    with pytest.raises(KeyError):
+        store.similarities(["nope"], q)
 
 
 def test_build_peak_memory_stays_near_one_matrix():
