@@ -315,12 +315,10 @@ def _coerce(key: str, raw: str, current: Any) -> Any:
     raw = raw.strip()
     try:
         if isinstance(current, bool):
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
+            state = configparser.RawConfigParser.BOOLEAN_STATES.get(raw.lower())
+            if state is None:
+                raise ValueError(f"not a boolean: {raw!r}")
+            return state
         if isinstance(current, int):
             return int(raw)
         if isinstance(current, float):

@@ -13,7 +13,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DatasetError
 from .vectorstore import Passage
@@ -45,6 +45,26 @@ class IngestResult:
     dropped_duplicates: int
 
 
+def read_json_lines(path: str | Path, kind: str) -> Iterator[tuple[int, object]]:
+    """Yield (line number, parsed value) for each nonblank line of a JSON-lines file.
+
+    An unreadable file or a line that is not JSON raises DatasetError naming
+    the file or the line; kind ("workload", "catalog", "trace") prefixes it.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"cannot read {kind} file {path}: {exc}")
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{kind} line {line_no}: invalid record: {exc}")
+        yield line_no, data
+
+
 def _parse_record(line_no: int, data: object) -> QueryRecord:
     if not isinstance(data, dict):
         raise DatasetError(f"line {line_no}: record must be an object")
@@ -73,17 +93,7 @@ def ingest(path: str | Path) -> IngestResult:
     seen_ids: set[str] = set()
     dropped_unlabeled = 0
     dropped_duplicates = 0
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DatasetError(f"cannot read workload file {path}: {exc}")
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"line {line_no}: invalid record: {exc}")
+    for line_no, data in read_json_lines(path, "workload"):
         record = _parse_record(line_no, data)
         key = record.text.strip()
         if key in seen_texts:
@@ -108,17 +118,7 @@ def load_catalog(path: str | Path) -> list[IntentCatalogEntry]:
     """Load intent catalog entries from a line-delimited JSON file."""
     entries: list[IntentCatalogEntry] = []
     seen: set[str] = set()
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DatasetError(f"cannot read catalog file {path}: {exc}")
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"catalog line {line_no}: invalid record: {exc}")
+    for line_no, data in read_json_lines(path, "catalog"):
         if not isinstance(data, dict) or not isinstance(data.get("name"), str) or not data["name"]:
             raise DatasetError(f"catalog line {line_no}: name must be a nonempty string")
         name = data["name"]

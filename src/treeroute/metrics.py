@@ -11,7 +11,7 @@ recomputed globally because it does not decompose over strata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .pipeline import QueryTrace
@@ -48,22 +48,14 @@ def micro_f1(predictions: LabelSets, golds: LabelSets) -> float:
     return 1.0 if denominator == 0 else 2 * tp / denominator
 
 
-def macro_f1(
-    predictions: LabelSets,
-    golds: LabelSets,
-    catalog: Sequence[str],
-    zero_support: str = "one",
-) -> float:
+def macro_f1(predictions: LabelSets, golds: LabelSets, catalog: Sequence[str]) -> float:
     """Mean per-class F1 over the catalog.
 
-    zero_support controls classes with no gold and no predicted examples:
-    "one" scores them 1.0, "exclude" drops them from the mean.
+    A class with no gold and no predicted examples scores 1.0.
     """
     _check_paired(predictions, golds)
     if not catalog:
         raise ValueError("macro F1 needs a nonempty catalog")
-    if zero_support not in ("one", "exclude"):
-        raise ValueError(f"zero_support must be 'one' or 'exclude', got {zero_support!r}")
     scores = []
     for label in catalog:
         tp = fp = fn = 0
@@ -72,12 +64,9 @@ def macro_f1(
             tp += hit and want
             fp += hit and not want
             fn += want and not hit
-        if tp == fp == fn == 0:
-            if zero_support == "one":
-                scores.append(1.0)
-            continue
-        scores.append(2 * tp / (2 * tp + fp + fn))
-    return sum(scores) / len(scores) if scores else 1.0
+        denominator = 2 * tp + fp + fn
+        scores.append(1.0 if denominator == 0 else 2 * tp / denominator)
+    return sum(scores) / len(scores)
 
 
 def weighted_average(shares: Sequence[float], values: Sequence[float]) -> float:
@@ -106,16 +95,7 @@ class DepthBucket:
     mean_total_calls: float
 
     def as_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "query_count": self.query_count,
-            "query_share": self.query_share,
-            "subset_accuracy": self.subset_accuracy,
-            "micro_f1": self.micro_f1,
-            "mean_latency_ms": self.mean_latency_ms,
-            "mean_prompt_tokens": self.mean_prompt_tokens,
-            "mean_total_calls": self.mean_total_calls,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -44,9 +44,9 @@ from .backends import (
     estimate_tokens,
 )
 from .config import EngineConfig
-from .dataset import QueryRecord
+from .dataset import QueryRecord, read_json_lines
 from .embeddings import EmbeddingProvider, HashedBagEmbedder, RemoteEmbedder
-from .errors import EngineError
+from .errors import DatasetError, EngineError
 from .pruning import prune
 from .rerank import consolidate
 from .roles import PromptLibrary, RoleRunner
@@ -85,12 +85,7 @@ class CostLedger:
     latency_ms: float
 
     def as_dict(self) -> dict:
-        return {
-            "calls_by_role": dict(self.calls_by_role),
-            "total_calls": self.total_calls,
-            "prompt_tokens": self.prompt_tokens,
-            "latency_ms": self.latency_ms,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CostLedger":
@@ -120,20 +115,7 @@ class QueryTrace:
     error: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "mode": self.mode,
-            "qci": self.qci,
-            "signals": dict(self.signals),
-            "depth": self.depth,
-            "node_count": self.node_count,
-            "pruned_node_count": self.pruned_node_count,
-            "evidence": [dict(e) for e in self.evidence],
-            "predicted_intents": list(self.predicted_intents),
-            "ledger": self.ledger.as_dict(),
-            "warnings": list(self.warnings),
-            "error": self.error,
-        }
+        return asdict(self)
 
     def to_json_line(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
@@ -394,10 +376,15 @@ def write_traces(path: str | Path, traces: Sequence[QueryTrace]) -> None:
 
 
 def read_traces(path: str | Path) -> list[QueryTrace]:
+    """Load a trace file; a bad file or line raises DatasetError naming it."""
     traces = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            traces.append(QueryTrace.from_dict(json.loads(line)))
+    for line_no, data in read_json_lines(path, "trace"):
+        try:
+            traces.append(QueryTrace.from_dict(data))
+        except KeyError as exc:
+            raise DatasetError(f"trace line {line_no}: missing field {exc}")
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"trace line {line_no}: invalid trace: {exc}")
     return traces
 
 

@@ -48,12 +48,18 @@ class PromptLibrary:
                 except OSError as exc:
                     raise ConfigError(f"backend.prompt_dir: cannot read {path}: {exc}")
             else:
-                text = (
-                    resources.files(__package__)
-                    .joinpath("prompts", f"{role.value}.txt")
-                    .read_text(encoding="utf-8")
-                )
-            self._templates[role] = Template(text)
+                path = resources.files(__package__).joinpath("prompts", f"{role.value}.txt")
+                text = path.read_text(encoding="utf-8")
+            template = Template(text)
+            # A "$" that starts no placeholder would fail every render; write "$$".
+            for match in template.pattern.finditer(text):
+                if match.group("invalid") is not None:
+                    line = text.count("\n", 0, match.start()) + 1
+                    raise ConfigError(
+                        f"prompt template {path} line {line}: "
+                        "'$' must start a placeholder or be written '$$'"
+                    )
+            self._templates[role] = template
 
     def render(self, role: BackendRole, **fields: str) -> str:
         try:

@@ -8,7 +8,7 @@ complexity index in [0, 1] that drives path routing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 DEFAULT_WH_TERMS = frozenset(
     {"what", "when", "where", "who", "whom", "whose", "which", "why", "how"}
@@ -70,13 +70,7 @@ class QciWeights:
             raise ValueError(f"qci.weights: must sum to 1.0, got {total!r}")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "wh": self.wh,
-            "conjunction": self.conjunction,
-            "comparison": self.comparison,
-            "sequence": self.sequence,
-            "length": self.length,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,19 @@ rows through embedding_of() and takes its own product; its values never
 reach the traces.
 
 The store never changes after build_index(), so search memoizes its
-result on the query vector's bytes and k: a repeated query skips the
-fold and returns the same scores bit for bit. The memo keeps the
-SEARCH_CACHE_SIZE most recently used results.
+result on the query vector's dtype, bytes and k in a functools.lru_cache
+of SEARCH_CACHE_SIZE entries, read when the store is built: a repeated
+query skips the fold and returns the same scores bit for bit, and
+store._memo.cache_info() counts hits and misses. The cache wraps a
+module-level function over the matrix and passages, never a bound
+method, so it holds no reference back to the store and a dropped store
+is freed at once, without waiting for the cycle collector.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -106,10 +109,12 @@ class VectorStore:
         # A column-major matrix is kept as is; any other is copied once.
         self._matrix = np.asfortranarray(matrix)
         self._row_by_id = {p.id: i for i, p in enumerate(self._passages)}
-        self._memo: OrderedDict[tuple, tuple[ScoredPassage, ...]] = OrderedDict()
         # Worker threads share one store. Two misses on the same key may both
-        # scan; they store equal results.
-        self._memo_lock = threading.Lock()
+        # scan; they cache equal results. The cache wraps a partial over the
+        # arrays, not a bound method, so it never keeps the store alive.
+        self._memo = lru_cache(maxsize=SEARCH_CACHE_SIZE)(
+            partial(_scan, self._matrix, self._passages)
+        )
 
     @property
     def size(self) -> int:
@@ -158,34 +163,24 @@ class VectorStore:
             )
         if not self._passages:
             return []
-        key = (query_embedding.dtype.str, query_embedding.tobytes(), k)
-        with self._memo_lock:
-            hits = self._memo.get(key)
-            if hits is not None:
-                self._memo.move_to_end(key)
-                return list(hits)
-        hits = self._scan(query_embedding, k)
-        with self._memo_lock:
-            self._memo[key] = hits
-            while len(self._memo) > SEARCH_CACHE_SIZE:
-                self._memo.popitem(last=False)
-        return list(hits)
+        # The shape check above makes the bytes and dtype a faithful key.
+        return list(self._memo(query_embedding.dtype.str, query_embedding.tobytes(), k))
 
-    def _scan(self, query_embedding: np.ndarray, k: int) -> tuple[ScoredPassage, ...]:
-        scores = similarities(self._matrix, query_embedding)
-        np.clip(scores, -1.0, 1.0, out=scores)
-        n = len(scores)
-        if k < n:
-            # Every row tied with the k-th score competes for the last places.
-            kth = np.partition(scores, n - k)[n - k]
-            rows = np.flatnonzero(scores >= kth)
-        else:
-            rows = np.arange(n)
-        order = rows[np.lexsort((rows, -scores[rows]))][:k]
-        return tuple(
-            ScoredPassage(passage=self._passages[i], score=float(scores[i]))
-            for i in order
-        )
+
+def _scan(
+    matrix: np.ndarray, passages: tuple[Passage, ...], dtype: str, data: bytes, k: int
+) -> tuple[ScoredPassage, ...]:
+    scores = similarities(matrix, np.frombuffer(data, dtype))
+    np.clip(scores, -1.0, 1.0, out=scores)
+    n = len(scores)
+    if k < n:
+        # Every row tied with the k-th score competes for the last places.
+        kth = np.partition(scores, n - k)[n - k]
+        rows = np.flatnonzero(scores >= kth)
+    else:
+        rows = np.arange(n)
+    order = rows[np.lexsort((rows, -scores[rows]))][:k]
+    return tuple(ScoredPassage(passage=passages[i], score=float(scores[i])) for i in order)
 
 
 def build_index(passages: Iterable[Passage], provider: EmbeddingProvider) -> VectorStore:

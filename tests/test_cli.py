@@ -244,7 +244,7 @@ def test_eval_catalog_averages_macro_f1_over_its_intents(capsys, tmp_path, workl
     code, out, _ = _run_cli(capsys, argv + ["--catalog", str(catalog_path)])
     assert code == 0
     assert default < 1.0
-    # The absent class scores 1.0 under the default zero_support rule.
+    # A class absent from both golds and predictions scores 1.0.
     assert _last_json(out)["macro_f1"] == pytest.approx(
         (default * len(seen) + 1.0) / (len(seen) + 1), abs=1e-12
     )
@@ -267,6 +267,41 @@ def test_eval_missing_golds_is_usage_error(capsys, tmp_path, workload_file):
     assert code == 2
     error = json.loads(err.strip())
     assert "no gold labels" in error["error"]
+
+
+def _eval_error(capsys, traces_path, workload_file) -> str:
+    code, _, err = _run_cli(capsys, ["eval", str(traces_path), str(workload_file)])
+    assert code == 1
+    assert err.strip().count("\n") == 0
+    error = json.loads(err.strip())
+    assert error["command"] == "eval"
+    return error["error"]
+
+
+def test_eval_missing_trace_file_is_engine_error(capsys, tmp_path, workload_file):
+    absent = tmp_path / "absent.jsonl"
+    message = _eval_error(capsys, absent, workload_file)
+    assert "cannot read trace file" in message and str(absent) in message
+
+
+def test_eval_non_json_trace_line_is_engine_error(capsys, tmp_path, workload_file):
+    traces_path = tmp_path / "traces.jsonl"
+    _run_cli(capsys, ["run", str(workload_file), "--out", str(traces_path)])
+    with traces_path.open("a", encoding="utf-8") as handle:
+        handle.write("not json at all\n")
+    lines = len(traces_path.read_text(encoding="utf-8").splitlines())
+    assert f"trace line {lines}: invalid record" in _eval_error(capsys, traces_path, workload_file)
+
+
+def test_eval_trace_line_without_mode_is_engine_error(capsys, tmp_path, workload_file):
+    traces_path = tmp_path / "traces.jsonl"
+    _run_cli(capsys, ["run", str(workload_file), "--out", str(traces_path)])
+    first, *rest = traces_path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(first)
+    del record["mode"]
+    traces_path.write_text("\n".join([json.dumps(record), *rest]), encoding="utf-8")
+    message = _eval_error(capsys, traces_path, workload_file)
+    assert message == "trace line 1: missing field 'mode'"
 
 
 def _point_report(path, label, f1, latency, calls):

@@ -96,6 +96,13 @@ def test_ingest_missing_file(tmp_path):
         ingest(tmp_path / "absent.jsonl")
 
 
+def test_ingest_undecodable_file(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"id": "q1", "text": "caf\xe9", "intents": ["a"]}\n')
+    with pytest.raises(DatasetError, match="cannot read workload file"):
+        ingest(path)
+
+
 def test_load_catalog(tmp_path):
     rows = [
         {"name": "cancel_card", "description": "cancel a card", "examples": ["cancel it"]},

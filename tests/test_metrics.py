@@ -80,9 +80,8 @@ def test_macro_f1_zero_support_conventions():
     predictions = [{"a"}]
     golds = [{"a"}]
     catalog = ["a", "b"]
-    # Class b has no gold or predicted examples.
-    assert macro_f1(predictions, golds, catalog, zero_support="one") == 1.0
-    assert macro_f1(predictions, golds, catalog, zero_support="exclude") == 1.0
+    # Class b has no gold or predicted examples, so it scores 1.0.
+    assert macro_f1(predictions, golds, catalog) == 1.0
     predictions = [{"a", "b"}]
     # Now b is a pure false positive: f1(a)=1, f1(b)=0.
     assert macro_f1(predictions, golds, catalog) == 0.5
@@ -91,8 +90,6 @@ def test_macro_f1_zero_support_conventions():
 def test_macro_f1_validation():
     with pytest.raises(ValueError, match="catalog"):
         macro_f1([{"a"}], [{"a"}], [])
-    with pytest.raises(ValueError, match="zero_support"):
-        macro_f1([{"a"}], [{"a"}], ["a"], zero_support="half")
 
 
 def test_macro_f1_matches_per_class_oracle_randomized():

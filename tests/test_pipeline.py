@@ -22,7 +22,6 @@ from treeroute.pipeline import (
     write_traces,
 )
 from treeroute.pruning import GateOutcome, PruneResult, quantitative_gate
-from treeroute.vectorstore import VectorStore
 
 SIMPLE = QueryRecord(id="q_simple", text="cancel my card", intents=frozenset({"cancel_card"}))
 HYBRID = QueryRecord(
@@ -356,21 +355,18 @@ def test_search_memo_leaves_traces_byte_identical(tmp_path, monkeypatch, mode):
         QueryRecord(id=f"q{i:03d}", text=text, intents=frozenset(intents))
         for i, (text, intents) in enumerate(TEMPLATES * 3)
     ]
-    scans = [0]
-    scan = VectorStore._scan
-
-    def counting_scan(self, *args):
-        scans[0] += 1
-        return scan(self, *args)
-
-    monkeypatch.setattr(VectorStore, "_scan", counting_scan)
     memo_path, plain_path = tmp_path / "memo.jsonl", tmp_path / "plain.jsonl"
-    write_traces(memo_path, run_workload(make_engine(), workload, mode=mode))
-    memo_scans, scans[0] = scans[0], 0
+    memo_engine = make_engine()
+    write_traces(memo_path, run_workload(memo_engine, workload, mode=mode))
+    # The bound is read when the store is built.
     monkeypatch.setattr(vectorstore, "SEARCH_CACHE_SIZE", 0)
-    write_traces(plain_path, run_workload(make_engine(), workload, mode=mode))
+    plain_engine = make_engine()
+    write_traces(plain_path, run_workload(plain_engine, workload, mode=mode))
     assert memo_path.read_bytes() == plain_path.read_bytes()
-    assert 0 < memo_scans < scans[0]
+    memo_scans = memo_engine.store._memo.cache_info().misses
+    plain_info = plain_engine.store._memo.cache_info()
+    assert plain_info.hits == 0
+    assert 0 < memo_scans < plain_info.misses
 
 
 def _scalar_cosine(a, b) -> float:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 
 from treeroute import backends
@@ -12,6 +14,7 @@ from treeroute.backends import (
 )
 from treeroute.config import EngineConfig
 from treeroute.errors import BackendError, ConfigError
+from treeroute.pipeline import build_engine
 from treeroute.roles import (
     ParseError,
     PromptLibrary,
@@ -77,6 +80,28 @@ def test_prompt_library_unknown_placeholder(tmp_path):
     prompts = PromptLibrary(tmp_path)
     with pytest.raises(ConfigError, match="placeholder"):
         prompts.render(BackendRole.JUDGE)
+
+
+def _copy_package_prompts(directory):
+    for role in BackendRole:
+        name = f"{role.value}.txt"
+        text = resources.files("treeroute").joinpath("prompts", name).read_text(encoding="utf-8")
+        (directory / name).write_text(text, encoding="utf-8")
+
+
+def test_stray_dollar_in_a_prompt_template_fails_at_build(tmp_path):
+    _copy_package_prompts(tmp_path)
+    judge = tmp_path / "judge.txt"
+    template = judge.read_text(encoding="utf-8")
+    config = EngineConfig(backend_prompt_dir=str(tmp_path))
+    judge.write_text(template + "Budget: $$5 max\n", encoding="utf-8")
+    build_engine(config, [])
+    prompts = PromptLibrary(tmp_path)
+    rendered = prompts.render(BackendRole.JUDGE, query="q", sub_query="s", passage="p")
+    assert rendered.endswith("Budget: $5 max\n")
+    judge.write_text(template + "Budget: $5 max\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="judge.txt line"):
+        build_engine(config, [])
 
 
 def test_parse_decomposition_accepts_common_numbering():

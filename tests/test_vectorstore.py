@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import random
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -353,44 +355,67 @@ def test_each_k_is_its_own_memo_entry(store):
     q = HashedBagEmbedder(dimension=64).embed("card")
     assert len(store.search(q, k=1)) == 1
     assert len(store.search(q, k=5)) == 5
-    assert len(store._memo) == 2
+    assert store._memo.cache_info().currsize == 2
     assert store.search(q, k=1) == store.search(q, k=5)[:1]
 
 
-def test_memo_never_exceeds_its_bound(store, monkeypatch):
-    monkeypatch.setattr(vectorstore, "SEARCH_CACHE_SIZE", 3)
+def _store_with_memo_bound(monkeypatch, bound):
+    # The bound is read when the store is built.
+    monkeypatch.setattr(vectorstore, "SEARCH_CACHE_SIZE", bound)
     embedder = HashedBagEmbedder(dimension=64)
+    passages = _passages({f"p{i}": f"card rate number {i}" for i in range(5)})
+    return build_index(passages, embedder), embedder
+
+
+def test_memo_never_exceeds_its_bound(monkeypatch):
+    store, embedder = _store_with_memo_bound(monkeypatch, 3)
     queries = [embedder.embed(f"card number {i}") for i in range(10)]
     for q in queries:
         store.search(q, k=2)
-        assert len(store._memo) <= 3
-    # The least recently used entries went first.
-    assert [key[1] for key in store._memo] == [q.tobytes() for q in queries[-3:]]
+        assert store._memo.cache_info().currsize <= 3
+    # The least recently used entries went first: the last three hit, the
+    # first misses.
+    for q in queries[-3:]:
+        store.search(q, k=2)
+    assert store._memo.cache_info().hits == 3
+    store.search(queries[0], k=2)
+    assert store._memo.cache_info().hits == 3
+    assert store._memo.cache_info().misses == 11
 
 
-def test_memo_of_size_zero_stores_nothing(store, monkeypatch):
-    q = HashedBagEmbedder(dimension=64).embed("card rates")
+def test_memo_of_size_zero_stores_nothing(monkeypatch):
+    store, embedder = _store_with_memo_bound(monkeypatch, 0)
+    q = embedder.embed("card rates")
     expected = store.search(q, k=3)
-    store._memo.clear()
-    monkeypatch.setattr(vectorstore, "SEARCH_CACHE_SIZE", 0)
     for _ in range(3):
         assert store.search(q, k=3) == expected
-        assert len(store._memo) == 0
+    info = store._memo.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 4)
 
 
-def test_identical_searches_scan_once(store, monkeypatch):
-    scans = []
-    scan = store._scan
-
-    def spy(*args):
-        scans.append(args)
-        return scan(*args)
-
-    monkeypatch.setattr(store, "_scan", spy)
+def test_identical_searches_scan_once(store):
     q = HashedBagEmbedder(dimension=64).embed("freeze my card")
     results = [store.search(q, k=4) for _ in range(6)]
-    assert len(scans) == 1
+    info = store._memo.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
     assert all(r == results[0] for r in results)
+
+
+def test_dropped_store_is_freed_without_gc():
+    # The memo must hold no reference back to the store: a cycle would keep
+    # the whole matrix alive until the cycle collector ran.
+    embedder = HashedBagEmbedder(dimension=64)
+    store = build_index(_passages({"p1": "cancel my card", "p2": "open an account"}), embedder)
+    store.search(embedder.embed("card"), k=2)
+    ref = weakref.ref(store)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del store
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("bound", [vectorstore.SEARCH_CACHE_SIZE, 3])
@@ -398,6 +423,7 @@ def test_threaded_searches_match_sequential(store, monkeypatch, bound):
     # A bound of 3 makes the threads evict each other's entries.
     monkeypatch.setattr(vectorstore, "SEARCH_CACHE_SIZE", bound)
     embedder = HashedBagEmbedder(dimension=64)
+    store = build_index(store.passages, embedder)
     texts = ["card", "savings account", "interest rates", "dispute charge", "freeze"] * 40
     queries = [embedder.embed(t) for t in texts]
     fresh = build_index(store.passages, embedder)
@@ -410,7 +436,7 @@ def test_threaded_searches_match_sequential(store, monkeypatch, bound):
     finally:
         sys.setswitchinterval(interval)
     assert threaded == sequential
-    assert len(store._memo) <= bound
+    assert store._memo.cache_info().currsize <= bound
 
 
 def test_checks_still_run_on_a_memoized_vector(store):
