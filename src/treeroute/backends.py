@@ -10,7 +10,8 @@ stub backend answers each role with a deterministic transform of the
 payload so full runs work offline and reproduce exactly. It still
 answers in plain text, so response parsing is exercised on every path.
 
-Every call goes through call_chat, which records it on a CallLog first.
+Every call goes through RoleRunner._call, which records it on the
+query's CallLog before sending it, so a call that raises still counts.
 """
 
 from __future__ import annotations
@@ -281,8 +282,3 @@ def _response_text(data: object) -> str | None:
             return data[key]
     return None
 
-
-def call_chat(backend: ChatBackend, request: ChatRequest, log: CallLog) -> str:
-    """Single entry point for every chat call; keeps the ledger exact."""
-    log.record(request)
-    return backend.chat(request)

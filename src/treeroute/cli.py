@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .backends import CallLog
 from .config import EngineConfig, env_overrides
 from .dataset import build_kb, derive_catalog, ingest, load_catalog
 from .errors import EngineError
@@ -41,6 +40,7 @@ from .pipeline import (
     run_workload,
     write_traces,
 )
+from .roles import RoleRunner
 from .routing import decide
 from .signals import tokenize
 from .vectorstore import Passage
@@ -166,16 +166,14 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_route(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    engine_stub = build_engine(config, [])  # no corpus: snippets are empty
-    warnings: list[str] = []
+    engine = build_engine(config, [])  # no corpus: snippets are empty
+    roles = RoleRunner(engine.backend, engine.prompts, fallback_level=engine.fallback_level)
     decision = decide(
         tokenize(args.query),
         [],
-        lambda text, snippets, initial, qci: engine_stub.runner.assess_level(
-            text, snippets, initial, qci, CallLog(), warnings
-        ),
-        lexicons=engine_stub.lexicons,
-        weights=engine_stub.weights,
+        roles.assess_level,
+        lexicons=engine.lexicons,
+        weights=engine.weights,
         tau_simple=config.qtc_tau_simple,
     )
     _emit(
@@ -187,7 +185,7 @@ def cmd_route(args: argparse.Namespace) -> int:
             "level": decision.level.value if decision.level else None,
             "signals": decision.signals.as_dict(),
             "tau_simple": config.qtc_tau_simple,
-            "warnings": warnings,
+            "warnings": roles.warnings,
         }
     )
     return 0

@@ -3,7 +3,7 @@
 Accuracy metrics follow the usual multi-label conventions: subset accuracy
 is exact set equality, micro-F1 pools true/false positives over all
 queries, macro-F1 averages per-class F1 over the whole catalog and scores
-classes absent from both predictions and gold as perfect (configurable).
+a class absent from both predictions and gold as perfect (1.0).
 The depth report stratifies traces by exploration depth and recombines
 the strata as a share-weighted average, except micro-F1 which is always
 recomputed globally because it does not decompose over strata.

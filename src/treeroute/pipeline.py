@@ -36,13 +36,7 @@ from functools import partial
 from pathlib import Path
 from typing import Sequence
 
-from .backends import (
-    CallLog,
-    ChatBackend,
-    RemoteChatBackend,
-    StubChatBackend,
-    estimate_tokens,
-)
+from .backends import ChatBackend, RemoteChatBackend, StubChatBackend, estimate_tokens
 from .config import EngineConfig
 from .dataset import QueryRecord, read_json_lines
 from .embeddings import EmbeddingProvider, HashedBagEmbedder, RemoteEmbedder
@@ -50,7 +44,7 @@ from .errors import DatasetError, EngineError
 from .pruning import prune
 from .rerank import consolidate
 from .roles import PromptLibrary, RoleRunner
-from .routing import RouteMode, decide
+from .routing import MAX_DEPTH, RouteMode, decide
 from .signals import compute_qci, extract_signals, tokenize
 from .tree import RetrievalTree, collect_evidence, expand
 from .vectorstore import Passage, ScoredPassage, VectorStore, build_index
@@ -146,14 +140,17 @@ class Engine:
         config: EngineConfig,
         store: VectorStore,
         embedder: EmbeddingProvider,
-        runner: RoleRunner,
+        backend: ChatBackend,
+        prompts: PromptLibrary,
         intent_names: tuple[str, ...],
     ):
         self.config = config
         self.store = store
         self.embedder = embedder
-        self.runner = runner
+        self.backend = backend
+        self.prompts = prompts
         self.intent_names = intent_names
+        self.fallback_level = config.fallback_level()
         self.lexicons = config.lexicons()
         self.weights = config.weights()
         self.thresholds = config.gate_thresholds()
@@ -188,11 +185,6 @@ def build_engine(
         )
     else:
         backend = StubChatBackend(config.stub_behavior())
-    runner = RoleRunner(
-        backend,
-        PromptLibrary(config.backend_prompt_dir or None),
-        fallback_level=config.fallback_level(),
-    )
     if intent_names is None:
         names = tuple(sorted({label for p in passages for label in p.intent_labels}))
     else:
@@ -201,7 +193,8 @@ def build_engine(
         config=config,
         store=store,
         embedder=embedder,
-        runner=runner,
+        backend=backend,
+        prompts=PromptLibrary(config.backend_prompt_dir or None),
         intent_names=names,
     )
 
@@ -215,15 +208,23 @@ def process_query(
     """Process one query under the given mode and return its trace.
 
     force_depth skips routing and pins the tree depth (0 behaves like the
-    simple path); the fixed-depth mode is equivalent to force_depth=3.
-    Standard mode ignores force_depth.
+    simple path); only the adaptive mode takes it, and it must be in
+    0..MAX_DEPTH. The fixed-depth mode is equivalent to force_depth=3.
+    A bad force_depth raises ValueError before any work is done.
     """
+    if force_depth is not None and (
+        mode is not ExecutionMode.ADAPTIVE or force_depth not in range(MAX_DEPTH + 1)
+    ):
+        raise ValueError(
+            f"force_depth must be None, or 0..{MAX_DEPTH} in adaptive mode; "
+            f"got {force_depth!r} in {mode.value} mode"
+        )
     config = engine.config
-    log = CallLog()
-    warnings: list[str] = []
+    roles = RoleRunner(engine.backend, engine.prompts, fallback_level=engine.fallback_level)
+    warnings = roles.warnings
     started = time.perf_counter()
     standard = mode is ExecutionMode.STANDARD_RAG
-    if mode is ExecutionMode.FIXED_DEPTH_3 and force_depth is None:
+    if mode is ExecutionMode.FIXED_DEPTH_3:
         force_depth = 3
     routed = not standard and force_depth is None
 
@@ -246,9 +247,7 @@ def process_query(
             decision = decide(
                 tokenized,
                 [hit.passage.text for hit in hits[: config.qtc_assessor_snippets]],
-                lambda text, snips, initial, value: engine.runner.assess_level(
-                    text, snips, initial, value, log, warnings
-                ),
+                roles.assess_level,
                 lexicons=engine.lexicons,
                 weights=engine.weights,
                 tau_simple=config.qtc_tau_simple,
@@ -261,16 +260,11 @@ def process_query(
         pool = hits
         if depth >= 1:
             def pruner(sub_query: str, candidates: list[ScoredPassage]):
-                def judge(passage: Passage, sim: float) -> bool:
-                    return engine.runner.judge(
-                        record.text, sub_query, passage.text, sim, log, warnings
-                    )
-
                 return prune(
                     query_embedding,
                     candidates,
                     engine.thresholds,
-                    judge,
+                    lambda passage, sim: roles.judge(record.text, sub_query, passage.text, sim),
                     embedding_of=engine.store,
                 )
 
@@ -280,7 +274,7 @@ def process_query(
                 store=engine.store,
                 embedder=engine.embedder.embed,
                 pruner=pruner,
-                decomposer=lambda text: engine.runner.decompose(text, log),
+                decomposer=roles.decompose,
                 k=config.store_k,
                 retries=config.tor_retry_decompose,
                 root_hits=hits,
@@ -298,9 +292,7 @@ def process_query(
                 engine.dedup_policy,
                 engine.selection_rule,
                 engine.store.embedding_of,
-                lambda query, candidates: engine.runner.rerank(
-                    query, candidates, log, warnings
-                ),
+                roles.rerank,
                 warnings,
             )
         elif tree is not None:
@@ -309,9 +301,7 @@ def process_query(
                 warnings.append("root decomposition failed; using single-step evidence")
                 evidence = root.candidates[: config.rrl_cap]
 
-        predicted = engine.runner.classify(
-            record.text, evidence, engine.intent_names, log, warnings
-        )
+        predicted = roles.classify(record.text, evidence, engine.intent_names)
     except EngineError as exc:
         error = f"{record.id}: {exc}"
 
@@ -323,15 +313,15 @@ def process_query(
         latency_ms = (
             config.latency_base_ms
             + config.latency_per_retrieval_ms * retrievals
-            + config.latency_per_llm_call_ms * log.total_calls
+            + config.latency_per_llm_call_ms * roles.log.total_calls
         )
     else:
         latency_ms = (time.perf_counter() - started) * 1000.0
 
     ledger = CostLedger(
-        calls_by_role=log.counts_by_role(),
-        total_calls=log.total_calls,
-        prompt_tokens=log.prompt_tokens,
+        calls_by_role=roles.log.counts_by_role(),
+        total_calls=roles.log.total_calls,
+        prompt_tokens=roles.log.prompt_tokens,
         latency_ms=latency_ms,
     )
     return QueryTrace(

@@ -1,13 +1,17 @@
 """Prompt rendering and response parsing for the five model roles.
 
 Templates are plain text files with $name placeholders, shipped as package
-data and overridable with a prompt directory in config. A role call is a
-rendered prompt plus the payload the stub answers from; what else a
-remote model is sent (model, temperature, output budget) belongs to the
-remote backend. Every call is recorded on the caller's CallLog. Parsers
-are deliberately forgiving about formatting and strict about semantics:
-every recoverable parse failure falls back to a documented default and
-appends a warning to the caller's list instead of failing the query.
+data and overridable with a prompt directory in config; each role accepts
+only the placeholders in ROLE_FIELDS, and a template is checked against
+them when it loads. A role call is a rendered prompt plus the payload the
+stub answers from; what else a remote model is sent (model, temperature,
+output budget) belongs to the remote backend.
+
+A RoleRunner serves one query: it owns that query's CallLog, records each
+request on it before sending it, and collects the query's warnings.
+Parsers are deliberately forgiving about formatting and strict about
+semantics: every recoverable parse failure falls back to a documented
+default and appends a warning instead of failing the query.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from pathlib import Path
 from string import Template
 from typing import Any, Mapping, Sequence
 
-from .backends import BackendRole, CallLog, ChatBackend, ChatRequest, call_chat
+from .backends import BackendRole, CallLog, ChatBackend, ChatRequest
 from .errors import BackendError, ConfigError, EngineError
 from .routing import RouteMode, SemanticLevel
 from .vectorstore import ScoredPassage
@@ -33,6 +37,16 @@ _VERDICT_WORD = re.compile(r"\b(irrelevant|relevant)\b", re.IGNORECASE)
 
 class ParseError(EngineError):
     """A model response did not contain what the role requires."""
+
+
+# The placeholders each role's template may use.
+ROLE_FIELDS: Mapping[BackendRole, frozenset[str]] = {
+    BackendRole.DECOMPOSER: frozenset({"query"}),
+    BackendRole.LEVEL_ASSESSOR: frozenset({"query", "snippets", "mode"}),
+    BackendRole.JUDGE: frozenset({"query", "sub_query", "passage"}),
+    BackendRole.RERANKER: frozenset({"query", "candidates"}),
+    BackendRole.INTENT_CLASSIFIER: frozenset({"query", "evidence", "catalog"}),
+}
 
 
 class PromptLibrary:
@@ -51,21 +65,23 @@ class PromptLibrary:
                 path = resources.files(__package__).joinpath("prompts", f"{role.value}.txt")
                 text = path.read_text(encoding="utf-8")
             template = Template(text)
-            # A "$" that starts no placeholder would fail every render; write "$$".
+            # A "$" that starts no placeholder, or a placeholder the role
+            # never fills, would fail every render; write a literal "$" as "$$".
             for match in template.pattern.finditer(text):
+                name = match.group("named") or match.group("braced")
                 if match.group("invalid") is not None:
-                    line = text.count("\n", 0, match.start()) + 1
-                    raise ConfigError(
-                        f"prompt template {path} line {line}: "
-                        "'$' must start a placeholder or be written '$$'"
-                    )
+                    problem = "'$' must start a placeholder or be written '$$'"
+                elif name is not None and name not in ROLE_FIELDS[role]:
+                    accepted = ", ".join(f"${field}" for field in sorted(ROLE_FIELDS[role]))
+                    problem = f"unknown placeholder ${name}; {role.value} accepts {accepted}"
+                else:
+                    continue
+                line = text.count("\n", 0, match.start()) + 1
+                raise ConfigError(f"prompt template {path} line {line}: {problem}")
             self._templates[role] = template
 
     def render(self, role: BackendRole, **fields: str) -> str:
-        try:
-            return self._templates[role].substitute(**fields)
-        except KeyError as exc:
-            raise ConfigError(f"prompt template {role.value}: unknown placeholder {exc}")
+        return self._templates[role].substitute(**fields)
 
 
 def parse_decomposition(text: str) -> tuple[str, str]:
@@ -129,7 +145,11 @@ def _numbered(texts: Sequence[str], empty: str = "(none)") -> str:
 
 
 class RoleRunner:
-    """Binds a chat backend and prompt library to the five role contracts."""
+    """Runs the five role contracts for one query.
+
+    Build one runner per query: every call it makes is counted on
+    self.log, and every fallback it takes is appended to self.warnings.
+    """
 
     def __init__(
         self,
@@ -141,24 +161,17 @@ class RoleRunner:
         self.backend = backend
         self.prompts = prompts if prompts is not None else PromptLibrary()
         self.fallback_level = fallback_level
+        self.log = CallLog()
+        self.warnings: list[str] = []
 
-    def _call(
-        self,
-        role: BackendRole,
-        fields: dict[str, str],
-        payload: Mapping[str, Any],
-        log: CallLog,
-    ) -> str:
+    def _call(self, role: BackendRole, fields: dict[str, str], payload: Mapping[str, Any]) -> str:
+        """Record the request, then send it: a call that raises still counts."""
         request = ChatRequest(role, self.prompts.render(role, **fields), payload)
-        return call_chat(self.backend, request, log)
+        self.log.record(request)
+        return self.backend.chat(request)
 
-    def decompose(self, node_text: str, log: CallLog) -> tuple[str, str]:
-        response = self._call(
-            BackendRole.DECOMPOSER,
-            {"query": node_text},
-            {"query": node_text},
-            log,
-        )
+    def decompose(self, node_text: str) -> tuple[str, str]:
+        response = self._call(BackendRole.DECOMPOSER, {"query": node_text}, {"query": node_text})
         return parse_decomposition(response)
 
     def assess_level(
@@ -167,8 +180,6 @@ class RoleRunner:
         snippets: Sequence[str],
         initial_mode: RouteMode,
         qci: float,
-        log: CallLog,
-        warnings: list[str],
     ) -> SemanticLevel:
         response = self._call(
             BackendRole.LEVEL_ASSESSOR,
@@ -178,47 +189,33 @@ class RoleRunner:
                 "mode": initial_mode.value,
             },
             {"qci": qci},
-            log,
         )
         level = parse_level(response)
         if level is None:
-            warnings.append(f"level assessor returned no level, using {self.fallback_level.value}")
+            self.warnings.append(
+                f"level assessor returned no level, using {self.fallback_level.value}"
+            )
             return self.fallback_level
         return level
 
-    def judge(
-        self,
-        original_query: str,
-        sub_query: str,
-        passage_text: str,
-        sim: float,
-        log: CallLog,
-        warnings: list[str],
-    ) -> bool:
+    def judge(self, original_query: str, sub_query: str, passage_text: str, sim: float) -> bool:
         """Borderline relevance verdict; every failure keeps the passage."""
         try:
             response = self._call(
                 BackendRole.JUDGE,
                 {"query": original_query, "sub_query": sub_query, "passage": passage_text},
                 {"sim": sim},
-                log,
             )
         except BackendError as exc:
-            warnings.append(f"judge call failed, retaining passage: {exc}")
+            self.warnings.append(f"judge call failed, retaining passage: {exc}")
             return True
         verdict = parse_verdict(response)
         if verdict is None:
-            warnings.append("judge returned no verdict, retaining passage")
+            self.warnings.append("judge returned no verdict, retaining passage")
             return True
         return verdict
 
-    def rerank(
-        self,
-        original_query: str,
-        candidates: Sequence[ScoredPassage],
-        log: CallLog,
-        warnings: list[str],
-    ) -> list[float]:
+    def rerank(self, original_query: str, candidates: Sequence[ScoredPassage]) -> list[float]:
         """One batched scoring call; missing entries default to 0.5."""
         response = self._call(
             BackendRole.RERANKER,
@@ -227,13 +224,12 @@ class RoleRunner:
                 "candidates": _numbered([c.passage.text for c in candidates]),
             },
             {"scores": tuple(c.score for c in candidates)},
-            log,
         )
         parsed = parse_scores(response, len(candidates))
         scores: list[float] = []
         for position, value in enumerate(parsed, start=1):
             if value is None:
-                warnings.append(f"reranker gave no score for candidate {position}, using 0.5")
+                self.warnings.append(f"reranker gave no score for candidate {position}, using 0.5")
                 scores.append(0.5)
             else:
                 scores.append(_clamp01(value))
@@ -244,8 +240,6 @@ class RoleRunner:
         query: str,
         evidence: Sequence[ScoredPassage],
         catalog: Sequence[str],
-        log: CallLog,
-        warnings: list[str],
     ) -> set[str]:
         labels = sorted({label for c in evidence for label in c.passage.intent_labels})
         response = self._call(
@@ -256,9 +250,8 @@ class RoleRunner:
                 "catalog": ", ".join(catalog),
             },
             {"evidence_labels": tuple(labels)},
-            log,
         )
         intents = parse_intents(response, catalog)
         if not intents:
-            warnings.append("classifier named no catalog intent")
+            self.warnings.append("classifier named no catalog intent")
         return intents

@@ -17,12 +17,12 @@ from treeroute.backends import (
     RemoteChatBackend,
     StubBehavior,
     StubChatBackend,
-    call_chat,
     estimate_tokens,
     stub_decompose,
 )
 from treeroute.errors import BackendError
 from treeroute.pipeline import process_query
+from treeroute.roles import RoleRunner
 
 # A distinct temperature per role: 0.0, 0.1, 0.2 (judge), 0.3, 0.4.
 _TEMPERATURES = {role: i / 10 for i, role in enumerate(BackendRole)}
@@ -70,16 +70,16 @@ def test_call_log_is_thread_safe():
     assert log.prompt_tokens == 200 * 10
 
 
-def test_call_chat_records_before_dispatch():
+def test_role_call_records_before_dispatch():
     class Exploding:
         def chat(self, request):
-            raise BackendError("judge", "boom")
+            raise BackendError("decomposer", "boom")
 
-    log = CallLog()
+    runner = RoleRunner(Exploding())
     with pytest.raises(BackendError):
-        call_chat(Exploding(), _request(), log)
+        runner.decompose("hello world")
     # Failed transport still counts as an issued call.
-    assert log.total_calls == 1
+    assert runner.log.total_calls == 1
 
 
 def test_stub_decompose_prefers_conjunction_split():

@@ -108,6 +108,24 @@ def test_force_depth_zero_is_single_step():
     assert all(e["source"] == "cosine" for e in trace.evidence)
 
 
+@pytest.mark.parametrize(
+    "mode, depth",
+    [
+        (ExecutionMode.ADAPTIVE, 4),  # deeper than any tree
+        (ExecutionMode.ADAPTIVE, -1),  # was run silently at depth 0
+        (ExecutionMode.STANDARD_RAG, 2),  # was dropped silently
+        (ExecutionMode.FIXED_DEPTH_3, 3),  # the mode already fixes the depth
+    ],
+)
+def test_bad_force_depth_is_rejected_before_any_work(monkeypatch, engine, mode, depth):
+    searches = _count_searches(monkeypatch, engine)
+    with pytest.raises(ValueError, match="force_depth"):
+        process_query(engine, TREE_MID, mode=mode, force_depth=depth)
+    with pytest.raises(ValueError, match="force_depth"):
+        run_workload(engine, [SIMPLE, TREE_MID], mode=mode, force_depth=depth)
+    assert searches[0] == 0
+
+
 def test_forced_depths_strictly_increase_prompt_tokens():
     engine = _never_pruning()
     tokens = [
@@ -141,13 +159,13 @@ class _CountingBackend:
 
 
 def test_ledger_matches_backend_call_count(engine):
-    engine.runner.backend = _CountingBackend()
+    engine.backend = _CountingBackend()
     traces = [
         process_query(engine, record, mode=mode)
         for mode in ExecutionMode
         for record in (SIMPLE, HYBRID, TREE_MID)
     ]
-    assert engine.runner.backend.calls == sum(t.ledger.total_calls for t in traces) > 0
+    assert engine.backend.calls == sum(t.ledger.total_calls for t in traces) > 0
 
 
 def test_deterministic_latency_follows_the_model(engine):
@@ -259,7 +277,7 @@ class _RoleFailingBackend:
 
 
 def test_classifier_failure_yields_failed_trace_not_crash(engine):
-    engine.runner.backend = _RoleFailingBackend(BackendRole.INTENT_CLASSIFIER)
+    engine.backend = _RoleFailingBackend(BackendRole.INTENT_CLASSIFIER)
     trace = process_query(engine, SIMPLE)
     assert trace.error is not None
     assert trace.error.startswith("q_simple:")
@@ -273,7 +291,7 @@ def test_judge_failure_degrades_to_retention_with_warning():
     # Default thresholds put stub-embedding cosines in the borderline band
     # often enough that at least one judge call happens on a full tree.
     engine = make_engine()
-    engine.runner.backend = _RoleFailingBackend(BackendRole.JUDGE)
+    engine.backend = _RoleFailingBackend(BackendRole.JUDGE)
     trace = process_query(engine, SIMPLE, mode=ExecutionMode.FIXED_DEPTH_3)
     assert trace.error is None
     assert trace.ledger.calls_by_role["judge"] > 0
@@ -291,7 +309,7 @@ def test_assessor_garbage_falls_back_to_configured_level():
             return self.inner.chat(request)
 
     engine = make_engine()
-    engine.runner.backend = GarbageAssessor()
+    engine.backend = GarbageAssessor()
     trace = process_query(engine, TREE_MID)
     assert trace.depth == 2  # fallback level is mid
     assert any("level assessor" in w for w in trace.warnings)
@@ -308,7 +326,7 @@ def test_root_decomposition_failure_degrades_to_single_step():
             return self.inner.chat(request)
 
     engine = _never_pruning()
-    engine.runner.backend = BrokenDecomposer()
+    engine.backend = BrokenDecomposer()
     trace = process_query(engine, TREE_MID)
     assert trace.error is None
     assert trace.mode == "tree"
@@ -483,7 +501,7 @@ def test_write_and_read_traces(tmp_path, engine):
 
 
 def test_batch_continues_after_per_query_failure(engine):
-    engine.runner.backend = _RoleFailingBackend(BackendRole.INTENT_CLASSIFIER)
+    engine.backend = _RoleFailingBackend(BackendRole.INTENT_CLASSIFIER)
     traces = run_workload(engine, [SIMPLE, HYBRID, TREE_MID])
     assert len(traces) == 3
     assert all(t.error is not None for t in traces)

@@ -8,7 +8,6 @@ from treeroute import backends
 from treeroute.backends import (
     MAX_OUTPUT_TOKENS,
     BackendRole,
-    CallLog,
     RemoteChatBackend,
     StubChatBackend,
 )
@@ -77,9 +76,8 @@ def test_prompt_library_missing_file(tmp_path):
 def test_prompt_library_unknown_placeholder(tmp_path):
     for role in BackendRole:
         (tmp_path / f"{role.value}.txt").write_text("$bogus", encoding="utf-8")
-    prompts = PromptLibrary(tmp_path)
-    with pytest.raises(ConfigError, match="placeholder"):
-        prompts.render(BackendRole.JUDGE)
+    with pytest.raises(ConfigError, match=r"unknown placeholder \$bogus"):
+        PromptLibrary(tmp_path)
 
 
 def _copy_package_prompts(directory):
@@ -102,6 +100,22 @@ def test_stray_dollar_in_a_prompt_template_fails_at_build(tmp_path):
     judge.write_text(template + "Budget: $5 max\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="judge.txt line"):
         build_engine(config, [])
+
+
+def test_misspelled_placeholder_in_a_prompt_template_fails_at_build(tmp_path):
+    _copy_package_prompts(tmp_path)
+    judge = tmp_path / "judge.txt"
+    config = EngineConfig(backend_prompt_dir=str(tmp_path))
+    judge.write_text(judge.read_text(encoding="utf-8").replace("$passage", "$pasage"), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"judge\.txt line \d+: unknown placeholder \$pasage") as info:
+        build_engine(config, [])
+    assert "$passage" in str(info.value)  # the message lists what the judge accepts
+    # Braced placeholders are checked too; every role field is accepted.
+    judge.write_text("${query} ${sub_query} $passage ${sub_quer}", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"unknown placeholder \$sub_quer"):
+        build_engine(config, [])
+    judge.write_text("${query} ${sub_query} $passage", encoding="utf-8")
+    build_engine(config, [])
 
 
 def test_parse_decomposition_accepts_common_numbering():
@@ -175,108 +189,97 @@ def test_parse_intents():
 
 def test_runner_decompose_via_stub():
     runner = RoleRunner(StubChatBackend())
-    log = CallLog()
-    first, second = runner.decompose("freeze my card and order a replacement", log)
+    first, second = runner.decompose("freeze my card and order a replacement")
     assert (first, second) == ("freeze my card", "order a replacement")
-    assert log.count(BackendRole.DECOMPOSER) == 1
-    assert log.prompt_tokens > 0
+    assert runner.log.count(BackendRole.DECOMPOSER) == 1
+    assert runner.log.prompt_tokens > 0
 
 
 def test_runner_decompose_propagates_parse_error():
     runner = RoleRunner(_FixedBackend("no numbered lines"))
     with pytest.raises(ParseError):
-        runner.decompose("anything at all", CallLog())
+        runner.decompose("anything at all")
 
 
 def test_runner_assess_level_happy_path():
     runner = RoleRunner(StubChatBackend())
-    log = CallLog()
-    level = runner.assess_level("q", ["s1"], RouteMode.TREE, qci=0.7, log=log, warnings=[])
+    level = runner.assess_level("q", ["s1"], RouteMode.TREE, qci=0.7)
     assert level is SemanticLevel.HIGH
-    assert log.count(BackendRole.LEVEL_ASSESSOR) == 1
+    assert runner.log.count(BackendRole.LEVEL_ASSESSOR) == 1
 
 
 def test_runner_assess_level_falls_back_with_warning():
     runner = RoleRunner(_FixedBackend("???"))
-    warnings: list[str] = []
-    level = runner.assess_level("q", [], RouteMode.TREE, 0.9, CallLog(), warnings)
+    level = runner.assess_level("q", [], RouteMode.TREE, 0.9)
     assert level is SemanticLevel.MID
-    assert warnings and "mid" in warnings[0]
+    assert runner.warnings and "mid" in runner.warnings[0]
 
 
 def test_runner_assess_level_custom_fallback():
     runner = RoleRunner(_FixedBackend("???"), fallback_level=SemanticLevel.HIGH)
-    level = runner.assess_level("q", [], RouteMode.TREE, 0.9, CallLog(), [])
+    level = runner.assess_level("q", [], RouteMode.TREE, 0.9)
     assert level is SemanticLevel.HIGH
 
 
 def test_runner_judge_verdicts():
     runner = RoleRunner(StubChatBackend())
-    log = CallLog()
-    assert runner.judge("q", "sq", "passage", sim=0.6, log=log, warnings=[]) is True
-    assert runner.judge("q", "sq", "passage", sim=0.4, log=log, warnings=[]) is False
-    assert log.count(BackendRole.JUDGE) == 2
+    assert runner.judge("q", "sq", "passage", sim=0.6) is True
+    assert runner.judge("q", "sq", "passage", sim=0.4) is False
+    assert runner.log.count(BackendRole.JUDGE) == 2
 
 
 def test_runner_judge_retains_on_parse_failure():
     runner = RoleRunner(_FixedBackend("shrug"))
-    warnings: list[str] = []
-    assert runner.judge("q", "sq", "p", 0.4, CallLog(), warnings) is True
-    assert warnings and "no verdict" in warnings[0]
+    assert runner.judge("q", "sq", "p", 0.4) is True
+    assert runner.warnings and "no verdict" in runner.warnings[0]
 
 
 def test_runner_judge_retains_on_transport_failure():
     runner = RoleRunner(_FailingBackend())
-    log = CallLog()
-    warnings: list[str] = []
-    assert runner.judge("q", "sq", "p", 0.4, log=log, warnings=warnings) is True
-    assert warnings and "failed" in warnings[0]
+    assert runner.judge("q", "sq", "p", 0.4) is True
+    assert runner.warnings and "failed" in runner.warnings[0]
     # The attempted call is still on the ledger.
-    assert log.count(BackendRole.JUDGE) == 1
+    assert runner.log.count(BackendRole.JUDGE) == 1
 
 
 def test_runner_rerank_round_trips_scores():
     runner = RoleRunner(StubChatBackend())
-    log = CallLog()
     candidates = [_sp("a", "text a", 0.31), _sp("b", "text b", 0.72)]
-    scores = runner.rerank("q", candidates, log, [])
+    scores = runner.rerank("q", candidates)
     assert scores == [0.31, 0.72]
-    assert log.count(BackendRole.RERANKER) == 1
+    assert runner.log.count(BackendRole.RERANKER) == 1
 
 
 def test_runner_rerank_fills_missing_with_half():
     runner = RoleRunner(_FixedBackend("2. 0.9"))
-    warnings: list[str] = []
-    scores = runner.rerank("q", [_sp("a", "ta", 0.1), _sp("b", "tb", 0.2)], CallLog(), warnings)
+    scores = runner.rerank("q", [_sp("a", "ta", 0.1), _sp("b", "tb", 0.2)])
     assert scores == [0.5, 0.9]
-    assert warnings and "candidate 1" in warnings[0]
+    assert runner.warnings and "candidate 1" in runner.warnings[0]
 
 
 def test_runner_rerank_clamps_out_of_range():
     runner = RoleRunner(_FixedBackend("1. 3.5\n2. -0.2"))
-    scores = runner.rerank("q", [_sp("a", "ta", 0.1), _sp("b", "tb", 0.2)], CallLog(), [])
+    scores = runner.rerank("q", [_sp("a", "ta", 0.1), _sp("b", "tb", 0.2)])
     assert scores == [1.0, 0.0]
 
 
 def test_runner_classify_unions_evidence_labels():
     runner = RoleRunner(StubChatBackend())
-    log = CallLog()
     evidence = [
         _sp("a", "ta", 0.9, labels=("freeze_card",)),
         _sp("b", "tb", 0.8, labels=("cancel_card", "freeze_card")),
     ]
     catalog = ["cancel_card", "freeze_card", "open_savings"]
-    intents = runner.classify("q", evidence, catalog, log, [])
+    intents = runner.classify("q", evidence, catalog)
     assert intents == {"cancel_card", "freeze_card"}
-    assert log.count(BackendRole.INTENT_CLASSIFIER) == 1
+    assert runner.log.count(BackendRole.INTENT_CLASSIFIER) == 1
 
 
 def test_runner_classify_warns_on_empty():
     runner = RoleRunner(StubChatBackend())
-    warnings: list[str] = []
-    intents = runner.classify("q", [], ["cancel_card"], CallLog(), warnings)
+    intents = runner.classify("q", [], ["cancel_card"])
     assert intents == set()
-    assert warnings
+    assert runner.warnings
 
 
 def _recording_remote(monkeypatch, config: EngineConfig, replies: dict[BackendRole, str]):
@@ -295,12 +298,12 @@ def test_runner_uses_configured_temperatures_and_budgets(monkeypatch):
     replies = {BackendRole.DECOMPOSER: "1. a\n2. b", BackendRole.JUDGE: "Relevant"}
     backend, bodies = _recording_remote(monkeypatch, EngineConfig(), replies)
     runner = RoleRunner(backend)
-    runner.decompose("query text", CallLog())
+    runner.decompose("query text")
     defaults = EngineConfig().temperatures()
     assert bodies[0]["temperature"] == defaults[BackendRole.DECOMPOSER] == 0.3
     assert bodies[0]["max_tokens"] == MAX_OUTPUT_TOKENS[BackendRole.DECOMPOSER] == 256
 
-    runner.judge("q", "sq", "p", 0.4, CallLog(), [])
+    runner.judge("q", "sq", "p", 0.4)
     assert bodies[1]["temperature"] == defaults[BackendRole.JUDGE] == 0.1
     assert bodies[1]["max_tokens"] == MAX_OUTPUT_TOKENS[BackendRole.JUDGE] == 16
 
@@ -308,14 +311,14 @@ def test_runner_uses_configured_temperatures_and_budgets(monkeypatch):
 def test_runner_temperature_override(monkeypatch):
     config = EngineConfig(apm_judge_temperature=0.9)
     backend, bodies = _recording_remote(monkeypatch, config, {BackendRole.JUDGE: "Relevant"})
-    assert RoleRunner(backend).judge("q", "sq", "p", 0.4, CallLog(), []) is True
+    assert RoleRunner(backend).judge("q", "sq", "p", 0.4) is True
     assert bodies[0]["temperature"] == 0.9
 
 
 def test_runner_prompts_carry_role_inputs():
     backend = _FixedBackend("Relevant")
     runner = RoleRunner(backend)
-    runner.judge("the original", "the sub query", "the passage text", 0.4, CallLog(), [])
+    runner.judge("the original", "the sub query", "the passage text", 0.4)
     prompt = backend.requests[0].prompt
     for fragment in ("the original", "the sub query", "the passage text"):
         assert fragment in prompt
