@@ -82,12 +82,11 @@ from .signals import (
     QciWeights,
     SignalLexicons,
     SignalVector,
-    TokenizedQuery,
     compute_qci,
     extract_signals,
     tokenize,
 )
-from .tree import QueryNode, RetrievalTree, collect_evidence, decompose, expand
+from .tree import QueryNode, RetrievalTree, collect_evidence, expand
 from .vectorstore import Passage, ScoredPassage, VectorStore, build_index
 
 __version__ = "0.1.0"

@@ -94,13 +94,14 @@ class CallLog:
 class StubBehavior:
     """Knobs for the deterministic stub backend.
 
-    Level bands partition the complexity index; the judge verdict is either
-    fixed or a threshold on the similarity the pruner hands over.
+    Level bands partition the complexity index; the judge verdict is a
+    threshold on the similarity the pruner hands over. The pruner only
+    judges similarities in [lo, hi) with hi <= 1, so a threshold of 0
+    makes the judge always keep and a threshold of 1 always discard.
     """
 
     assessor_low: float = 0.35
     assessor_high: float = 0.55
-    judge_mode: str = "threshold"  # threshold | always_relevant | always_irrelevant
     judge_threshold: float = 0.5
     conjunction_terms: frozenset[str] = DEFAULT_CONJUNCTION_TERMS
 
@@ -110,8 +111,6 @@ class StubBehavior:
                 "assessor bands must satisfy 0 <= low <= high <= 1, got "
                 f"({self.assessor_low}, {self.assessor_high})"
             )
-        if self.judge_mode not in ("threshold", "always_relevant", "always_irrelevant"):
-            raise ValueError(f"unknown judge_mode: {self.judge_mode}")
 
 
 def stub_decompose(text: str, conjunction_terms: frozenset[str] = DEFAULT_CONJUNCTION_TERMS) -> tuple[str, str]:
@@ -121,7 +120,7 @@ def stub_decompose(text: str, conjunction_terms: frozenset[str] = DEFAULT_CONJUN
     then falls back to a half split, then to appending disambiguators for
     texts too short to divide.
     """
-    tokens = tokenize(text).tokens
+    tokens = tokenize(text)
     for i, token in enumerate(tokens):
         if token in conjunction_terms and 0 < i < len(tokens) - 1:
             return " ".join(tokens[:i]), " ".join(tokens[i + 1 :])
@@ -165,10 +164,6 @@ class StubChatBackend:
         return "High"
 
     def _judge(self, payload: Mapping[str, Any]) -> str:
-        if self.behavior.judge_mode == "always_relevant":
-            return "Relevant"
-        if self.behavior.judge_mode == "always_irrelevant":
-            return "Irrelevant"
         sim = float(payload.get("sim", 0.0))
         return "Relevant" if sim >= self.behavior.judge_threshold else "Irrelevant"
 

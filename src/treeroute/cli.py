@@ -167,7 +167,9 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_route(args: argparse.Namespace) -> int:
     config = _load_config(args)
     engine = build_engine(config, [])  # no corpus: snippets are empty
-    roles = RoleRunner(engine.backend, engine.prompts, fallback_level=engine.fallback_level)
+    roles = RoleRunner(
+        engine.backend, engine.prompts, query=args.query, fallback_level=engine.fallback_level
+    )
     decision = decide(
         tokenize(args.query),
         [],

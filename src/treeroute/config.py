@@ -115,7 +115,6 @@ class EngineConfig:
     # Stub behavior
     stub_assessor_low: float = _opt(0.35, "stub.assessor_low")
     stub_assessor_high: float = _opt(0.55, "stub.assessor_high")
-    stub_judge_mode: str = _opt("threshold", "stub.judge_mode")
     stub_judge_threshold: float = _opt(0.5, "stub.judge_threshold")
 
     # Run control
@@ -166,7 +165,6 @@ class EngineConfig:
         return StubBehavior(
             assessor_low=self.stub_assessor_low,
             assessor_high=self.stub_assessor_high,
-            judge_mode=self.stub_judge_mode,
             judge_threshold=self.stub_judge_threshold,
             conjunction_terms=frozenset(self.qci_lexicon_conjunction),
         )

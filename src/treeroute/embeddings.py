@@ -53,7 +53,7 @@ class HashedBagEmbedder:
     def embed(self, text: str) -> np.ndarray:
         vector = np.zeros(self.dimension, dtype=np.float64)
         # An empty token bag still has to produce a unit vector.
-        tokens = tokenize(text).tokens or ("",)
+        tokens = tokenize(text) or ("",)
         for token in tokens:
             vector[self._coordinate(token)] += 1.0
         vector /= np.linalg.norm(vector)

@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -220,7 +221,13 @@ def process_query(
             f"got {force_depth!r} in {mode.value} mode"
         )
     config = engine.config
-    roles = RoleRunner(engine.backend, engine.prompts, fallback_level=engine.fallback_level)
+    roles = RoleRunner(
+        engine.backend,
+        engine.prompts,
+        query=record.text,
+        fallback_level=engine.fallback_level,
+        decompose_retries=config.tor_retry_decompose,
+    )
     warnings = roles.warnings
     started = time.perf_counter()
     standard = mode is ExecutionMode.STANDARD_RAG
@@ -228,8 +235,8 @@ def process_query(
         force_depth = 3
     routed = not standard and force_depth is None
 
-    tokenized = tokenize(record.text)
-    signals = extract_signals(tokenized, engine.lexicons)
+    tokens = tokenize(record.text)
+    signals = extract_signals(tokens, engine.lexicons)
     qci = compute_qci(signals, engine.weights)
     route, depth = RouteMode.SIMPLE, 0
     searched = False
@@ -245,7 +252,7 @@ def process_query(
         searched = True
         if routed:
             decision = decide(
-                tokenized,
+                tokens,
                 [hit.passage.text for hit in hits[: config.qtc_assessor_snippets]],
                 roles.assess_level,
                 lexicons=engine.lexicons,
@@ -264,7 +271,7 @@ def process_query(
                     query_embedding,
                     candidates,
                     engine.thresholds,
-                    lambda passage, sim: roles.judge(record.text, sub_query, passage.text, sim),
+                    partial(roles.judge, sub_query),
                     embedding_of=engine.store,
                 )
 
@@ -276,7 +283,6 @@ def process_query(
                 pruner=pruner,
                 decomposer=roles.decompose,
                 k=config.store_k,
-                retries=config.tor_retry_decompose,
                 root_hits=hits,
             )
             warnings.extend(tree.warnings)
@@ -287,13 +293,11 @@ def process_query(
             evidence = hits[: config.rrl_cap]
         elif pool:
             evidence = consolidate(
-                record.text,
                 pool,
                 engine.dedup_policy,
                 engine.selection_rule,
                 engine.store.embedding_of,
                 roles.rerank,
-                warnings,
             )
         elif tree is not None:
             root = tree.nodes[tree.root_id]
@@ -301,7 +305,7 @@ def process_query(
                 warnings.append("root decomposition failed; using single-step evidence")
                 evidence = root.candidates[: config.rrl_cap]
 
-        predicted = roles.classify(record.text, evidence, engine.intent_names)
+        predicted = roles.classify(evidence, engine.intent_names)
     except EngineError as exc:
         error = f"{record.id}: {exc}"
 
@@ -352,7 +356,7 @@ def run_workload(
     """Process a batch; output is ordered by query id however it ran."""
     if jobs is None:
         jobs = engine.config.run_jobs
-    ordered = sorted(records, key=lambda r: r.id)
+    ordered = sorted(records, key=attrgetter("id"))
     worker = partial(process_query, engine, mode=mode, force_depth=force_depth)
     if jobs <= 1:
         return [worker(record) for record in ordered]

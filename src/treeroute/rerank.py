@@ -4,9 +4,11 @@ Tree expansion hands over a pool of per-node survivors that usually
 overlaps heavily; standard mode hands over its search hits. The pool is
 deduplicated first (exact text after normalization, then near-duplicates
 by the cosine of the indexed passage embeddings), rescored with a single
-batched reranker call against the original query, and reduced to a
-bounded evidence set by rank and score floor. Dedup cosines are not
-clamped: with the threshold in (0, 1], only search needs to clamp.
+batched reranker call, and reduced to a bounded evidence set by rank and
+score floor. The reranker serves one query and supplies its own fallback
+scores if its call fails; rescoring clamps what it returns to [0, 1].
+Dedup cosines are not clamped: with the threshold in (0, 1], only search
+needs to clamp.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BackendError
 from .vectorstore import ScoredPassage
 
-# (original query, candidates) -> one score per candidate in [0, 1]
-Reranker = Callable[[str, Sequence[ScoredPassage]], Sequence[float]]
+# candidates -> one score per candidate, for the query the reranker serves
+Reranker = Callable[[Sequence[ScoredPassage]], Sequence[float]]
 # passage id -> its unit-norm embedding, as indexed
 EmbeddingOf = Callable[[str], np.ndarray]
 
@@ -95,28 +96,16 @@ def deduplicate(
 
 
 def global_rescore(
-    original_query: str,
-    candidates: Sequence[ScoredPassage],
-    reranker: Reranker,
-    warnings: list[str],
+    candidates: Sequence[ScoredPassage], reranker: Reranker
 ) -> list[ScoredPassage]:
-    """Rescore all candidates in one batched call; none for an empty pool.
-
-    If the reranker fails outright, retrieval cosines clamped to [0, 1]
-    stand in so consolidation still completes.
-    """
+    """Rescore all candidates in one batched call; none for an empty pool."""
     if not candidates:
         return []
-    try:
-        scores = list(reranker(original_query, candidates))
-    except BackendError as exc:
-        warnings.append(f"reranker failed, falling back to retrieval scores: {exc}")
-        scores = [c.score for c in candidates]
-    else:
-        if len(scores) != len(candidates):
-            raise ValueError(
-                f"reranker returned {len(scores)} scores for {len(candidates)} candidates"
-            )
+    scores = list(reranker(candidates))
+    if len(scores) != len(candidates):
+        raise ValueError(
+            f"reranker returned {len(scores)} scores for {len(candidates)} candidates"
+        )
     return [
         ScoredPassage(c.passage, min(max(float(s), 0.0), 1.0), source="rerank")
         for c, s in zip(candidates, scores)
@@ -139,14 +128,12 @@ def select_topk(scored: Sequence[ScoredPassage], rule: SelectionRule) -> list[Sc
 
 
 def consolidate(
-    original_query: str,
     candidates: Sequence[ScoredPassage],
     policy: DedupPolicy,
     rule: SelectionRule,
     embedding_of: EmbeddingOf,
     reranker: Reranker,
-    warnings: list[str],
 ) -> list[ScoredPassage]:
     """Full consolidation pass over the evidence pool: the final evidence."""
     deduped = deduplicate(candidates, policy, embedding_of)
-    return select_topk(global_rescore(original_query, deduped, reranker, warnings), rule)
+    return select_topk(global_rescore(deduped, reranker), rule)

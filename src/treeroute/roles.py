@@ -7,11 +7,14 @@ them when it loads. A role call is a rendered prompt plus the payload the
 stub answers from; what else a remote model is sent (model, temperature,
 output budget) belongs to the remote backend.
 
-A RoleRunner serves one query: it owns that query's CallLog, records each
-request on it before sending it, and collects the query's warnings.
-Parsers are deliberately forgiving about formatting and strict about
-semantics: every recoverable parse failure falls back to a documented
-default and appends a warning instead of failing the query.
+A RoleRunner serves one query: it holds that query's text, owns its
+CallLog, records each request on it before sending it, and collects the
+query's warnings. It is the one place a role call is retried or replaced
+by its default: a failed decomposition is retried and then raises
+DecompositionError, and a failed judge or reranker call, like every
+recoverable parse failure, falls back to a documented default and appends
+a warning instead of failing the query. Parsers are deliberately forgiving
+about formatting and strict about semantics.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from string import Template
 from typing import Any, Mapping, Sequence
 
 from .backends import BackendRole, CallLog, ChatBackend, ChatRequest
-from .errors import BackendError, ConfigError, EngineError
+from .errors import BackendError, ConfigError, DecompositionError, EngineError
 from .routing import RouteMode, SemanticLevel
-from .vectorstore import ScoredPassage
+from .vectorstore import Passage, ScoredPassage
 
 _NUMBERED_LINE = re.compile(r"^\s*(\d+)\s*[.):\-]\s*(.*\S)\s*$", re.MULTILINE)
 _NUMBERED_SCORE = re.compile(
@@ -134,10 +137,6 @@ def parse_intents(text: str, catalog: Sequence[str]) -> set[str]:
     return intents
 
 
-def _clamp01(value: float) -> float:
-    return min(max(value, 0.0), 1.0)
-
-
 def _numbered(texts: Sequence[str], empty: str = "(none)") -> str:
     if not texts:
         return empty
@@ -156,11 +155,15 @@ class RoleRunner:
         backend: ChatBackend,
         prompts: PromptLibrary | None = None,
         *,
+        query: str,
         fallback_level: SemanticLevel = SemanticLevel.MID,
+        decompose_retries: int = 1,
     ):
         self.backend = backend
         self.prompts = prompts if prompts is not None else PromptLibrary()
+        self.query = query
         self.fallback_level = fallback_level
+        self.decompose_retries = decompose_retries
         self.log = CallLog()
         self.warnings: list[str] = []
 
@@ -171,12 +174,23 @@ class RoleRunner:
         return self.backend.chat(request)
 
     def decompose(self, node_text: str) -> tuple[str, str]:
-        response = self._call(BackendRole.DECOMPOSER, {"query": node_text}, {"query": node_text})
-        return parse_decomposition(response)
+        """Two sub-queries; a failed call or parse is retried, then raises."""
+        if not node_text:
+            raise DecompositionError("cannot decompose an empty query")
+        for _ in range(1 + self.decompose_retries):
+            try:
+                response = self._call(
+                    BackendRole.DECOMPOSER, {"query": node_text}, {"query": node_text}
+                )
+                return parse_decomposition(response)
+            except (ParseError, BackendError) as exc:
+                last_error = exc
+        raise DecompositionError(
+            f"decomposition failed after {self.decompose_retries} retry: {last_error}"
+        ) from last_error
 
     def assess_level(
         self,
-        query: str,
         snippets: Sequence[str],
         initial_mode: RouteMode,
         qci: float,
@@ -184,7 +198,7 @@ class RoleRunner:
         response = self._call(
             BackendRole.LEVEL_ASSESSOR,
             {
-                "query": query,
+                "query": self.query,
                 "snippets": _numbered(snippets),
                 "mode": initial_mode.value,
             },
@@ -198,12 +212,12 @@ class RoleRunner:
             return self.fallback_level
         return level
 
-    def judge(self, original_query: str, sub_query: str, passage_text: str, sim: float) -> bool:
+    def judge(self, sub_query: str, passage: Passage, sim: float) -> bool:
         """Borderline relevance verdict; every failure keeps the passage."""
         try:
             response = self._call(
                 BackendRole.JUDGE,
-                {"query": original_query, "sub_query": sub_query, "passage": passage_text},
+                {"query": self.query, "sub_query": sub_query, "passage": passage.text},
                 {"sim": sim},
             )
         except BackendError as exc:
@@ -215,37 +229,37 @@ class RoleRunner:
             return True
         return verdict
 
-    def rerank(self, original_query: str, candidates: Sequence[ScoredPassage]) -> list[float]:
-        """One batched scoring call; missing entries default to 0.5."""
-        response = self._call(
-            BackendRole.RERANKER,
-            {
-                "query": original_query,
-                "candidates": _numbered([c.passage.text for c in candidates]),
-            },
-            {"scores": tuple(c.score for c in candidates)},
-        )
-        parsed = parse_scores(response, len(candidates))
+    def rerank(self, candidates: Sequence[ScoredPassage]) -> list[float]:
+        """One batched scoring call; missing entries default to 0.5.
+
+        If the call fails outright, the retrieval scores stand in.
+        """
+        try:
+            response = self._call(
+                BackendRole.RERANKER,
+                {
+                    "query": self.query,
+                    "candidates": _numbered([c.passage.text for c in candidates]),
+                },
+                {"scores": tuple(c.score for c in candidates)},
+            )
+        except BackendError as exc:
+            self.warnings.append(f"reranker failed, falling back to retrieval scores: {exc}")
+            return [c.score for c in candidates]
         scores: list[float] = []
-        for position, value in enumerate(parsed, start=1):
+        for position, value in enumerate(parse_scores(response, len(candidates)), start=1):
             if value is None:
                 self.warnings.append(f"reranker gave no score for candidate {position}, using 0.5")
-                scores.append(0.5)
-            else:
-                scores.append(_clamp01(value))
+                value = 0.5
+            scores.append(value)
         return scores
 
-    def classify(
-        self,
-        query: str,
-        evidence: Sequence[ScoredPassage],
-        catalog: Sequence[str],
-    ) -> set[str]:
+    def classify(self, evidence: Sequence[ScoredPassage], catalog: Sequence[str]) -> set[str]:
         labels = sorted({label for c in evidence for label in c.passage.intent_labels})
         response = self._call(
             BackendRole.INTENT_CLASSIFIER,
             {
-                "query": query,
+                "query": self.query,
                 "evidence": _numbered([c.passage.text for c in evidence]),
                 "catalog": ", ".join(catalog),
             },

@@ -17,7 +17,6 @@ from .signals import (
     QciWeights,
     SignalLexicons,
     SignalVector,
-    TokenizedQuery,
     compute_qci,
     extract_signals,
 )
@@ -44,8 +43,9 @@ DEPTH_BY_LEVEL = {
     SemanticLevel.HIGH: 3,
 }
 
-# (query text, context snippets, initial mode, complexity index) -> level
-LevelAssessor = Callable[[str, Sequence[str], "RouteMode", float], SemanticLevel]
+# (context snippets, initial mode, complexity index) -> level, for the
+# query the assessor serves
+LevelAssessor = Callable[[Sequence[str], "RouteMode", float], SemanticLevel]
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def assign_depth(mode: RouteMode, level: SemanticLevel | None = None) -> int:
 
 
 def decide(
-    query: TokenizedQuery,
+    tokens: tuple[str, ...],
     context_snippets: Sequence[str],
     assessor: LevelAssessor,
     *,
@@ -98,13 +98,13 @@ def decide(
     The level assessor is consulted exactly once and only for tree-mode
     queries; simple and hybrid queries never touch a backend here.
     """
-    signals = extract_signals(query, lexicons)
+    signals = extract_signals(tokens, lexicons)
     qci = compute_qci(signals, weights)
     mode = route(signals, qci, tau_simple)
     level: SemanticLevel | None = None
     if mode is RouteMode.TREE:
         try:
-            level = assessor(query.raw_text, context_snippets, mode, qci)
+            level = assessor(context_snippets, mode, qci)
         except Exception as exc:
             raise RoutingError(f"level assessment failed: {exc}") from exc
     depth = assign_depth(mode, level)

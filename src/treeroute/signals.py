@@ -20,18 +20,6 @@ DEFAULT_LENGTH_THRESHOLD = 25
 
 
 @dataclass(frozen=True)
-class TokenizedQuery:
-    """Raw query text plus its normalized token sequence."""
-
-    raw_text: str
-    tokens: tuple[str, ...]
-
-    @property
-    def token_count(self) -> int:
-        return len(self.tokens)
-
-
-@dataclass(frozen=True)
 class SignalVector:
     """Four binary structure markers plus a length signal, each in [0, 1]."""
 
@@ -102,7 +90,7 @@ def _trim_boundary(fragment: str) -> str:
     return fragment[start:end]
 
 
-def tokenize(text: str) -> TokenizedQuery:
+def tokenize(text: str) -> tuple[str, ...]:
     """Lowercase, split on whitespace, strip non-alphanumeric edges.
 
     Fragments that are empty after trimming are dropped, so punctuation-only
@@ -113,24 +101,24 @@ def tokenize(text: str) -> TokenizedQuery:
         token = _trim_boundary(fragment)
         if token:
             tokens.append(token)
-    return TokenizedQuery(raw_text=text, tokens=tuple(tokens))
+    return tuple(tokens)
 
 
 def extract_signals(
-    query: TokenizedQuery, lexicons: SignalLexicons = SignalLexicons()
+    tokens: tuple[str, ...], lexicons: SignalLexicons = SignalLexicons()
 ) -> SignalVector:
     """Compute the five-signal vector by token set membership.
 
     Each binary signal fires when any token is in the corresponding lexicon;
     length is token count over the threshold, capped at 1.
     """
-    present = set(query.tokens)
+    present = set(tokens)
     return SignalVector(
         wh=int(bool(present & lexicons.wh_terms)),
         conjunction=int(bool(present & lexicons.conjunction_terms)),
         comparison=int(bool(present & lexicons.comparison_terms)),
         sequence=int(bool(present & lexicons.sequence_terms)),
-        length=min(query.token_count / lexicons.length_threshold, 1.0),
+        length=min(len(tokens) / lexicons.length_threshold, 1.0),
     )
 
 

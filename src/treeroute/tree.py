@@ -6,9 +6,9 @@ every node (the root included) retrieves candidates that are immediately
 gated by the pruner; the root can instead take hits the caller already
 retrieved for the same query. A node whose candidates are all rejected is
 pruned and grows no children, so irrelevant branches die early. A node
-whose decomposition fails after the retry is also marked pruned; its
-candidates stay on the node so the caller can degrade gracefully when
-this happens at the root.
+whose decomposer raises DecompositionError (the decomposer does any
+retrying) is also marked pruned; its candidates stay on the node so the
+caller can degrade gracefully when this happens at the root.
 """
 
 from __future__ import annotations
@@ -18,15 +18,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BackendError, DecompositionError
+from .errors import DecompositionError
 from .pruning import PruneResult
-from .roles import ParseError
-from .vectorstore import ScoredPassage, VectorStore
+from .routing import MAX_DEPTH
+from .vectorstore import DEFAULT_SEARCH_K, ScoredPassage, VectorStore
 
-MAX_TREE_DEPTH = 3
 ROOT_NODE_ID = "n"
 
-# node text -> two sub-queries; raises ParseError or BackendError
+# node text -> two sub-queries; raises DecompositionError
 Decomposer = Callable[[str], tuple[str, str]]
 # (sub-query text, retrieved candidates) -> pruning result
 Pruner = Callable[[str, list[ScoredPassage]], PruneResult]
@@ -71,21 +70,6 @@ class RetrievalTree:
         )
 
 
-def decompose(node_text: str, decomposer: Decomposer, retries: int = 1) -> tuple[str, str]:
-    """Split a node into two sub-queries, retrying failures once by default."""
-    if not node_text:
-        raise DecompositionError("cannot decompose an empty query")
-    last_error: Exception | None = None
-    for _ in range(1 + retries):
-        try:
-            return decomposer(node_text)
-        except (ParseError, BackendError) as exc:
-            last_error = exc
-    raise DecompositionError(
-        f"decomposition failed after {retries} retry: {last_error}"
-    )
-
-
 def expand(
     root_query: str,
     depth: int,
@@ -94,8 +78,7 @@ def expand(
     embedder: Embedder,
     pruner: Pruner,
     decomposer: Decomposer,
-    k: int = 32,
-    retries: int = 1,
+    k: int = DEFAULT_SEARCH_K,
     root_hits: list[ScoredPassage] | None = None,
 ) -> RetrievalTree:
     """Grow the retrieval tree level by level to the requested depth.
@@ -105,8 +88,8 @@ def expand(
     given, must be the result of searching root_query with the same k; the
     root then gates them instead of searching again.
     """
-    if not 1 <= depth <= MAX_TREE_DEPTH:
-        raise ValueError(f"depth must be in 1..{MAX_TREE_DEPTH}, got {depth}")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
 
     tree = RetrievalTree(root_id=ROOT_NODE_ID, nodes={})
     root = QueryNode(id=ROOT_NODE_ID, text=root_query, depth_level=0)
@@ -123,7 +106,7 @@ def expand(
             if node.pruned:
                 continue
             try:
-                first, second = decompose(node.text, decomposer, retries)
+                first, second = decomposer(node.text)
             except DecompositionError as exc:
                 # Candidates stay on the node; only expansion stops here.
                 node.pruned = True

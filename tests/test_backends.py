@@ -73,11 +73,11 @@ def test_call_log_is_thread_safe():
 def test_role_call_records_before_dispatch():
     class Exploding:
         def chat(self, request):
-            raise BackendError("decomposer", "boom")
+            raise BackendError("intent_classifier", "boom")
 
-    runner = RoleRunner(Exploding())
+    runner = RoleRunner(Exploding(), query="hello world")
     with pytest.raises(BackendError):
-        runner.decompose("hello world")
+        runner.classify([], ["cancel_card"])
     # Failed transport still counts as an issued call.
     assert runner.log.total_calls == 1
 
@@ -145,10 +145,13 @@ def test_stub_judge_threshold_mode():
 
 
 def test_stub_judge_fixed_modes():
-    always_yes = StubChatBackend(StubBehavior(judge_mode="always_relevant"))
-    always_no = StubChatBackend(StubBehavior(judge_mode="always_irrelevant"))
-    assert always_yes.chat(_request(payload={"sim": 0.0})) == "Relevant"
-    assert always_no.chat(_request(payload={"sim": 1.0})) == "Irrelevant"
+    # The pruner only judges similarities in [lo, hi) with hi <= 1, so
+    # thresholds 0 and 1 fix the verdict for every judged candidate.
+    always_yes = StubChatBackend(StubBehavior(judge_threshold=0.0))
+    always_no = StubChatBackend(StubBehavior(judge_threshold=1.0))
+    for sim in (0.0, 0.35, 0.7, 0.9999):
+        assert always_yes.chat(_request(payload={"sim": sim})) == "Relevant"
+        assert always_no.chat(_request(payload={"sim": sim})) == "Irrelevant"
 
 
 def test_stub_reranker_echoes_scores_with_full_precision():
@@ -177,8 +180,6 @@ def test_stub_classifier_joins_labels():
 def test_stub_behavior_validation():
     with pytest.raises(ValueError):
         StubBehavior(assessor_low=0.6, assessor_high=0.5)
-    with pytest.raises(ValueError):
-        StubBehavior(judge_mode="coin_flip")
 
 
 def test_stub_satisfies_backend_protocol():

@@ -85,7 +85,7 @@ def test_apply_bad_values_name_the_key():
         ({"store.dimension": "0"}, "store.dimension"),
         ({"embed.backend": "quantum"}, "embed.backend"),
         ({"backend.kind": "remote"}, "backend.endpoint"),
-        ({"stub.judge_mode": "random"}, "judge_mode"),
+        ({"tor.retry_decompose": "-1"}, "tor.retry_decompose"),
         ({"run.jobs": "0"}, "run.jobs"),
         ({"latency.base_ms": "-1"}, "latency.base_ms"),
     ],

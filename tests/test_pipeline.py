@@ -298,6 +298,21 @@ def test_judge_failure_degrades_to_retention_with_warning():
     assert any("retaining passage" in w for w in trace.warnings)
 
 
+def test_reranker_failure_falls_back_to_retrieval_scores(engine):
+    engine.backend = _RoleFailingBackend(BackendRole.RERANKER)
+    trace = process_query(engine, TREE_MID, mode=ExecutionMode.STANDARD_RAG)
+    assert trace.error is None
+    assert trace.ledger.calls_by_role["reranker"] == 1
+    assert len(trace.warnings) == 1
+    assert "falling back to retrieval scores" in trace.warnings[0]
+    hits = engine.store.search(engine.embedder.embed(TREE_MID.text), k=engine.config.store_k)
+    hit_scores = {hit.passage.id: hit.score for hit in hits}
+    assert trace.evidence
+    for item in trace.evidence:
+        assert item["source"] == "rerank"
+        assert item["score"] == min(max(hit_scores[item["id"]], 0.0), 1.0)
+
+
 def test_assessor_garbage_falls_back_to_configured_level():
     class GarbageAssessor:
         def __init__(self):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from treeroute.embeddings import HashedBagEmbedder
-from treeroute.errors import BackendError
 from treeroute.rerank import (
     DedupPolicy,
     SelectionRule,
@@ -119,12 +118,12 @@ def test_deduplicate_output_is_ranked_and_idempotent():
 def test_global_rescore_marks_source_and_counts_one_call():
     calls = 0
 
-    def reranker(query, candidates):
+    def reranker(candidates):
         nonlocal calls
         calls += 1
         return [0.9, 0.1]
 
-    rescored = global_rescore("q", [_sp("a", "ta", 0.2), _sp("b", "tb", 0.8)], reranker, [])
+    rescored = global_rescore([_sp("a", "ta", 0.2), _sp("b", "tb", 0.8)], reranker)
     assert calls == 1
     assert [(c.passage.id, c.score, c.source) for c in rescored] == [
         ("a", 0.9, "rerank"),
@@ -134,36 +133,18 @@ def test_global_rescore_marks_source_and_counts_one_call():
 
 def test_global_rescore_empty_pool_makes_no_call():
     calls = []
-    rescored = global_rescore("q", [], lambda q, c: calls.append(c) or [], [])
+    rescored = global_rescore([], lambda c: calls.append(c) or [])
     assert rescored == [] and calls == []
 
 
 def test_global_rescore_clamps():
-    rescored = global_rescore("q", [_sp("a", "ta", 0.2)], lambda q, c: [1.7], [])
-    assert rescored[0].score == 1.0
-
-
-def test_global_rescore_backend_failure_falls_back_to_retrieval_scores():
-    calls = 0
-
-    def failing(query, candidates):
-        nonlocal calls
-        calls += 1
-        raise BackendError("reranker", "down")
-
-    warnings: list[str] = []
-    rescored = global_rescore(
-        "q", [_sp("a", "ta", 0.83), _sp("b", "tb", -0.2)], failing, warnings
-    )
-    assert calls == 1
-    assert [(c.passage.id, c.score) for c in rescored] == [("a", 0.83), ("b", 0.0)]
-    assert all(c.source == "rerank" for c in rescored)
-    assert warnings and "falling back" in warnings[0]
+    rescored = global_rescore([_sp("a", "ta", 0.2), _sp("b", "tb", 0.3)], lambda c: [1.7, -0.4])
+    assert [c.score for c in rescored] == [1.0, 0.0]
 
 
 def test_global_rescore_length_mismatch_is_a_bug_not_a_fallback():
     with pytest.raises(ValueError, match="2 scores"):
-        global_rescore("q", [_sp("a", "ta", 0.5)], lambda q, c: [0.1, 0.2], [])
+        global_rescore([_sp("a", "ta", 0.5)], lambda c: [0.1, 0.2])
 
 
 def _brute_force_select(scored, rule):
@@ -232,7 +213,7 @@ def test_select_topk_input_order_invariant():
 def test_consolidate_reranks_exactly_the_deduped_pool():
     batch_sizes: list[int] = []
 
-    def reranker(query, candidates):
+    def reranker(candidates):
         batch_sizes.append(len(candidates))
         return [c.score for c in candidates]
 
@@ -242,9 +223,7 @@ def test_consolidate_reranks_exactly_the_deduped_pool():
         _sp("c", "order a replacement", 0.7),
         _sp("d", "check my balance", 0.6),
     ]
-    evidence = consolidate(
-        "q", pool, DedupPolicy(), SelectionRule(), _index(pool), reranker, []
-    )
+    evidence = consolidate(pool, DedupPolicy(), SelectionRule(), _index(pool), reranker)
     assert batch_sizes == [3]
     assert [c.passage.id for c in evidence] == ["a", "c", "d"]
     assert all(c.source == "rerank" for c in evidence)
@@ -253,13 +232,7 @@ def test_consolidate_reranks_exactly_the_deduped_pool():
 def test_consolidate_empty_pool():
     calls = []
     evidence = consolidate(
-        "q",
-        [],
-        DedupPolicy(),
-        SelectionRule(),
-        _index([]),
-        lambda q, c: calls.append(c) or [],
-        [],
+        [], DedupPolicy(), SelectionRule(), _index([]), lambda c: calls.append(c) or []
     )
     assert evidence == []
     assert calls == []

@@ -12,8 +12,9 @@ from treeroute.backends import (
     StubChatBackend,
 )
 from treeroute.config import EngineConfig
-from treeroute.errors import BackendError, ConfigError
+from treeroute.errors import BackendError, ConfigError, DecompositionError
 from treeroute.pipeline import build_engine
+from treeroute.rerank import global_rescore
 from treeroute.roles import (
     ParseError,
     PromptLibrary,
@@ -33,6 +34,9 @@ def _sp(pid: str, text: str, score: float, labels=()) -> ScoredPassage:
         passage=Passage(id=pid, text=text, intent_labels=frozenset(labels)),
         score=score,
     )
+
+
+PASSAGE = Passage(id="p", text="passage")
 
 
 class _FixedBackend:
@@ -188,7 +192,7 @@ def test_parse_intents():
 
 
 def test_runner_decompose_via_stub():
-    runner = RoleRunner(StubChatBackend())
+    runner = RoleRunner(StubChatBackend(), query="q")
     first, second = runner.decompose("freeze my card and order a replacement")
     assert (first, second) == ("freeze my card", "order a replacement")
     assert runner.log.count(BackendRole.DECOMPOSER) == 1
@@ -196,88 +200,103 @@ def test_runner_decompose_via_stub():
 
 
 def test_runner_decompose_propagates_parse_error():
-    runner = RoleRunner(_FixedBackend("no numbered lines"))
-    with pytest.raises(ParseError):
+    runner = RoleRunner(_FixedBackend("no numbered lines"), query="q")
+    with pytest.raises(DecompositionError, match="after 1 retry") as raised:
         runner.decompose("anything at all")
+    assert isinstance(raised.value.__cause__, ParseError)
+    assert runner.log.count(BackendRole.DECOMPOSER) == 2
 
 
 def test_runner_assess_level_happy_path():
-    runner = RoleRunner(StubChatBackend())
-    level = runner.assess_level("q", ["s1"], RouteMode.TREE, qci=0.7)
+    runner = RoleRunner(StubChatBackend(), query="q")
+    level = runner.assess_level(["s1"], RouteMode.TREE, qci=0.7)
     assert level is SemanticLevel.HIGH
     assert runner.log.count(BackendRole.LEVEL_ASSESSOR) == 1
 
 
 def test_runner_assess_level_falls_back_with_warning():
-    runner = RoleRunner(_FixedBackend("???"))
-    level = runner.assess_level("q", [], RouteMode.TREE, 0.9)
+    runner = RoleRunner(_FixedBackend("???"), query="q")
+    level = runner.assess_level([], RouteMode.TREE, 0.9)
     assert level is SemanticLevel.MID
     assert runner.warnings and "mid" in runner.warnings[0]
 
 
 def test_runner_assess_level_custom_fallback():
-    runner = RoleRunner(_FixedBackend("???"), fallback_level=SemanticLevel.HIGH)
-    level = runner.assess_level("q", [], RouteMode.TREE, 0.9)
+    runner = RoleRunner(_FixedBackend("???"), query="q", fallback_level=SemanticLevel.HIGH)
+    level = runner.assess_level([], RouteMode.TREE, 0.9)
     assert level is SemanticLevel.HIGH
 
 
 def test_runner_judge_verdicts():
-    runner = RoleRunner(StubChatBackend())
-    assert runner.judge("q", "sq", "passage", sim=0.6) is True
-    assert runner.judge("q", "sq", "passage", sim=0.4) is False
+    runner = RoleRunner(StubChatBackend(), query="q")
+    assert runner.judge("sq", PASSAGE, sim=0.6) is True
+    assert runner.judge("sq", PASSAGE, sim=0.4) is False
     assert runner.log.count(BackendRole.JUDGE) == 2
 
 
 def test_runner_judge_retains_on_parse_failure():
-    runner = RoleRunner(_FixedBackend("shrug"))
-    assert runner.judge("q", "sq", "p", 0.4) is True
+    runner = RoleRunner(_FixedBackend("shrug"), query="q")
+    assert runner.judge("sq", PASSAGE, 0.4) is True
     assert runner.warnings and "no verdict" in runner.warnings[0]
 
 
 def test_runner_judge_retains_on_transport_failure():
-    runner = RoleRunner(_FailingBackend())
-    assert runner.judge("q", "sq", "p", 0.4) is True
+    runner = RoleRunner(_FailingBackend(), query="q")
+    assert runner.judge("sq", PASSAGE, 0.4) is True
     assert runner.warnings and "failed" in runner.warnings[0]
     # The attempted call is still on the ledger.
     assert runner.log.count(BackendRole.JUDGE) == 1
 
 
 def test_runner_rerank_round_trips_scores():
-    runner = RoleRunner(StubChatBackend())
+    runner = RoleRunner(StubChatBackend(), query="q")
     candidates = [_sp("a", "text a", 0.31), _sp("b", "text b", 0.72)]
-    scores = runner.rerank("q", candidates)
+    scores = runner.rerank(candidates)
     assert scores == [0.31, 0.72]
     assert runner.log.count(BackendRole.RERANKER) == 1
 
 
 def test_runner_rerank_fills_missing_with_half():
-    runner = RoleRunner(_FixedBackend("2. 0.9"))
-    scores = runner.rerank("q", [_sp("a", "ta", 0.1), _sp("b", "tb", 0.2)])
+    runner = RoleRunner(_FixedBackend("2. 0.9"), query="q")
+    scores = runner.rerank([_sp("a", "ta", 0.1), _sp("b", "tb", 0.2)])
     assert scores == [0.5, 0.9]
     assert runner.warnings and "candidate 1" in runner.warnings[0]
 
 
 def test_runner_rerank_clamps_out_of_range():
-    runner = RoleRunner(_FixedBackend("1. 3.5\n2. -0.2"))
-    scores = runner.rerank("q", [_sp("a", "ta", 0.1), _sp("b", "tb", 0.2)])
-    assert scores == [1.0, 0.0]
+    # The runner passes parsed scores through; rescoring clamps them.
+    runner = RoleRunner(_FixedBackend("1. 3.5\n2. -0.2"), query="q")
+    candidates = [_sp("a", "ta", 0.1), _sp("b", "tb", 0.2)]
+    assert runner.rerank(candidates) == [3.5, -0.2]
+    assert [c.score for c in global_rescore(candidates, runner.rerank)] == [1.0, 0.0]
+    assert runner.warnings == []
+
+
+def test_runner_rerank_failure_falls_back_to_retrieval_scores():
+    runner = RoleRunner(_FailingBackend(), query="q")
+    scores = runner.rerank([_sp("a", "ta", 0.83), _sp("b", "tb", -0.2)])
+    assert scores == [0.83, -0.2]
+    assert runner.log.count(BackendRole.RERANKER) == 1
+    assert len(runner.warnings) == 1
+    assert "falling back to retrieval scores" in runner.warnings[0]
+    assert "transport down" in runner.warnings[0]
 
 
 def test_runner_classify_unions_evidence_labels():
-    runner = RoleRunner(StubChatBackend())
+    runner = RoleRunner(StubChatBackend(), query="q")
     evidence = [
         _sp("a", "ta", 0.9, labels=("freeze_card",)),
         _sp("b", "tb", 0.8, labels=("cancel_card", "freeze_card")),
     ]
     catalog = ["cancel_card", "freeze_card", "open_savings"]
-    intents = runner.classify("q", evidence, catalog)
+    intents = runner.classify(evidence, catalog)
     assert intents == {"cancel_card", "freeze_card"}
     assert runner.log.count(BackendRole.INTENT_CLASSIFIER) == 1
 
 
 def test_runner_classify_warns_on_empty():
-    runner = RoleRunner(StubChatBackend())
-    intents = runner.classify("q", [], ["cancel_card"])
+    runner = RoleRunner(StubChatBackend(), query="q")
+    intents = runner.classify([], ["cancel_card"])
     assert intents == set()
     assert runner.warnings
 
@@ -297,13 +316,13 @@ def _recording_remote(monkeypatch, config: EngineConfig, replies: dict[BackendRo
 def test_runner_uses_configured_temperatures_and_budgets(monkeypatch):
     replies = {BackendRole.DECOMPOSER: "1. a\n2. b", BackendRole.JUDGE: "Relevant"}
     backend, bodies = _recording_remote(monkeypatch, EngineConfig(), replies)
-    runner = RoleRunner(backend)
+    runner = RoleRunner(backend, query="q")
     runner.decompose("query text")
     defaults = EngineConfig().temperatures()
     assert bodies[0]["temperature"] == defaults[BackendRole.DECOMPOSER] == 0.3
     assert bodies[0]["max_tokens"] == MAX_OUTPUT_TOKENS[BackendRole.DECOMPOSER] == 256
 
-    runner.judge("q", "sq", "p", 0.4)
+    runner.judge("sq", PASSAGE, 0.4)
     assert bodies[1]["temperature"] == defaults[BackendRole.JUDGE] == 0.1
     assert bodies[1]["max_tokens"] == MAX_OUTPUT_TOKENS[BackendRole.JUDGE] == 16
 
@@ -311,14 +330,14 @@ def test_runner_uses_configured_temperatures_and_budgets(monkeypatch):
 def test_runner_temperature_override(monkeypatch):
     config = EngineConfig(apm_judge_temperature=0.9)
     backend, bodies = _recording_remote(monkeypatch, config, {BackendRole.JUDGE: "Relevant"})
-    assert RoleRunner(backend).judge("q", "sq", "p", 0.4) is True
+    assert RoleRunner(backend, query="q").judge("sq", PASSAGE, 0.4) is True
     assert bodies[0]["temperature"] == 0.9
 
 
 def test_runner_prompts_carry_role_inputs():
     backend = _FixedBackend("Relevant")
-    runner = RoleRunner(backend)
-    runner.judge("the original", "the sub query", "the passage text", 0.4)
+    runner = RoleRunner(backend, query="the original")
+    runner.judge("the sub query", Passage(id="p", text="the passage text"), 0.4)
     prompt = backend.requests[0].prompt
     for fragment in ("the original", "the sub query", "the passage text"):
         assert fragment in prompt

@@ -81,8 +81,8 @@ def test_level_on_non_tree_modes_is_an_error():
 
 
 def _assessor(level: SemanticLevel, calls: list):
-    def assess(query, snippets, mode, qci):
-        calls.append((query, tuple(snippets), mode, qci))
+    def assess(snippets, mode, qci):
+        calls.append((tuple(snippets), mode, qci))
         return level
 
     return assess
@@ -114,9 +114,8 @@ def test_decide_consults_assessor_exactly_once_for_tree():
     assert decision.level is SemanticLevel.MID
     assert decision.depth == 2
     assert len(calls) == 1
-    assert calls[0][0] == "compare rates and open the account"
-    assert calls[0][1] == ("snippet a", "snippet b")
-    assert calls[0][2] is RouteMode.TREE
+    assert calls[0][0] == ("snippet a", "snippet b")
+    assert calls[0][1] is RouteMode.TREE
 
 
 def test_decide_qci_matches_signal_arithmetic():
@@ -138,7 +137,7 @@ def test_decide_wraps_missing_assessor():
 
 
 def test_decide_wraps_assessor_failures():
-    def broken(query, snippets, mode, qci):
+    def broken(snippets, mode, qci):
         raise RuntimeError("assessor exploded")
 
     with pytest.raises(RoutingError, match="assessor exploded"):

@@ -4,17 +4,16 @@ import random
 
 import pytest
 
-from treeroute.backends import stub_decompose
+from treeroute.backends import BackendRole, StubChatBackend, stub_decompose
 from treeroute.embeddings import HashedBagEmbedder
 from treeroute.errors import BackendError, DecompositionError
 from treeroute.pruning import PruneResult
-from treeroute.roles import ParseError
+from treeroute.roles import RoleRunner
+from treeroute.routing import MAX_DEPTH
 from treeroute.tree import (
-    MAX_TREE_DEPTH,
     ROOT_NODE_ID,
     RetrievalTree,
     collect_evidence,
-    decompose,
     expand,
 )
 from treeroute.vectorstore import Passage, ScoredPassage, build_index
@@ -54,7 +53,7 @@ def test_depth_must_be_in_range():
     for bad in (0, 4, -1):
         with pytest.raises(ValueError):
             _expand(bad)
-    assert MAX_TREE_DEPTH == 3
+    assert MAX_DEPTH == 3
 
 
 def test_depth_one_shape():
@@ -127,64 +126,75 @@ def test_retrieval_k_is_passed_through():
     assert sizes == [2, 2, 2]
 
 
+class _ScriptedDecomposer:
+    """Spends one scripted fault per call, then answers as the stub.
+
+    A fault that is an exception is raised; a string is returned as the
+    reply.
+    """
+
+    def __init__(self, *faults):
+        self.faults = list(faults)
+        self.inner = StubChatBackend()
+
+    def chat(self, request):
+        if self.faults:
+            fault = self.faults.pop(0)
+            if isinstance(fault, Exception):
+                raise fault
+            return fault
+        return self.inner.chat(request)
+
+
+def _runner(backend, **kwargs) -> RoleRunner:
+    return RoleRunner(backend, query="compare savings rates and open the better account", **kwargs)
+
+
 def test_decompose_retries_once_then_succeeds():
-    attempts = 0
-
-    def flaky(text):
-        nonlocal attempts
-        attempts += 1
-        if attempts == 1:
-            raise ParseError("garbled")
-        return stub_decompose(text)
-
-    first, second = decompose("freeze my card and order a replacement", flaky)
-    assert attempts == 2
-    assert first == "freeze my card"
-    assert second == "order a replacement"
+    runner = _runner(_ScriptedDecomposer("garbled"))
+    tree = _expand(1, decomposer=runner.decompose)
+    assert runner.log.count(BackendRole.DECOMPOSER) == 2
+    assert tree.nodes["n.0"].text == "compare savings rates"
+    assert tree.nodes["n.1"].text == "open the better account"
+    assert tree.warnings == []
 
 
 def test_decompose_gives_up_after_retry():
-    attempts = 0
-
-    def broken(text):
-        nonlocal attempts
-        attempts += 1
-        raise BackendError("decomposer", "down")
-
-    with pytest.raises(DecompositionError):
-        decompose("anything", broken)
-    assert attempts == 2
+    runner = _runner(_ScriptedDecomposer(BackendError("decomposer", "down"), "garbled"))
+    tree = _expand(1, decomposer=runner.decompose)
+    assert runner.log.count(BackendRole.DECOMPOSER) == 2
+    assert tree.nodes[ROOT_NODE_ID].pruned
+    assert tree.warnings == [
+        "node n: decomposition failed after 1 retry: expected 2 numbered sub-queries, found 0"
+    ]
 
 
 def test_decompose_zero_retries():
-    attempts = 0
-
-    def broken(text):
-        nonlocal attempts
-        attempts += 1
-        raise ParseError("nope")
-
-    with pytest.raises(DecompositionError):
-        decompose("anything", broken, retries=0)
-    assert attempts == 1
+    runner = _runner(_ScriptedDecomposer("garbled"), decompose_retries=0)
+    tree = _expand(1, decomposer=runner.decompose)
+    assert runner.log.count(BackendRole.DECOMPOSER) == 1
+    assert tree.nodes[ROOT_NODE_ID].pruned
 
 
 def test_decompose_rejects_empty_text():
-    with pytest.raises(DecompositionError):
-        decompose("", stub_decompose)
+    runner = _runner(StubChatBackend())
+    tree = expand(
+        "", 1, store=STORE, embedder=EMBEDDER.embed, pruner=_keep_all, decomposer=runner.decompose
+    )
+    assert tree.nodes[ROOT_NODE_ID].pruned
+    assert tree.warnings == ["node n: cannot decompose an empty query"]
+    assert runner.log.total_calls == 0
 
 
 def test_decompose_does_not_swallow_unrelated_errors():
-    def buggy(text):
-        raise ZeroDivisionError("bug")
-
+    runner = _runner(_ScriptedDecomposer(ZeroDivisionError("bug")))
     with pytest.raises(ZeroDivisionError):
-        decompose("anything", buggy)
+        _expand(1, decomposer=runner.decompose)
 
 
 def test_root_decomposition_failure_keeps_candidates():
     def broken(text):
-        raise ParseError("always garbled")
+        raise DecompositionError("always garbled")
 
     tree = _expand(2, decomposer=broken)
     root = tree.nodes[ROOT_NODE_ID]
@@ -204,7 +214,7 @@ def test_mid_tree_decomposition_failure_is_contained():
         nonlocal calls
         calls += 1
         if calls >= 2:
-            raise ParseError("garbled")
+            raise DecompositionError("garbled")
         return stub_decompose(text)
 
     tree = _expand(2, decomposer=fails_on_second_node)
