@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
@@ -24,6 +25,7 @@ from .config import EngineConfig, env_overrides
 from .dataset import build_kb, derive_catalog, ingest, load_catalog
 from .errors import EngineError
 from .metrics import (
+    DepthBucket,
     ParetoPoint,
     depth_report,
     dominates,
@@ -42,7 +44,7 @@ from .pipeline import (
 )
 from .roles import RoleRunner
 from .routing import decide
-from .signals import tokenize
+from .signals import compute_qci, extract_signals, tokenize
 from .vectorstore import Passage
 
 
@@ -170,22 +172,17 @@ def cmd_route(args: argparse.Namespace) -> int:
     roles = RoleRunner(
         engine.backend, engine.prompts, query=args.query, fallback_level=engine.fallback_level
     )
-    decision = decide(
-        tokenize(args.query),
-        [],
-        roles.assess_level,
-        lexicons=engine.lexicons,
-        weights=engine.weights,
-        tau_simple=config.qtc_tau_simple,
-    )
+    signals = extract_signals(tokenize(args.query), engine.lexicons)
+    qci = compute_qci(signals, engine.weights)
+    decision = decide(signals, qci, [], roles.assess_level, tau_simple=config.qtc_tau_simple)
     _emit(
         {
             "query": args.query,
             "mode": decision.mode.value,
             "depth": decision.depth,
-            "qci": decision.qci,
+            "qci": qci,
             "level": decision.level.value if decision.level else None,
-            "signals": decision.signals.as_dict(),
+            "signals": signals.as_dict(),
             "tau_simple": config.qtc_tau_simple,
             "warnings": roles.warnings,
         }
@@ -282,16 +279,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _write_depth_csv(path: Path, report) -> None:
-    columns = [
-        "depth",
-        "query_count",
-        "query_share",
-        "subset_accuracy",
-        "micro_f1",
-        "mean_latency_ms",
-        "mean_prompt_tokens",
-        "mean_total_calls",
-    ]
+    columns = [f.name for f in fields(DepthBucket)]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=columns)
         writer.writeheader()

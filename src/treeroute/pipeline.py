@@ -235,8 +235,7 @@ def process_query(
         force_depth = 3
     routed = not standard and force_depth is None
 
-    tokens = tokenize(record.text)
-    signals = extract_signals(tokens, engine.lexicons)
+    signals = extract_signals(tokenize(record.text), engine.lexicons)
     qci = compute_qci(signals, engine.weights)
     route, depth = RouteMode.SIMPLE, 0
     searched = False
@@ -252,11 +251,10 @@ def process_query(
         searched = True
         if routed:
             decision = decide(
-                tokens,
+                signals,
+                qci,
                 [hit.passage.text for hit in hits[: config.qtc_assessor_snippets]],
                 roles.assess_level,
-                lexicons=engine.lexicons,
-                weights=engine.weights,
                 tau_simple=config.qtc_tau_simple,
             )
             route, depth = decision.mode, decision.depth

@@ -35,7 +35,7 @@ _NUMBERED_SCORE = re.compile(
     r"^\s*(\d+)\s*[.):\-]?\s*([-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)\s*$", re.MULTILINE
 )
 _LEVEL_WORD = re.compile(r"\b(low|mid|high)\b", re.IGNORECASE)
-_VERDICT_WORD = re.compile(r"\b(irrelevant|relevant)\b", re.IGNORECASE)
+_VERDICT_WORD = re.compile(r"\b(not\s+relevant|irrelevant|relevant)\b", re.IGNORECASE)
 
 
 class ParseError(EngineError):
@@ -107,7 +107,7 @@ def parse_level(text: str) -> SemanticLevel | None:
 
 
 def parse_verdict(text: str) -> bool | None:
-    """True for relevant, False for irrelevant, None when neither appears."""
+    """True for relevant; False for irrelevant or "not relevant"; None when none appears."""
     match = _VERDICT_WORD.search(text)
     if match is None:
         return None
@@ -189,19 +189,15 @@ class RoleRunner:
             f"decomposition failed after {self.decompose_retries} retry: {last_error}"
         ) from last_error
 
-    def assess_level(
-        self,
-        snippets: Sequence[str],
-        initial_mode: RouteMode,
-        qci: float,
-    ) -> SemanticLevel:
+    def assess_level(self, snippets: Sequence[str], qci: float) -> SemanticLevel:
+        """Semantic level of a tree-route query; unparsed text gives the fallback.
+
+        Only tree-route queries are assessed, so the prompt's $mode is always
+        "tree".
+        """
         response = self._call(
             BackendRole.LEVEL_ASSESSOR,
-            {
-                "query": self.query,
-                "snippets": _numbered(snippets),
-                "mode": initial_mode.value,
-            },
+            {"query": self.query, "snippets": _numbered(snippets), "mode": RouteMode.TREE.value},
             {"qci": qci},
         )
         level = parse_level(response)

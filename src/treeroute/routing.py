@@ -13,13 +13,8 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .errors import RoutingError
-from .signals import (
-    QciWeights,
-    SignalLexicons,
-    SignalVector,
-    compute_qci,
-    extract_signals,
-)
+# compute_qci and extract_signals go unused here: perfbench's tracer wraps them in this module.
+from .signals import SignalVector, compute_qci, extract_signals  # noqa: F401
 
 DEFAULT_TAU_SIMPLE = 0.10
 MAX_DEPTH = 3
@@ -43,16 +38,14 @@ DEPTH_BY_LEVEL = {
     SemanticLevel.HIGH: 3,
 }
 
-# (context snippets, initial mode, complexity index) -> level, for the
-# query the assessor serves
-LevelAssessor = Callable[[Sequence[str], "RouteMode", float], SemanticLevel]
+# (context snippets, complexity index) -> level of a tree-route query, for
+# the query the assessor serves
+LevelAssessor = Callable[[Sequence[str], float], SemanticLevel]
 
 
 @dataclass(frozen=True)
 class RoutingDecision:
     mode: RouteMode
-    qci: float
-    signals: SignalVector
     level: SemanticLevel | None
     depth: int
 
@@ -85,27 +78,23 @@ def assign_depth(mode: RouteMode, level: SemanticLevel | None = None) -> int:
 
 
 def decide(
-    tokens: tuple[str, ...],
+    signals: SignalVector,
+    qci: float,
     context_snippets: Sequence[str],
     assessor: LevelAssessor,
-    *,
-    lexicons: SignalLexicons = SignalLexicons(),
-    weights: QciWeights = QciWeights(),
     tau_simple: float = DEFAULT_TAU_SIMPLE,
 ) -> RoutingDecision:
-    """Full routing pass: signals, index, mode, and depth.
+    """Route a query from its signals and index, then give it a depth.
 
-    The level assessor is consulted exactly once and only for tree-mode
+    The signals and index are the ones the plan step already computed.
+    The level assessor is consulted exactly once and only for tree-route
     queries; simple and hybrid queries never touch a backend here.
     """
-    signals = extract_signals(tokens, lexicons)
-    qci = compute_qci(signals, weights)
     mode = route(signals, qci, tau_simple)
     level: SemanticLevel | None = None
     if mode is RouteMode.TREE:
         try:
-            level = assessor(context_snippets, mode, qci)
+            level = assessor(context_snippets, qci)
         except Exception as exc:
             raise RoutingError(f"level assessment failed: {exc}") from exc
-    depth = assign_depth(mode, level)
-    return RoutingDecision(mode=mode, qci=qci, signals=signals, level=level, depth=depth)
+    return RoutingDecision(mode=mode, level=level, depth=assign_depth(mode, level))

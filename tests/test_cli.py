@@ -3,11 +3,12 @@ from __future__ import annotations
 import json
 
 import pytest
-from conftest import build_workload
+from conftest import TEMPLATES, build_workload, make_engine
 
 from treeroute.cli import main
 from treeroute.config import EngineConfig
-from treeroute.pipeline import read_traces
+from treeroute.dataset import QueryRecord
+from treeroute.pipeline import process_query, read_traces
 
 
 def _write_workload(path, records):
@@ -69,6 +70,21 @@ def test_route_respects_config_file(capsys, tmp_path):
     data = _last_json(out)
     assert data["mode"] == "simple"
     assert data["tau_simple"] == 0.5
+
+
+def test_route_reports_what_the_pipeline_traces(capsys):
+    engine = make_engine()
+    for text, intents in TEMPLATES:
+        code, out, _ = _run_cli(capsys, ["route", text])
+        assert code == 0
+        data = _last_json(out)
+        trace = process_query(engine, QueryRecord(id="q", text=text, intents=frozenset(intents)))
+        assert (data["mode"], data["depth"], data["qci"], data["signals"]) == (
+            trace.mode,
+            trace.depth,
+            trace.qci,
+            trace.signals,
+        ), text
 
 
 def test_index_writes_reproducible_manifest(capsys, tmp_path, workload_file):

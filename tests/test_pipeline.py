@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import TEMPLATES, build_workload, make_engine
 
-from treeroute import pipeline, pruning, rerank, vectorstore
+from treeroute import pipeline, pruning, rerank, routing, vectorstore
 from treeroute.backends import BackendRole, StubChatBackend
 from treeroute.dataset import QueryRecord
 from treeroute.errors import BackendError
@@ -166,6 +166,43 @@ def test_ledger_matches_backend_call_count(engine):
         for record in (SIMPLE, HYBRID, TREE_MID)
     ]
     assert engine.backend.calls == sum(t.ledger.total_calls for t in traces) > 0
+
+
+class _RecordingBackend(_CountingBackend):
+    """Counts like _CountingBackend and keeps every request it was sent."""
+
+    def __init__(self):
+        super().__init__()
+        self.requests = []
+
+    def chat(self, request):
+        self.requests.append(request)
+        return super().chat(request)
+
+
+def test_level_assessor_prompt_states_the_tree_route(engine):
+    engine.backend = _RecordingBackend()
+    trace = process_query(engine, TREE_MID)
+    assert trace.mode == "tree"
+    prompts = [
+        r.prompt for r in engine.backend.requests if r.role is BackendRole.LEVEL_ASSESSOR
+    ]
+    assert len(prompts) == 1
+    assert "Initial routing: tree\n" in prompts[0]
+
+
+def test_signals_and_qci_are_computed_once_per_query(monkeypatch):
+    calls = {"extract_signals": 0, "compute_qci": 0}
+    for module in (pipeline, routing):
+        for name in calls:
+            def counting(*args, _name=name, _inner=getattr(module, name)):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(module, name, counting)
+    traces = run_workload(make_engine(), build_workload(16), mode=ExecutionMode.ADAPTIVE)
+    assert {t.mode for t in traces} == {"simple", "hybrid", "tree"}
+    assert calls == {"extract_signals": 16, "compute_qci": 16}
 
 
 def test_deterministic_latency_follows_the_model(engine):

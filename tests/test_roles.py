@@ -25,7 +25,7 @@ from treeroute.roles import (
     parse_scores,
     parse_verdict,
 )
-from treeroute.routing import RouteMode, SemanticLevel
+from treeroute.routing import SemanticLevel
 from treeroute.vectorstore import Passage, ScoredPassage
 
 
@@ -160,6 +160,11 @@ def test_parse_verdict():
     # "Irrelevant" must not fire the "relevant" branch via its suffix.
     assert parse_verdict("Irrelevant, though it mentions cards") is False
     assert parse_verdict("no verdict here") is None
+    # "not relevant" is a rejection, however it is spaced or cased.
+    assert parse_verdict("Not relevant") is False
+    assert parse_verdict("NOT  relevant.") is False
+    assert parse_verdict("The passage is not relevant") is False
+    assert parse_verdict("Relevant, not irrelevant") is True
 
 
 def test_parse_scores():
@@ -209,21 +214,21 @@ def test_runner_decompose_propagates_parse_error():
 
 def test_runner_assess_level_happy_path():
     runner = RoleRunner(StubChatBackend(), query="q")
-    level = runner.assess_level(["s1"], RouteMode.TREE, qci=0.7)
+    level = runner.assess_level(["s1"], qci=0.7)
     assert level is SemanticLevel.HIGH
     assert runner.log.count(BackendRole.LEVEL_ASSESSOR) == 1
 
 
 def test_runner_assess_level_falls_back_with_warning():
     runner = RoleRunner(_FixedBackend("???"), query="q")
-    level = runner.assess_level([], RouteMode.TREE, 0.9)
+    level = runner.assess_level([], 0.9)
     assert level is SemanticLevel.MID
     assert runner.warnings and "mid" in runner.warnings[0]
 
 
 def test_runner_assess_level_custom_fallback():
     runner = RoleRunner(_FixedBackend("???"), query="q", fallback_level=SemanticLevel.HIGH)
-    level = runner.assess_level([], RouteMode.TREE, 0.9)
+    level = runner.assess_level([], 0.9)
     assert level is SemanticLevel.HIGH
 
 

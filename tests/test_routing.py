@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from treeroute.routing import (
     decide,
     route,
 )
-from treeroute.signals import SignalVector, tokenize
+from treeroute.signals import SignalVector, compute_qci, extract_signals, tokenize
 
 
 def _sv(conj: int, comp: int) -> SignalVector:
@@ -81,20 +82,24 @@ def test_level_on_non_tree_modes_is_an_error():
 
 
 def _assessor(level: SemanticLevel, calls: list):
-    def assess(snippets, mode, qci):
-        calls.append((tuple(snippets), mode, qci))
+    def assess(snippets, qci):
+        calls.append((tuple(snippets), qci))
         return level
 
     return assess
 
 
+def _decide(text: str, snippets, assessor):
+    """decide over the signals and index the plan step computes for text."""
+    signals = extract_signals(tokenize(text))
+    return decide(signals, compute_qci(signals), snippets, assessor)
+
+
 def test_decide_skips_assessor_for_simple_and_hybrid():
     calls = []
     assessor = _assessor(SemanticLevel.HIGH, calls)
-    simple = decide(tokenize("cancel my card"), [], assessor)
-    hybrid = decide(
-        tokenize("what is my account balance please today"), [], assessor
-    )
+    simple = _decide("cancel my card", [], assessor)
+    hybrid = _decide("what is my account balance please today", [], assessor)
     assert simple.mode is RouteMode.SIMPLE
     assert simple.depth == 0
     assert simple.level is None
@@ -105,47 +110,51 @@ def test_decide_skips_assessor_for_simple_and_hybrid():
 
 def test_decide_consults_assessor_exactly_once_for_tree():
     calls = []
+    signals = extract_signals(tokenize("compare rates and open the account"))
+    qci = compute_qci(signals)
     decision = decide(
-        tokenize("compare rates and open the account"),
-        ["snippet a", "snippet b"],
-        _assessor(SemanticLevel.MID, calls),
+        signals, qci, ["snippet a", "snippet b"], _assessor(SemanticLevel.MID, calls)
     )
     assert decision.mode is RouteMode.TREE
     assert decision.level is SemanticLevel.MID
     assert decision.depth == 2
-    assert len(calls) == 1
-    assert calls[0][0] == ("snippet a", "snippet b")
-    assert calls[0][1] is RouteMode.TREE
+    assert calls == [(("snippet a", "snippet b"), qci)]
 
 
 def test_decide_qci_matches_signal_arithmetic():
-    decision = decide(
-        tokenize("compare savings rates and open the new account"),
-        [],
-        _assessor(SemanticLevel.MID, []),
-    )
+    signals = extract_signals(tokenize("compare savings rates and open the new account"))
+    qci = compute_qci(signals)
+    decision = decide(signals, qci, [], _assessor(SemanticLevel.MID, []))
     # conj + comp + 8/25 length under default weights.
-    assert decision.qci == pytest.approx(0.464, abs=1e-12)
-    assert decision.signals.conjunction == 1
-    assert decision.signals.comparison == 1
+    assert qci == pytest.approx(0.464, abs=1e-12)
+    assert signals.conjunction == 1
+    assert signals.comparison == 1
     assert decision.mode is RouteMode.TREE
+
+
+def test_decide_routes_on_the_given_index():
+    signals = extract_signals(tokenize("cancel my card"))
+    assert decide(signals, 0.0, [], None).mode is RouteMode.SIMPLE
+    assert decide(signals, 0.5, [], None).mode is RouteMode.HYBRID
+    assert decide(signals, 0.5, [], None, tau_simple=0.6).mode is RouteMode.SIMPLE
 
 
 def test_decide_wraps_missing_assessor():
     with pytest.raises(RoutingError):
-        decide(tokenize("compare rates and fees"), [], None)
+        _decide("compare rates and fees", [], None)
 
 
 def test_decide_wraps_assessor_failures():
-    def broken(snippets, mode, qci):
+    def broken(snippets, qci):
         raise RuntimeError("assessor exploded")
 
     with pytest.raises(RoutingError, match="assessor exploded"):
-        decide(tokenize("compare rates and fees"), [], broken)
+        _decide("compare rates and fees", [], broken)
 
 
 def test_decision_is_immutable_record():
-    decision = decide(tokenize("cancel my card"), [], None)
+    decision = _decide("cancel my card", [], None)
     assert isinstance(decision, RoutingDecision)
+    assert [f.name for f in fields(decision)] == ["mode", "level", "depth"]
     with pytest.raises(AttributeError):
         decision.depth = 3
