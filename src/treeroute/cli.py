@@ -30,9 +30,7 @@ from .metrics import (
     depth_report,
     dominates,
     macro_f1,
-    micro_f1,
     pareto_frontier,
-    subset_accuracy,
 )
 from .pipeline import (
     ExecutionMode,
@@ -239,14 +237,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         catalog = sorted(set().union(*gold_sets, *predictions))
     report_by_depth = depth_report(traces, golds)
+    population = report_by_depth.weighted
     n = len(traces)
     overall = {
-        "subset_accuracy": subset_accuracy(predictions, gold_sets),
-        "micro_f1": micro_f1(predictions, gold_sets),
+        "subset_accuracy": population.subset_accuracy,
+        "micro_f1": population.micro_f1,
         "macro_f1": macro_f1(predictions, gold_sets, catalog),
-        "mean_latency_ms": sum(t.ledger.latency_ms for t in traces) / n,
-        "mean_prompt_tokens": sum(t.ledger.prompt_tokens for t in traces) / n,
-        "mean_total_calls": sum(t.ledger.total_calls for t in traces) / n,
+        "mean_latency_ms": population.mean_latency_ms,
+        "mean_prompt_tokens": population.mean_prompt_tokens,
+        "mean_total_calls": population.mean_total_calls,
         "mean_depth": sum(t.depth for t in traces) / n,
     }
     label = args.label or Path(args.traces).stem

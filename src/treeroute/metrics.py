@@ -4,9 +4,11 @@ Accuracy metrics follow the usual multi-label conventions: subset accuracy
 is exact set equality, micro-F1 pools true/false positives over all
 queries, macro-F1 averages per-class F1 over the whole catalog and scores
 a class absent from both predictions and gold as perfect (1.0).
-The depth report stratifies traces by exploration depth and recombines
-the strata as a share-weighted average, except micro-F1 which is always
-recomputed globally because it does not decompose over strata.
+The depth report stratifies traces by exploration depth; its weighted row
+is computed over all traces at once. For subset accuracy and the per-query
+means that equals the share-weighted average of the strata (the paper's
+reconstruction, which weighted_average checks); micro-F1 does not
+decompose over strata, so pooling is its only correct overall value.
 """
 
 from __future__ import annotations
@@ -135,11 +137,7 @@ def depth_report(
     traces: Sequence[QueryTrace],
     golds: Mapping[str, frozenset[str] | set[str]],
 ) -> DepthReport:
-    """Stratify traces by depth and recombine share-weighted.
-
-    Per-query-mean columns reconstruct exactly from the strata; micro-F1 in
-    the weighted row is recomputed over all traces instead.
-    """
+    """Stratify traces by depth; the weighted row covers all traces (depth -1)."""
     if not traces:
         raise ValueError("depth report needs at least one trace")
     missing = [t.query_id for t in traces if t.query_id not in golds]
@@ -152,23 +150,7 @@ def depth_report(
     buckets = tuple(
         _bucket(depth, total, by_depth[depth], golds) for depth in sorted(by_depth)
     )
-    shares = [b.query_share for b in buckets]
-    weighted = DepthBucket(
-        depth=-1,
-        query_count=total,
-        query_share=1.0,
-        subset_accuracy=weighted_average(shares, [b.subset_accuracy for b in buckets]),
-        micro_f1=micro_f1(
-            [set(t.predicted_intents) for t in traces],
-            [set(golds[t.query_id]) for t in traces],
-        ),
-        mean_latency_ms=weighted_average(shares, [b.mean_latency_ms for b in buckets]),
-        mean_prompt_tokens=weighted_average(
-            shares, [b.mean_prompt_tokens for b in buckets]
-        ),
-        mean_total_calls=weighted_average(shares, [b.mean_total_calls for b in buckets]),
-    )
-    return DepthReport(buckets=buckets, weighted=weighted)
+    return DepthReport(buckets=buckets, weighted=_bucket(-1, total, traces, golds))
 
 
 @dataclass(frozen=True)

@@ -209,15 +209,17 @@ def process_query(
     """Process one query under the given mode and return its trace.
 
     force_depth skips routing and pins the tree depth (0 behaves like the
-    simple path); only the adaptive mode takes it, and it must be in
-    0..MAX_DEPTH. The fixed-depth mode is equivalent to force_depth=3.
+    simple path); only the adaptive mode takes it, and it must be an int
+    in 0..MAX_DEPTH. The fixed-depth mode is equivalent to force_depth=3.
     A bad force_depth raises ValueError before any work is done.
     """
     if force_depth is not None and (
-        mode is not ExecutionMode.ADAPTIVE or force_depth not in range(MAX_DEPTH + 1)
+        mode is not ExecutionMode.ADAPTIVE
+        or type(force_depth) is not int
+        or force_depth not in range(MAX_DEPTH + 1)
     ):
         raise ValueError(
-            f"force_depth must be None, or 0..{MAX_DEPTH} in adaptive mode; "
+            f"force_depth must be None, or an int in 0..{MAX_DEPTH} in adaptive mode; "
             f"got {force_depth!r} in {mode.value} mode"
         )
     config = engine.config
@@ -228,7 +230,6 @@ def process_query(
         fallback_level=engine.fallback_level,
         decompose_retries=config.tor_retry_decompose,
     )
-    warnings = roles.warnings
     started = time.perf_counter()
     standard = mode is ExecutionMode.STANDARD_RAG
     if mode is ExecutionMode.FIXED_DEPTH_3:
@@ -283,7 +284,7 @@ def process_query(
                 k=config.store_k,
                 root_hits=hits,
             )
-            warnings.extend(tree.warnings)
+            roles.warnings.extend(tree.warnings)
             pool = collect_evidence(tree)
 
         # Consolidate: simple and hybrid queries keep their top hits unranked.
@@ -297,11 +298,6 @@ def process_query(
                 engine.store.embedding_of,
                 roles.rerank,
             )
-        elif tree is not None:
-            root = tree.nodes[tree.root_id]
-            if root.pruned and root.candidates:
-                warnings.append("root decomposition failed; using single-step evidence")
-                evidence = root.candidates[: config.rrl_cap]
 
         predicted = roles.classify(evidence, engine.intent_names)
     except EngineError as exc:
@@ -339,7 +335,7 @@ def process_query(
         ],
         predicted_intents=sorted(predicted),
         ledger=ledger,
-        warnings=warnings,
+        warnings=roles.warnings,
         error=error,
     )
 

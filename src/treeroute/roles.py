@@ -35,7 +35,10 @@ _NUMBERED_SCORE = re.compile(
     r"^\s*(\d+)\s*[.):\-]?\s*([-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)\s*$", re.MULTILINE
 )
 _LEVEL_WORD = re.compile(r"\b(low|mid|high)\b", re.IGNORECASE)
-_VERDICT_WORD = re.compile(r"\b(not\s+relevant|irrelevant|relevant)\b", re.IGNORECASE)
+# The first verdict word, flipped by a negation at most two words before it.
+_VERDICT_WORD = re.compile(
+    r"(?:\b(not|never|\w+n't)\s+(?:\w+\s+){0,2})?\b(irrelevant|relevant)\b", re.IGNORECASE
+)
 
 
 class ParseError(EngineError):
@@ -107,11 +110,16 @@ def parse_level(text: str) -> SemanticLevel | None:
 
 
 def parse_verdict(text: str) -> bool | None:
-    """True for relevant; False for irrelevant or "not relevant"; None when none appears."""
+    """Whether the first "relevant" or "irrelevant" is a keep; None when none appears.
+
+    A "not", "never" or "...n't" up to two words before the word flips it,
+    so "not really relevant" rejects and "not irrelevant" keeps.
+    """
     match = _VERDICT_WORD.search(text)
     if match is None:
         return None
-    return match.group(1).lower() == "relevant"
+    negated, word = match.groups()
+    return (word.lower() == "relevant") != bool(negated)
 
 
 def parse_scores(text: str, count: int) -> list[float | None]:

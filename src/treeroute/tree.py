@@ -4,11 +4,11 @@ The tree is grown breadth first from the root query: every non-pruned
 node below the target depth is split into exactly two sub-queries, and
 every node (the root included) retrieves candidates that are immediately
 gated by the pruner; the root can instead take hits the caller already
-retrieved for the same query. A node whose candidates are all rejected is
-pruned and grows no children, so irrelevant branches die early. A node
-whose decomposer raises DecompositionError (the decomposer does any
-retrying) is also marked pruned; its candidates stay on the node so the
-caller can degrade gracefully when this happens at the root.
+retrieved for the same query. A node is pruned exactly when its gate keeps
+no candidate; it grows no children, so irrelevant branches die early. A
+node whose decomposer raises DecompositionError (the decomposer does any
+retrying) stays a leaf: it keeps its candidates, which join the evidence
+like any other leaf's.
 """
 
 from __future__ import annotations
@@ -41,12 +41,14 @@ class QueryNode:
     parent_id: str | None = None
     child_ids: list[str] = field(default_factory=list)
     candidates: list[ScoredPassage] = field(default_factory=list)
-    pruned: bool = False
+
+    @property
+    def pruned(self) -> bool:
+        return not self.candidates
 
 
 @dataclass
 class RetrievalTree:
-    root_id: str
     nodes: dict[str, QueryNode]
     warnings: list[str] = field(default_factory=list)
 
@@ -91,12 +93,12 @@ def expand(
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
 
-    tree = RetrievalTree(root_id=ROOT_NODE_ID, nodes={})
+    tree = RetrievalTree(nodes={})
     root = QueryNode(id=ROOT_NODE_ID, text=root_query, depth_level=0)
     tree.nodes[root.id] = root
     if root_hits is None:
         root_hits = store.search(embedder(root_query), k=k)
-    _gate_into(root, root_hits, pruner)
+    root.candidates = pruner(root_query, root_hits).survivors
 
     frontier = [root.id]
     for _ in range(depth):
@@ -108,8 +110,6 @@ def expand(
             try:
                 first, second = decomposer(node.text)
             except DecompositionError as exc:
-                # Candidates stay on the node; only expansion stops here.
-                node.pruned = True
                 tree.warnings.append(f"node {node.id}: {exc}")
                 continue
             for branch, sub_query in enumerate((first, second)):
@@ -121,23 +121,13 @@ def expand(
                 )
                 node.child_ids.append(child.id)
                 tree.nodes[child.id] = child
-                _gate_into(child, store.search(embedder(sub_query), k=k), pruner)
+                hits = store.search(embedder(sub_query), k=k)
+                child.candidates = pruner(sub_query, hits).survivors
                 next_frontier.append(child.id)
         frontier = next_frontier
     return tree
 
 
-def _gate_into(node: QueryNode, candidates: list[ScoredPassage], pruner: Pruner) -> None:
-    node.candidates = pruner(node.text, candidates).survivors
-    if not node.candidates:
-        node.pruned = True
-
-
 def collect_evidence(tree: RetrievalTree) -> list[ScoredPassage]:
-    """Candidates of all non-pruned nodes, in node id then rank order."""
-    evidence: list[ScoredPassage] = []
-    for node_id in sorted(tree.nodes):
-        node = tree.nodes[node_id]
-        if not node.pruned:
-            evidence.extend(node.candidates)
-    return evidence
+    """Every node's candidates, in node id then rank order."""
+    return [hit for node_id in sorted(tree.nodes) for hit in tree.nodes[node_id].candidates]

@@ -8,7 +8,7 @@ import pytest
 from conftest import TEMPLATES, build_workload, make_engine
 
 from treeroute import pipeline, pruning, rerank, routing, vectorstore
-from treeroute.backends import BackendRole, StubChatBackend
+from treeroute.backends import BackendRole, StubChatBackend, stub_decompose
 from treeroute.dataset import QueryRecord
 from treeroute.errors import BackendError
 from treeroute.pipeline import (
@@ -22,6 +22,7 @@ from treeroute.pipeline import (
     write_traces,
 )
 from treeroute.pruning import GateOutcome, PruneResult, quantitative_gate
+from treeroute.tree import expand
 
 SIMPLE = QueryRecord(id="q_simple", text="cancel my card", intents=frozenset({"cancel_card"}))
 HYBRID = QueryRecord(
@@ -115,6 +116,8 @@ def test_force_depth_zero_is_single_step():
         (ExecutionMode.ADAPTIVE, -1),  # was run silently at depth 0
         (ExecutionMode.STANDARD_RAG, 2),  # was dropped silently
         (ExecutionMode.FIXED_DEPTH_3, 3),  # the mode already fixes the depth
+        (ExecutionMode.ADAPTIVE, 2.0),  # crashed the tree with a TypeError
+        (ExecutionMode.ADAPTIVE, True),  # ran at depth 1 and traced "depth": true
     ],
 )
 def test_bad_force_depth_is_rejected_before_any_work(monkeypatch, engine, mode, depth):
@@ -367,7 +370,7 @@ def test_assessor_garbage_falls_back_to_configured_level():
     assert any("level assessor" in w for w in trace.warnings)
 
 
-def test_root_decomposition_failure_degrades_to_single_step():
+def test_root_decomposition_failure_consolidates_the_root_hits():
     class BrokenDecomposer:
         def __init__(self):
             self.inner = StubChatBackend()
@@ -382,13 +385,61 @@ def test_root_decomposition_failure_degrades_to_single_step():
     trace = process_query(engine, TREE_MID)
     assert trace.error is None
     assert trace.mode == "tree"
+    # The root cannot split, so it stays an unpruned leaf whose gated hits
+    # are consolidated like any other tree's evidence.
     assert trace.node_count == 1
-    assert trace.pruned_node_count == 1
-    assert any("single-step evidence" in w for w in trace.warnings)
+    assert trace.pruned_node_count == 0
+    assert [w for w in trace.warnings if w.startswith("node ")] == [
+        "node n: decomposition failed after 1 retry: expected 2 numbered sub-queries, found 0"
+    ]
     assert trace.evidence
-    assert all(e["source"] == "cosine" for e in trace.evidence)
+    assert all(e["source"] == "rerank" for e in trace.evidence)
     # Two attempts on the root, no successful expansion.
     assert trace.ledger.calls_by_role["decomposer"] == 2
+    assert trace.ledger.calls_by_role["reranker"] == 1
+
+
+def test_failed_split_below_the_root_reaches_consolidation(monkeypatch):
+    refused = stub_decompose(TREE_MID.text)[0]
+
+    class RefusesOneSubQuery:
+        def __init__(self):
+            self.inner = StubChatBackend()
+
+        def chat(self, request):
+            if request.role is BackendRole.DECOMPOSER and request.payload["query"] == refused:
+                return "i refuse to make a list"
+            return self.inner.chat(request)
+
+    trees, pools = [], []
+
+    def expand_spy(*args, **kwargs):
+        trees.append(expand(*args, **kwargs))
+        return trees[-1]
+
+    def consolidate_spy(pool, *args, **kwargs):
+        pools.append(list(pool))
+        return rerank.consolidate(pool, *args, **kwargs)
+
+    engine = _never_pruning()
+    engine.backend = RefusesOneSubQuery()
+    monkeypatch.setattr(pipeline, "expand", expand_spy)
+    monkeypatch.setattr(pipeline, "consolidate", consolidate_spy)
+    trace = process_query(engine, TREE_MID, force_depth=2)
+    assert trace.error is None
+    assert [w for w in trace.warnings if w.startswith("node ")] == [
+        "node n.0: decomposition failed after 1 retry: expected 2 numbered sub-queries, found 0"
+    ]
+    (tree,) = trees
+    (pool,) = pools
+    # n.0 grew no children but is not pruned: its survivors follow the
+    # root's in the pool, in node id order.
+    failed = tree.nodes["n.0"]
+    assert failed.text == refused and failed.child_ids == [] and failed.candidates
+    start = len(tree.nodes["n"].candidates)
+    assert pool[start : start + len(failed.candidates)] == failed.candidates
+    assert trace.node_count == 5
+    assert trace.pruned_node_count == 0
 
 
 def test_trace_round_trips_through_json(engine):

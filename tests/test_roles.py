@@ -165,6 +165,12 @@ def test_parse_verdict():
     assert parse_verdict("NOT  relevant.") is False
     assert parse_verdict("The passage is not relevant") is False
     assert parse_verdict("Relevant, not irrelevant") is True
+    # A negation up to two words before the verdict word flips it.
+    assert parse_verdict("not really relevant") is False
+    assert parse_verdict("Not at all relevant") is False
+    assert parse_verdict("isn't relevant") is False
+    assert parse_verdict("Never relevant") is False
+    assert parse_verdict("The passage is not irrelevant") is True
 
 
 def test_parse_scores():

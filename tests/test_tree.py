@@ -150,6 +150,16 @@ def _runner(backend, **kwargs) -> RoleRunner:
     return RoleRunner(backend, query="compare savings rates and open the better account", **kwargs)
 
 
+def _assert_unsplit_leaf(tree, node_id):
+    """A node whose split failed keeps its candidates as an unpruned leaf."""
+    node = tree.nodes[node_id]
+    assert node.candidates, "gated candidates must survive the failure"
+    assert not node.pruned
+    assert node.child_ids == []
+    evidence = collect_evidence(tree)
+    assert all(hit in evidence for hit in node.candidates)
+
+
 def test_decompose_retries_once_then_succeeds():
     runner = _runner(_ScriptedDecomposer("garbled"))
     tree = _expand(1, decomposer=runner.decompose)
@@ -163,7 +173,8 @@ def test_decompose_gives_up_after_retry():
     runner = _runner(_ScriptedDecomposer(BackendError("decomposer", "down"), "garbled"))
     tree = _expand(1, decomposer=runner.decompose)
     assert runner.log.count(BackendRole.DECOMPOSER) == 2
-    assert tree.nodes[ROOT_NODE_ID].pruned
+    _assert_unsplit_leaf(tree, ROOT_NODE_ID)
+    assert tree.leaf_count == 1
     assert tree.warnings == [
         "node n: decomposition failed after 1 retry: expected 2 numbered sub-queries, found 0"
     ]
@@ -173,7 +184,8 @@ def test_decompose_zero_retries():
     runner = _runner(_ScriptedDecomposer("garbled"), decompose_retries=0)
     tree = _expand(1, decomposer=runner.decompose)
     assert runner.log.count(BackendRole.DECOMPOSER) == 1
-    assert tree.nodes[ROOT_NODE_ID].pruned
+    _assert_unsplit_leaf(tree, ROOT_NODE_ID)
+    assert tree.leaf_count == 1
 
 
 def test_decompose_rejects_empty_text():
@@ -181,7 +193,8 @@ def test_decompose_rejects_empty_text():
     tree = expand(
         "", 1, store=STORE, embedder=EMBEDDER.embed, pruner=_keep_all, decomposer=runner.decompose
     )
-    assert tree.nodes[ROOT_NODE_ID].pruned
+    _assert_unsplit_leaf(tree, ROOT_NODE_ID)
+    assert tree.leaf_count == 1
     assert tree.warnings == ["node n: cannot decompose an empty query"]
     assert runner.log.total_calls == 0
 
@@ -197,14 +210,12 @@ def test_root_decomposition_failure_keeps_candidates():
         raise DecompositionError("always garbled")
 
     tree = _expand(2, decomposer=broken)
-    root = tree.nodes[ROOT_NODE_ID]
-    assert root.pruned
-    assert root.candidates, "retrieved candidates must survive the failure"
-    assert tree.node_count == 1
+    _assert_unsplit_leaf(tree, ROOT_NODE_ID)
+    assert tree.leaf_count == tree.node_count == 1
     assert tree.decompose_calls == 0
-    assert tree.warnings and "n" in tree.warnings[0]
-    # Pruned nodes contribute nothing to the evidence pool.
-    assert collect_evidence(tree) == []
+    assert tree.warnings == ["node n: always garbled"]
+    # The root is the only leaf, so its candidates are the whole pool.
+    assert collect_evidence(tree) == tree.nodes[ROOT_NODE_ID].candidates
 
 
 def test_mid_tree_decomposition_failure_is_contained():
@@ -219,9 +230,11 @@ def test_mid_tree_decomposition_failure_is_contained():
 
     tree = _expand(2, decomposer=fails_on_second_node)
     assert tree.decompose_calls == 1
-    assert tree.nodes["n.0"].pruned
     assert not tree.nodes[ROOT_NODE_ID].pruned
-    assert len(tree.warnings) == 2
+    for node_id in ("n.0", "n.1"):
+        _assert_unsplit_leaf(tree, node_id)
+    assert tree.leaf_count == 2
+    assert tree.warnings == ["node n.0: garbled", "node n.1: garbled"]
 
 
 def test_collect_evidence_orders_by_node_id_then_rank():
@@ -240,6 +253,7 @@ def test_collect_evidence_orders_by_node_id_then_rank():
 
 def test_leaf_bound_under_randomized_pruning():
     rng = random.Random(9)
+    failed_splits = 0
     for trial in range(100):
         depth = rng.randint(1, 3)
 
@@ -248,14 +262,25 @@ def test_leaf_bound_under_randomized_pruning():
                 return PruneResult(survivors=[], judge_calls=0)
             return PruneResult(survivors=list(candidates), judge_calls=0)
 
-        tree = _expand(depth, pruner=pruner)
+        def decomposer(text, rng=rng):
+            if rng.random() < 0.2:
+                raise DecompositionError("garbled")
+            return stub_decompose(text)
+
+        tree = _expand(depth, pruner=pruner, decomposer=decomposer)
+        failed_splits += len(tree.warnings)
         assert tree.leaf_count <= 2**depth
         assert tree.node_count <= 2 ** (depth + 1) - 1
         internal = sum(1 for n in tree.nodes.values() if n.child_ids)
         assert tree.decompose_calls == internal
         for node in tree.nodes.values():
+            assert node.pruned == (not node.candidates)
             if node.pruned:
                 assert node.child_ids == []
+        assert collect_evidence(tree) == [
+            hit for node_id in sorted(tree.nodes) for hit in tree.nodes[node_id].candidates
+        ]
+    assert failed_splits > 0
 
 
 def test_stub_backend_end_to_end_depth_two():
