@@ -292,7 +292,7 @@ def _write_depth_csv(path: Path, report) -> None:
 def _load_point(path: str, accuracy_axes: list[str] | None, cost_axes: list[str] | None) -> ParetoPoint:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read report {path}: {exc}")
     point = data.get("pareto_point", data)
     try:

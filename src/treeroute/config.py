@@ -11,24 +11,28 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
 from .backends import BackendRole, StubBehavior
+from .embeddings import DEFAULT_DIMENSION
 from .errors import ConfigError
 from .pruning import GateThresholds
 from .rerank import DedupPolicy, SelectionRule
-from .routing import SemanticLevel
+from .routing import DEFAULT_TAU_SIMPLE, SemanticLevel
 from .signals import (
     DEFAULT_COMPARISON_TERMS,
     DEFAULT_CONJUNCTION_TERMS,
+    DEFAULT_LENGTH_THRESHOLD,
     DEFAULT_SEQUENCE_TERMS,
     DEFAULT_WH_TERMS,
     QciWeights,
     SignalLexicons,
 )
+from .vectorstore import DEFAULT_SEARCH_K
 
 ENV_PREFIX = "TREEROUTE_"
 
@@ -41,8 +45,8 @@ ENV_KEYS = {
 }
 
 
-def _opt(default: Any, key: str) -> Any:
-    return field(default=default, metadata={"key": key})
+def _opt(default: Any, key: str, *, lo=None, hi=None, choices: tuple[str, ...] = ()) -> Any:
+    return field(default=default, metadata={"key": key, "lo": lo, "hi": hi, "choices": choices})
 
 
 def _terms(terms: frozenset[str]) -> tuple[str, ...]:
@@ -51,15 +55,15 @@ def _terms(terms: frozenset[str]) -> tuple[str, ...]:
 
 @dataclass
 class EngineConfig:
-    """All engine settings; field metadata carries the dotted config key."""
+    """All engine settings; field metadata carries the dotted key and its bounds."""
 
     # Complexity index
-    qci_weight_wh: float = _opt(0.25, "qci.weights.wh")
-    qci_weight_conjunction: float = _opt(0.20, "qci.weights.conjunction")
-    qci_weight_comparison: float = _opt(0.20, "qci.weights.comparison")
-    qci_weight_sequence: float = _opt(0.15, "qci.weights.sequence")
-    qci_weight_length: float = _opt(0.20, "qci.weights.length")
-    qci_length_threshold: int = _opt(25, "qci.length_threshold")
+    qci_weight_wh: float = _opt(QciWeights.wh, "qci.weights.wh")
+    qci_weight_conjunction: float = _opt(QciWeights.conjunction, "qci.weights.conjunction")
+    qci_weight_comparison: float = _opt(QciWeights.comparison, "qci.weights.comparison")
+    qci_weight_sequence: float = _opt(QciWeights.sequence, "qci.weights.sequence")
+    qci_weight_length: float = _opt(QciWeights.length, "qci.weights.length")
+    qci_length_threshold: int = _opt(DEFAULT_LENGTH_THRESHOLD, "qci.length_threshold")
     qci_lexicon_wh: tuple[str, ...] = _opt(_terms(DEFAULT_WH_TERMS), "qci.lexicon.wh")
     qci_lexicon_conjunction: tuple[str, ...] = _opt(
         _terms(DEFAULT_CONJUNCTION_TERMS), "qci.lexicon.conjunction"
@@ -72,60 +76,62 @@ class EngineConfig:
     )
 
     # Routing
-    qtc_tau_simple: float = _opt(0.10, "qtc.tau_simple")
-    qtc_assessor_snippets: int = _opt(3, "qtc.assessor_snippets")
-    qtc_fallback_level: str = _opt("mid", "qtc.fallback_level")
+    qtc_tau_simple: float = _opt(DEFAULT_TAU_SIMPLE, "qtc.tau_simple", lo=0.0, hi=1.0)
+    qtc_assessor_snippets: int = _opt(3, "qtc.assessor_snippets", lo=0)
+    qtc_fallback_level: str = _opt(
+        "mid", "qtc.fallback_level", choices=tuple(level.value for level in SemanticLevel)
+    )
 
     # Vector store
-    store_dimension: int = _opt(768, "store.dimension")
-    store_k: int = _opt(32, "store.k")
+    store_dimension: int = _opt(DEFAULT_DIMENSION, "store.dimension", lo=1)
+    store_k: int = _opt(DEFAULT_SEARCH_K, "store.k", lo=1)
 
     # Embedding provider
-    embed_backend: str = _opt("stub", "embed.backend")
+    embed_backend: str = _opt("stub", "embed.backend", choices=("stub", "remote"))
     embed_endpoint: str = _opt("", "embed.endpoint")
     embed_model: str = _opt("", "embed.model")
 
     # Tree expansion
-    tor_retry_decompose: int = _opt(1, "tor.retry_decompose")
+    tor_retry_decompose: int = _opt(1, "tor.retry_decompose", lo=0)
 
     # Pruning gate
-    apm_hi: float = _opt(0.70, "apm.hi")
-    apm_lo: float = _opt(0.35, "apm.lo")
-    apm_judge_temperature: float = _opt(0.1, "apm.judge_temperature")
+    apm_hi: float = _opt(GateThresholds.hi, "apm.hi")
+    apm_lo: float = _opt(GateThresholds.lo, "apm.lo")
+    apm_judge_temperature: float = _opt(0.1, "apm.judge_temperature", lo=0.0)
 
     # Consolidation
-    rrl_near_dup_threshold: float = _opt(0.95, "rrl.near_dup_threshold")
-    rrl_top_rank: int = _opt(10, "rrl.top_rank")
-    rrl_score_floor: float = _opt(0.70, "rrl.score_floor")
-    rrl_cap: int = _opt(10, "rrl.cap")
-    rrl_floor_strict: bool = _opt(False, "rrl.floor_strict")
+    rrl_near_dup_threshold: float = _opt(DedupPolicy.near_dup_threshold, "rrl.near_dup_threshold")
+    rrl_top_rank: int = _opt(SelectionRule.top_rank, "rrl.top_rank")
+    rrl_score_floor: float = _opt(SelectionRule.score_floor, "rrl.score_floor")
+    rrl_cap: int = _opt(SelectionRule.cap, "rrl.cap")
+    rrl_floor_strict: bool = _opt(SelectionRule.floor_strict, "rrl.floor_strict")
 
     # Chat backend
-    backend_kind: str = _opt("stub", "backend.kind")
+    backend_kind: str = _opt("stub", "backend.kind", choices=("stub", "remote"))
     backend_endpoint: str = _opt("", "backend.endpoint")
     backend_model: str = _opt("", "backend.model")
-    backend_timeout_ms: int = _opt(30_000, "backend.timeout_ms")
-    backend_max_in_flight: int = _opt(4, "backend.max_in_flight")
+    backend_timeout_ms: int = _opt(30_000, "backend.timeout_ms", lo=1)
+    backend_max_in_flight: int = _opt(4, "backend.max_in_flight", lo=1)
     backend_prompt_dir: str = _opt("", "backend.prompt_dir")
-    backend_temperature_decomposer: float = _opt(0.3, "backend.temperature.decomposer")
-    backend_temperature_assessor: float = _opt(0.0, "backend.temperature.assessor")
-    backend_temperature_reranker: float = _opt(0.0, "backend.temperature.reranker")
-    backend_temperature_classifier: float = _opt(0.0, "backend.temperature.classifier")
+    backend_temperature_decomposer: float = _opt(0.3, "backend.temperature.decomposer", lo=0.0)
+    backend_temperature_assessor: float = _opt(0.0, "backend.temperature.assessor", lo=0.0)
+    backend_temperature_reranker: float = _opt(0.0, "backend.temperature.reranker", lo=0.0)
+    backend_temperature_classifier: float = _opt(0.0, "backend.temperature.classifier", lo=0.0)
 
     # Stub behavior
-    stub_assessor_low: float = _opt(0.35, "stub.assessor_low")
-    stub_assessor_high: float = _opt(0.55, "stub.assessor_high")
-    stub_judge_threshold: float = _opt(0.5, "stub.judge_threshold")
+    stub_assessor_low: float = _opt(StubBehavior.assessor_low, "stub.assessor_low")
+    stub_assessor_high: float = _opt(StubBehavior.assessor_high, "stub.assessor_high")
+    stub_judge_threshold: float = _opt(StubBehavior.judge_threshold, "stub.judge_threshold")
 
     # Run control
     run_seed: int = _opt(0, "run.seed")
     run_deterministic: bool = _opt(True, "run.deterministic")
-    run_jobs: int = _opt(1, "run.jobs")
+    run_jobs: int = _opt(1, "run.jobs", lo=1)
 
     # Synthetic latency model, used for traces in deterministic runs
-    latency_base_ms: float = _opt(5.0, "latency.base_ms")
-    latency_per_retrieval_ms: float = _opt(15.0, "latency.per_retrieval_ms")
-    latency_per_llm_call_ms: float = _opt(300.0, "latency.per_llm_call_ms")
+    latency_base_ms: float = _opt(5.0, "latency.base_ms", lo=0.0)
+    latency_per_retrieval_ms: float = _opt(15.0, "latency.per_retrieval_ms", lo=0.0)
+    latency_per_llm_call_ms: float = _opt(300.0, "latency.per_llm_call_ms", lo=0.0)
 
     # -- derived views ---------------------------------------------------
 
@@ -184,8 +190,24 @@ class EngineConfig:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> None:
+        for f in fields(self):
+            key, value = f.metadata["key"], getattr(self, f.name)
+            lo, hi, choices = f.metadata["lo"], f.metadata["hi"], f.metadata["choices"]
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key}: must be a finite number, got {value}")
+            if lo is not None and value < lo:
+                raise ConfigError(f"{key}: must be >= {lo}, got {value}")
+            if hi is not None and value > hi:
+                raise ConfigError(f"{key}: must be <= {hi}, got {value}")
+            if choices and value not in choices:
+                raise ConfigError(f"{key}: must be one of {', '.join(choices)}, got {value!r}")
+        if self.embed_backend == "remote" and not self.embed_endpoint:
+            raise ConfigError("embed.endpoint: required when embed.backend is remote")
+        if self.backend_kind == "remote" and not self.backend_endpoint:
+            raise ConfigError("backend.endpoint: required when backend.kind is remote")
+        # Rules that relate several keys (apm.lo <= apm.hi) belong to the part built from them.
         try:
-            self.weights().validate()
+            self.weights()
             self.lexicons()
             self.gate_thresholds()
             self.selection_rule()
@@ -193,52 +215,6 @@ class EngineConfig:
             self.stub_behavior()
         except ValueError as exc:
             raise ConfigError(str(exc))
-        if not 0.0 <= self.qtc_tau_simple <= 1.0:
-            raise ConfigError(f"qtc.tau_simple: must be in [0, 1], got {self.qtc_tau_simple}")
-        if self.qtc_assessor_snippets < 0:
-            raise ConfigError(
-                f"qtc.assessor_snippets: must be >= 0, got {self.qtc_assessor_snippets}"
-            )
-        if self.qtc_fallback_level not in ("low", "mid", "high"):
-            raise ConfigError(
-                f"qtc.fallback_level: must be low, mid, or high, got {self.qtc_fallback_level!r}"
-            )
-        if self.store_dimension < 1:
-            raise ConfigError(f"store.dimension: must be >= 1, got {self.store_dimension}")
-        if self.store_k < 1:
-            raise ConfigError(f"store.k: must be >= 1, got {self.store_k}")
-        if self.embed_backend not in ("stub", "remote"):
-            raise ConfigError(
-                f"embed.backend: must be stub or remote, got {self.embed_backend!r}"
-            )
-        if self.embed_backend == "remote" and not self.embed_endpoint:
-            raise ConfigError("embed.endpoint: required when embed.backend is remote")
-        if self.tor_retry_decompose < 0:
-            raise ConfigError(
-                f"tor.retry_decompose: must be >= 0, got {self.tor_retry_decompose}"
-            )
-        if self.backend_kind not in ("stub", "remote"):
-            raise ConfigError(f"backend.kind: must be stub or remote, got {self.backend_kind!r}")
-        if self.backend_kind == "remote" and not self.backend_endpoint:
-            raise ConfigError("backend.endpoint: required when backend.kind is remote")
-        if self.backend_timeout_ms < 1:
-            raise ConfigError(
-                f"backend.timeout_ms: must be >= 1, got {self.backend_timeout_ms}"
-            )
-        if self.backend_max_in_flight < 1:
-            raise ConfigError(
-                f"backend.max_in_flight: must be >= 1, got {self.backend_max_in_flight}"
-            )
-        for role, temperature in self.temperatures().items():
-            if temperature < 0:
-                raise ConfigError(
-                    f"temperature for {role.value}: must be >= 0, got {temperature}"
-                )
-        if self.run_jobs < 1:
-            raise ConfigError(f"run.jobs: must be >= 1, got {self.run_jobs}")
-        for name in ("latency_base_ms", "latency_per_retrieval_ms", "latency_per_llm_call_ms"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{_key_of(name)}: must be >= 0, got {getattr(self, name)}")
 
     # -- serialization ---------------------------------------------------
 
@@ -289,16 +265,9 @@ class EngineConfig:
     def from_file(cls, path: str | Path) -> "EngineConfig":
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}")
         return cls.from_text(text)
-
-
-def _key_of(field_name: str) -> str:
-    for f in fields(EngineConfig):
-        if f.name == field_name:
-            return f.metadata["key"]
-    raise KeyError(field_name)
 
 
 def _format(value: Any) -> str:

@@ -12,7 +12,8 @@ class EngineError(Exception):
 
 
 class ConfigError(EngineError):
-    """Invalid configuration value; the message names the offending key."""
+    """Invalid configuration value: a bound declared beside a key names the key;
+    a rule a part checks (such as apm.lo <= apm.hi) is worded by that part."""
 
 
 class DatasetError(EngineError):

@@ -65,7 +65,7 @@ class PromptLibrary:
                 path = Path(prompt_dir) / f"{role.value}.txt"
                 try:
                     text = path.read_text(encoding="utf-8")
-                except OSError as exc:
+                except (OSError, UnicodeDecodeError) as exc:
                     raise ConfigError(f"backend.prompt_dir: cannot read {path}: {exc}")
             else:
                 path = resources.files(__package__).joinpath("prompts", f"{role.value}.txt")

@@ -49,12 +49,13 @@ class QciWeights:
     sequence: float = 0.15
     length: float = 0.20
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        # Phrased so that NaN fails both checks.
         for name, value in self.as_dict().items():
-            if value < 0:
+            if not value >= 0:
                 raise ValueError(f"qci.weights.{name}: must be >= 0, got {value}")
         total = sum(self.as_dict().values())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"qci.weights: must sum to 1.0, got {total!r}")
 
     def as_dict(self) -> dict[str, float]:

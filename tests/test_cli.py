@@ -72,6 +72,17 @@ def test_route_respects_config_file(capsys, tmp_path):
     assert data["tau_simple"] == 0.5
 
 
+def test_route_config_file_with_invalid_utf8_is_engine_error(capsys, tmp_path):
+    config_path = tmp_path / "latin1.ini"
+    config_path.write_bytes("[qtc]\n# café\ntau_simple = 0.5\n".encode("latin-1"))
+    code, out, err = _run_cli(capsys, ["route", "cancel my card", "--config", str(config_path)])
+    assert code == 1 and out == ""
+    assert err.strip().count("\n") == 0
+    error = json.loads(err.strip())
+    assert error["command"] == "route"
+    assert error["error"].startswith(f"cannot read config file {config_path}")
+
+
 def test_route_reports_what_the_pipeline_traces(capsys):
     engine = make_engine()
     for text, intents in TEMPLATES:
@@ -104,6 +115,23 @@ def test_index_writes_reproducible_manifest(capsys, tmp_path, workload_file):
     code, _, _ = _run_cli(capsys, ["index", str(workload_file), "--out", str(out_path)])
     assert code == 0
     assert out_path.read_bytes() == first_bytes
+
+
+def _write_catalog(path, *names):
+    rows = [json.dumps({"name": name}) for name in names]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+def test_index_reads_the_catalog(capsys, tmp_path, workload_file):
+    catalog = _write_catalog(tmp_path / "catalog.jsonl", "cancel_card", "close_account")
+    code, out, _ = _run_cli(
+        capsys,
+        ["index", str(workload_file), "--catalog", str(catalog), "--out", str(tmp_path / "m.json")],
+    )
+    assert code == 0
+    data = _last_json(out)
+    assert (data["intent_count"], data["passages"]) == (2, 2)
 
 
 def test_index_seed_changes_config_hash(capsys, tmp_path, workload_file):
@@ -146,6 +174,35 @@ def test_run_produces_traces_and_manifest(capsys, tmp_path, workload_file):
     assert manifest["mode"] == "adaptive"
     assert manifest["query_count"] == 16
     assert manifest["config_hash"] == summary["config_hash"]
+
+
+def test_run_retrieves_from_the_catalog(capsys, tmp_path, workload_file):
+    catalog = _write_catalog(tmp_path / "catalog.jsonl", "cancel_card")
+    traces_path = tmp_path / "traces.jsonl"
+    code, out, _ = _run_cli(
+        capsys, ["run", str(workload_file), "--catalog", str(catalog), "--out", str(traces_path)]
+    )
+    assert code == 0
+    assert _last_json(out)["failed"] == 0
+    predicted = {label for t in read_traces(traces_path) for label in t.predicted_intents}
+    assert predicted == {"cancel_card"}
+
+
+def test_deterministic_flag_overrides_the_config_file(capsys, tmp_path, workload_file):
+    config_path = tmp_path / "engine.ini"
+    config_path.write_text("[run]\ndeterministic = false\n", encoding="utf-8")
+    traces_path = tmp_path / "traces.jsonl"
+    manifest_path = tmp_path / "traces.jsonl.manifest.json"
+    base = ["run", str(workload_file), "--out", str(traces_path)]
+    for flags, expected in (
+        ([], True),
+        (["--no-deterministic"], False),
+        (["--config", str(config_path)], False),
+        (["--config", str(config_path), "--deterministic"], True),
+    ):
+        assert _run_cli(capsys, base + flags)[0] == 0
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert manifest["deterministic"] is expected, flags
 
 
 def test_run_is_reproducible_across_invocations(capsys, tmp_path, workload_file):
@@ -388,6 +445,44 @@ def test_pareto_missing_axis_is_usage_error(capsys, tmp_path):
     code, _, err = _run_cli(capsys, ["pareto", str(a), "--cost-axes", "no_such_axis"])
     assert code == 2
     assert "missing cost axis" in json.loads(err.strip())["error"]
+
+
+def _pareto_error(capsys, argv) -> str:
+    code, out, err = _run_cli(capsys, ["pareto", *argv])
+    assert code == 2 and out == ""
+    assert err.strip().count("\n") == 0
+    return json.loads(err.strip())["error"]
+
+
+def test_pareto_unreadable_report_is_usage_error(capsys, tmp_path):
+    absent = tmp_path / "absent.json"
+    assert _pareto_error(capsys, [str(absent)]).startswith(f"cannot read report {absent}")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"label": "café"}'.encode("latin-1"))
+    assert _pareto_error(capsys, [str(latin1)]).startswith(f"cannot read report {latin1}")
+
+
+def test_pareto_report_without_a_point_is_usage_error(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"label": "x", "overall": {"micro_f1": 0.5}}), encoding="utf-8")
+    assert _pareto_error(capsys, [str(report)]) == f"report {report} has no usable pareto point"
+
+
+def test_pareto_missing_accuracy_axis_is_usage_error(capsys, tmp_path):
+    a = _point_report(tmp_path / "a.json", "a", 0.72, 9.7, 2.0)
+    message = _pareto_error(capsys, [str(a), "--accuracy-axes", "micro_f1,macro_f1"])
+    assert message == f"report {a} is missing accuracy axis 'macro_f1'"
+
+
+def test_pareto_out_writes_what_it_prints(capsys, tmp_path):
+    a = _point_report(tmp_path / "a.json", "a", 0.72, 9.7, 2.0)
+    b = _point_report(tmp_path / "b.json", "b", 0.71, 15.6, 1.0)
+    out_path = tmp_path / "pareto.json"
+    code, out, _ = _run_cli(capsys, ["pareto", str(a), str(b), "--out", str(out_path)])
+    assert code == 0
+    written = json.loads(out_path.read_text(encoding="utf-8"))
+    assert written == _last_json(out)
+    assert written["frontier"] == ["a", "b"]
 
 
 def test_missing_dataset_file_is_engine_error(capsys, tmp_path):

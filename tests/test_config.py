@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,64 @@ def test_validate_rejects_bad_settings(overrides, match):
         config.validate()
 
 
+def _out_of_bounds():
+    """(key, value) pairs: every float key at NaN and at each infinity, and
+    every declared bound exceeded by one step."""
+    for f in fields(EngineConfig):
+        key, lo, hi, choices = (f.metadata[name] for name in ("key", "lo", "hi", "choices"))
+        if isinstance(f.default, float):
+            for value in (math.nan, math.inf, -math.inf):
+                yield key, value
+        if lo is not None:
+            yield key, math.nextafter(lo, -math.inf) if isinstance(lo, float) else lo - 1
+        if hi is not None:
+            yield key, math.nextafter(hi, math.inf) if isinstance(hi, float) else hi + 1
+        if choices:
+            yield key, "-".join(choices)
+
+
+@pytest.mark.parametrize("key, value", list(_out_of_bounds()))
+def test_validate_names_the_key_of_every_out_of_bounds_value(key, value):
+    config = EngineConfig()
+    config.apply({key: str(value)})
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        config.validate()
+
+
+def test_every_float_key_and_declared_bound_is_covered():
+    cases = list(_out_of_bounds())
+    float_keys = {key for key, value in cases if isinstance(value, float) and math.isnan(value)}
+    assert len(float_keys) == 21
+    assert {"qtc.tau_simple", "run.jobs", "qtc.fallback_level", "backend.kind"} <= {
+        key for key, _ in cases
+    }
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"qtc.tau_simple": "1.5"}, "qtc.tau_simple: must be <= 1.0, got 1.5"),
+        (
+            {"backend.temperature.decomposer": "-1"},
+            "backend.temperature.decomposer: must be >= 0.0, got -1.0",
+        ),
+        (
+            {"qtc.fallback_level": "extreme"},
+            "qtc.fallback_level: must be one of low, mid, high, got 'extreme'",
+        ),
+        ({"qci.weights.wh": "nan"}, "qci.weights.wh: must be a finite number, got nan"),
+        ({"latency.base_ms": "inf"}, "latency.base_ms: must be a finite number, got inf"),
+        ({"run.jobs": "0"}, "run.jobs: must be >= 1, got 0"),
+    ],
+)
+def test_validate_messages(overrides, message):
+    config = EngineConfig()
+    config.apply(overrides)
+    with pytest.raises(ConfigError) as info:
+        config.validate()
+    assert str(info.value) == message
+
+
 def test_remote_backend_with_endpoint_validates():
     config = EngineConfig()
     config.apply(
@@ -131,6 +191,13 @@ def test_from_file(tmp_path):
 def test_from_file_missing(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         EngineConfig.from_file(tmp_path / "absent.ini")
+
+
+def test_from_file_invalid_utf8(tmp_path):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes("[run]\n# café\nseed = 1\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        EngineConfig.from_file(path)
 
 
 def test_env_overrides():

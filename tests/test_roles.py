@@ -106,6 +106,15 @@ def test_stray_dollar_in_a_prompt_template_fails_at_build(tmp_path):
         build_engine(config, [])
 
 
+def test_undecodable_prompt_template_fails_at_build(tmp_path):
+    _copy_package_prompts(tmp_path)
+    judge = tmp_path / "judge.txt"
+    judge.write_bytes(judge.read_bytes() + "café\n".encode("latin-1"))
+    config = EngineConfig(backend_prompt_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match=r"backend\.prompt_dir: cannot read .*judge\.txt"):
+        build_engine(config, [])
+
+
 def test_misspelled_placeholder_in_a_prompt_template_fails_at_build(tmp_path):
     _copy_package_prompts(tmp_path)
     judge = tmp_path / "judge.txt"

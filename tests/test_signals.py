@@ -143,16 +143,21 @@ def test_appending_conjunction_never_lowers_qci(words):
 
 def test_weights_must_sum_to_one():
     with pytest.raises(ValueError, match="qci.weights"):
-        QciWeights(wh=0.5).validate()
+        QciWeights(wh=0.5)
 
 
 def test_weights_must_be_nonnegative():
     with pytest.raises(ValueError, match="qci.weights.wh"):
-        QciWeights(wh=-0.1, conjunction=0.45, comparison=0.3, sequence=0.15).validate()
+        QciWeights(wh=-0.1, conjunction=0.45, comparison=0.3, sequence=0.15)
 
 
 def test_default_weights_validate():
-    QciWeights().validate()
+    QciWeights()
+
+
+def test_nan_weight_is_rejected():
+    with pytest.raises(ValueError, match="qci.weights.wh"):
+        QciWeights(wh=float("nan"))
 
 
 def test_default_lexicons_contents():
