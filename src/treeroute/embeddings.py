@@ -2,15 +2,19 @@
 
 Two providers implement the same contract: map text to a unit-norm vector
 of a fixed dimension. The hashed bag-of-tokens provider is fully
-deterministic and needs no network; it is a pure function of the text and
-keeps no cache (the vector store memoizes repeated searches). The remote
-provider calls an HTTP embedding endpoint. Every vector returned by a
-provider is L2-normalized, which the vector store relies on.
+deterministic and needs no network; its vector is a pure function of the
+text. It memoizes each token's coordinate in a bounded table of
+TOKEN_TABLE_SIZE entries (token -> int, never a vector), so a token seen
+before skips its SHA-256; the vector store memoizes repeated searches.
+The remote provider calls an HTTP embedding endpoint. Every vector
+returned by a provider is L2-normalized, which the vector store relies on.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+from functools import lru_cache, partial
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -20,6 +24,9 @@ from .errors import BackendError
 from .signals import tokenize
 
 DEFAULT_DIMENSION = 768
+# Distinct tokens whose coordinate one hashed-bag embedder remembers; read
+# when the embedder is made.
+TOKEN_TABLE_SIZE = 65_536
 
 
 @runtime_checkable
@@ -38,6 +45,11 @@ class HashedBagEmbedder:
     contributes a unit of mass there; the accumulated vector is then
     L2-normalized. Contributions are non-negative, so cosine similarity
     between any two texts is in [0, 1] and grows with token overlap.
+
+    Worker threads may share one embedder: the token table is a
+    functools.lru_cache, which is thread-safe. It wraps a partial over a
+    module-level function, not a bound method, so it holds no reference
+    back to the embedder.
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION, seed: int = 0):
@@ -45,20 +57,25 @@ class HashedBagEmbedder:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
         self.seed = seed
-
-    def _coordinate(self, token: str) -> int:
-        digest = hashlib.sha256(f"{self.seed}:{token}".encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.dimension
+        self._coordinate = lru_cache(maxsize=TOKEN_TABLE_SIZE)(
+            partial(_token_coordinate, seed, dimension)
+        )
 
     def embed(self, text: str) -> np.ndarray:
-        vector = np.zeros(self.dimension, dtype=np.float64)
         # An empty token bag still has to produce a unit vector.
-        tokens = tokenize(text) or ("",)
-        for token in tokens:
-            vector[self._coordinate(token)] += 1.0
-        vector /= np.linalg.norm(vector)
+        coordinates = [self._coordinate(token) for token in tokenize(text) or ("",)]
+        counts = np.bincount(coordinates, minlength=self.dimension)
+        # Integer counts give an exact squared norm, so this is the float
+        # vector divided by its np.linalg.norm, bit for bit.
+        vector = counts / math.sqrt(counts @ counts)
         vector.setflags(write=False)
         return vector
+
+
+def _token_coordinate(seed: int, dimension: int, token: str) -> int:
+    """The coordinate a hashed-bag embedder with this seed gives token."""
+    digest = hashlib.sha256(f"{seed}:{token}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % dimension
 
 
 class RemoteEmbedder:

@@ -6,9 +6,9 @@ discarded. Only the borderline band between the two thresholds is
 escalated to a judge call, so judge volume is exactly the borderline
 count. Survivors keep their input order.
 
-A node's cosines are the vector store's ordered fold: over the store's
-rows for the candidates, gathered from the query's nonzero columns in one
-call, or over the rows of a plain id -> embedding table. Either way a
+A node's cosines are the vector store's ordered fold: over each
+candidate's stored nonzeros, gathered in one call, or over the rows of a
+plain id -> embedding table. Either way a
 candidate's similarity has the bits of its search score against the same
 query, before search's clamp. The gate does not clamp: with thresholds in
 [0, 1], only search needs to, since its scores reach the traces.

@@ -33,7 +33,7 @@ class DedupPolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.near_dup_threshold <= 1.0:
             raise ValueError(
-                f"near_dup_threshold must be in (0, 1], got {self.near_dup_threshold}"
+                f"rrl.near_dup_threshold: must be in (0, 1], got {self.near_dup_threshold}"
             )
 
 
@@ -48,12 +48,12 @@ class SelectionRule:
 
     def __post_init__(self) -> None:
         if self.top_rank < 1:
-            raise ValueError(f"top_rank must be >= 1, got {self.top_rank}")
+            raise ValueError(f"rrl.top_rank: must be >= 1, got {self.top_rank}")
         if not 0.0 <= self.score_floor <= 1.0:
-            raise ValueError(f"score_floor must be in [0, 1], got {self.score_floor}")
+            raise ValueError(f"rrl.score_floor: must be in [0, 1], got {self.score_floor}")
         if self.cap < self.top_rank:
             raise ValueError(
-                f"cap must be >= top_rank, got cap={self.cap} top_rank={self.top_rank}"
+                f"rrl.cap: must be >= rrl.top_rank ({self.top_rank}), got {self.cap}"
             )
 
 

@@ -73,13 +73,11 @@ class SignalLexicons:
     length_threshold: int = DEFAULT_LENGTH_THRESHOLD
 
     def __post_init__(self) -> None:
-        for name in ("wh_terms", "conjunction_terms", "comparison_terms", "sequence_terms"):
-            if not getattr(self, name):
-                raise ValueError(f"lexicon {name} must be nonempty")
+        for name in ("wh", "conjunction", "comparison", "sequence"):
+            if not getattr(self, f"{name}_terms"):
+                raise ValueError(f"qci.lexicon.{name}: must be nonempty")
         if self.length_threshold <= 0:
-            raise ValueError(
-                f"length_threshold must be > 0, got {self.length_threshold}"
-            )
+            raise ValueError(f"qci.length_threshold: must be > 0, got {self.length_threshold}")
 
 
 def _trim_boundary(fragment: str) -> str:

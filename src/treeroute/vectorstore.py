@@ -1,21 +1,29 @@
 """Exact in-memory vector store over unit-norm embeddings.
 
-The matrix is stored column-major: one row per passage, in ascending
-passage id order, and each coordinate's column contiguous in memory.
-Search and the pruning gate compute similarities with one ordered fold,
-similarities(): for each nonzero coordinate j of the query, in ascending
-order, add column j times q[j]. Its bits depend only on the two vectors,
-never on the BLAS build, the thread split or a passage's row, and a
-sparse hashed-bag query reads only its few nonzero columns. A dense
-query reads every column, and then the fold is slower than a BLAS
-matrix-vector product.
+The store keeps only the nonzero entries of its rows, one row per passage
+in ascending passage id order, each value once as a float64, grouped by
+column: for col_ptr[j] <= k < col_ptr[j + 1], values[k] is the entry of
+row rows[k] in column j, rows ascending. For row_ptr[r] <= e <
+row_ptr[r + 1], row r holds values[by_row[e]] in column columns[e],
+columns ascending. An entry counts as nonzero when any of its bits is set,
+so a stored -0.0 keeps its sign. A hashed-bag passage has a handful of
+nonzeros out of 768; a dense row of 768 costs 2.25 times its dense bytes
+(per entry a float64, two int32 and a uint16).
 
-Search is exhaustive cosine similarity by that fold over the whole
-matrix, clamped to [-1, 1] (the only clamp on a similarity, since search
-scores reach the traces), then an exact top-k by partition. The row index
-breaks ties, so results are stable under re-indexing in any order. The
-gate folds the same columns over a node's candidate rows, so the root's
-gate similarities equal its hit scores before the clamp. Dedup reads
+Search and the pruning gate compute similarities with one ordered fold:
+for each nonzero coordinate j of the query, in ascending order, add row
+r's entry in column j times q[j] to r's sum, starting from zero. Only
+stored entries are read; a skipped one would add a product of zero (the
+vectors are finite), and adding a zero never changes a sum that starts at
++0.0. So the bits of a similarity depend only on the two vectors, never on
+the BLAS build, the thread split or a passage's row.
+
+Search folds the query's columns over every row, clamps to [-1, 1] (the
+only clamp on a similarity, since search scores reach the traces), then
+takes an exact top-k by partition. The row index breaks ties, so results
+are stable under re-indexing in any order. The gate folds each candidate
+row's stored entries, in their ascending column order, so the root's gate
+similarities equal its hit scores before the clamp. Dedup reads dense
 rows through embedding_of() and takes its own product; its values never
 reach the traces.
 
@@ -24,16 +32,17 @@ result on the query vector's dtype, bytes and k in a functools.lru_cache
 of SEARCH_CACHE_SIZE entries, read when the store is built: a repeated
 query skips the fold and returns the same scores bit for bit, and
 store._memo.cache_info() counts hits and misses. The cache wraps a
-module-level function over the matrix and passages, never a bound
-method, so it holds no reference back to the store and a dropped store
-is freed at once, without waiting for the cycle collector.
+module-level function over the index and passages, never a bound method,
+so it holds no reference back to the store and a dropped store is freed
+at once, without waiting for the cycle collector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,19 +50,20 @@ from .embeddings import EmbeddingProvider
 
 DEFAULT_SEARCH_K = 32
 SEARCH_CACHE_SIZE = 1024
-# Rows embedded into a row-major block before one copy into the
-# column-major matrix; row-by-row writes would stride across every column.
-BUILD_BLOCK_ROWS = 128
+# Rows copied into one dense block during a build (196 KB at dimension
+# 768); each block's nonzeros become one chunk, so the build holds a few
+# arrays per block, never a dense matrix or arrays per row.
+BUILD_BLOCK_ROWS = 32
 
 
 def similarities(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Every row of matrix dotted with vector, as one left fold.
+    """Every row of a dense matrix dotted with vector, as one left fold.
 
     For each nonzero coordinate j of vector, in ascending order, the
     result accumulates matrix[:, j] * vector[j], starting from zero. Each
     row's value is thus the left-to-right float sum of its products over
     the vector's nonzero coordinates, whatever the row's position or the
-    number of rows. Not clamped.
+    number of rows: the same bits as the store's sparse fold. Not clamped.
     """
     if vector.shape != (matrix.shape[1],):
         raise ValueError(
@@ -92,28 +102,116 @@ class ScoredPassage:
     source: str = "cosine"
 
 
+class _Index(NamedTuple):
+    """The nonzero entries of a store's rows; the module docstring gives the layout."""
+
+    values: np.ndarray  # float64, grouped by column
+    rows: np.ndarray  # int32, the row of each value
+    col_ptr: np.ndarray  # int64, dimension + 1 bounds into values
+    by_row: np.ndarray  # int32 positions in values, grouped by row
+    columns: np.ndarray  # the column of each by_row entry, in the smallest uint
+    row_ptr: np.ndarray  # int64, row count + 1 bounds into by_row
+
+
+def _segments(ptr: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ranges ptr[i]:ptr[i + 1] for i in picks, and each one's length."""
+    starts = ptr[picks]
+    lengths = ptr[picks + 1] - starts
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + lengths, lengths), lengths
+
+
+def _fold(bins: np.ndarray, products: np.ndarray, n: int) -> np.ndarray:
+    """Sum of each bin's products in input order, from zero, as float64."""
+    # bincount adds each weight to its bin in input order; with no weights
+    # at all it returns integers.
+    return np.bincount(bins, weights=products, minlength=n).astype(np.float64, copy=False)
+
+
+def _pack(passages: Sequence[Passage], rows: Iterable[np.ndarray], dimension: int) -> _Index:
+    """Read rows, one per passage, into the sparse layout."""
+    row_ptr = np.zeros(len(passages) + 1, dtype=np.int64)
+    column_chunks: list[np.ndarray] = []
+    value_chunks: list[np.ndarray] = []
+    block = np.empty((BUILD_BLOCK_ROWS, dimension))
+    pending = iter(rows)
+    for start in range(0, len(passages), BUILD_BLOCK_ROWS):
+        chunk = passages[start : start + BUILD_BLOCK_ROWS]
+        rows_of_chunk = zip(chunk, islice(pending, len(chunk)), strict=True)
+        for offset, (passage, row) in enumerate(rows_of_chunk):
+            if row.shape != (dimension,):
+                raise ValueError(
+                    f"passage {passage.id}: embedding has shape {row.shape}, "
+                    f"store dimension is {dimension}"
+                )
+            block[offset] = row
+        filled = block[: len(chunk)].ravel()
+        # Row-major order: by row, then by ascending column. An entry with
+        # any bit set is kept, so a -0.0 reads back with its sign.
+        flat = np.flatnonzero(filled.view(np.uint64) != 0)
+        in_row, columns = np.divmod(flat, dimension)
+        counts = np.bincount(in_row, minlength=len(chunk))
+        row_ptr[start + 1 : start + len(chunk) + 1] = row_ptr[start] + np.cumsum(counts)
+        column_chunks.append(columns)
+        value_chunks.append(filled[flat])
+    columns = np.concatenate(column_chunks or [np.empty(0, np.intp)]).astype(
+        np.min_scalar_type(dimension - 1)
+    )
+    # Each temporary goes as soon as it is used, to keep the build's peak low.
+    column_chunks.clear()
+    col_ptr = np.zeros(dimension + 1, dtype=np.int64)
+    np.cumsum(np.bincount(columns, minlength=dimension), out=col_ptr[1:])
+    # A stable sort by column keeps each column's rows ascending.
+    order = np.argsort(columns, kind="stable")
+    by_row = np.empty(len(order), dtype=np.int32)
+    by_row[order] = np.arange(len(order), dtype=np.int32)
+    del order
+    value_rows = np.empty(len(by_row), dtype=np.int32)
+    value_rows[by_row] = np.repeat(np.arange(len(passages), dtype=np.int32), np.diff(row_ptr))
+    values = np.empty(len(by_row))
+    for start, chunk in zip(row_ptr[::BUILD_BLOCK_ROWS], value_chunks):
+        values[by_row[start : start + len(chunk)]] = chunk
+    index = _Index(values, value_rows, col_ptr, by_row, columns, row_ptr)
+    for array in index:
+        array.setflags(write=False)
+    return index
+
+
 class VectorStore:
     """Immutable passage index; build it once with build_index().
 
     Passages must be in strictly ascending id order, as build_index()
-    leaves them: search breaks score ties by row index.
+    leaves them: search breaks score ties by row index. matrix holds one
+    row per passage, read in order: a dense n x d array, or an iterable
+    of n rows given with their dimension. No dense copy is kept.
     """
 
-    def __init__(self, passages: Sequence[Passage], matrix: np.ndarray):
+    def __init__(
+        self,
+        passages: Sequence[Passage],
+        matrix: np.ndarray | Iterable[np.ndarray],
+        dimension: int | None = None,
+    ):
         self._passages = tuple(passages)
         for before, after in zip(self._passages, self._passages[1:]):
             if not before.id < after.id:
                 raise ValueError(
                     f"passage ids must ascend strictly: {before.id!r} before {after.id!r}"
                 )
-        # A column-major matrix is kept as is; any other is copied once.
-        self._matrix = np.asfortranarray(matrix)
+        if dimension is None:
+            if matrix.ndim != 2 or len(matrix) != len(self._passages):
+                raise ValueError(
+                    f"matrix has shape {matrix.shape}, passages need {len(self._passages)} rows"
+                )
+            dimension = matrix.shape[1]
+        self._index = _pack(self._passages, matrix, dimension)
         self._row_by_id = {p.id: i for i, p in enumerate(self._passages)}
         # Worker threads share one store. Two misses on the same key may both
         # scan; they cache equal results. The cache wraps a partial over the
         # arrays, not a bound method, so it never keeps the store alive.
         self._memo = lru_cache(maxsize=SEARCH_CACHE_SIZE)(
-            partial(_scan, self._matrix, self._passages)
+            partial(_scan, self._index, self._passages)
         )
 
     @property
@@ -122,22 +220,29 @@ class VectorStore:
 
     @property
     def dimension(self) -> int:
-        return self._matrix.shape[1]
+        return len(self._index.col_ptr) - 1
 
     @property
     def passages(self) -> tuple[Passage, ...]:
         return self._passages
 
     def embedding_of(self, passage_id: str) -> np.ndarray:
+        """The passage's row as a read-only dense vector."""
         row = self._row_by_id.get(passage_id)
         if row is None:
             raise KeyError(f"unknown passage id: {passage_id}")
-        return self._matrix[row]
+        index = self._index
+        entries = slice(index.row_ptr[row], index.row_ptr[row + 1])
+        vector = np.zeros(self.dimension)
+        # An intp index assigns faster than the stored small one.
+        vector[index.columns[entries].astype(np.intp)] = index.values[index.by_row[entries]]
+        vector.setflags(write=False)
+        return vector
 
     def similarities(self, passage_ids: Sequence[str], vector: np.ndarray) -> np.ndarray:
         """Unclamped fold similarities of the given passages to vector, in order.
 
-        The rows are gathered from the vector's nonzero columns in one call,
+        Each passage's stored entries are folded in ascending column order,
         so each value has the bits of the passage's search score before the
         clamp.
         """
@@ -145,9 +250,13 @@ class VectorStore:
             raise ValueError(
                 f"vector has shape {vector.shape}, store dimension is {self.dimension}"
             )
-        rows = [self._row_by_id[pid] for pid in passage_ids]
-        columns = np.flatnonzero(vector)
-        return similarities(self._matrix[np.ix_(rows, columns)], vector[columns])
+        rows = np.fromiter(
+            map(self._row_by_id.__getitem__, passage_ids), dtype=np.intp, count=len(passage_ids)
+        )
+        index = self._index
+        entries, lengths = _segments(index.row_ptr, rows)
+        products = index.values[index.by_row[entries]] * vector[index.columns[entries]]
+        return _fold(np.repeat(np.arange(len(rows)), lengths), products, len(rows))
 
     def search(self, query_embedding: np.ndarray, k: int = DEFAULT_SEARCH_K) -> list[ScoredPassage]:
         """Top-k passages by cosine, ties broken by ascending passage id.
@@ -168,9 +277,13 @@ class VectorStore:
 
 
 def _scan(
-    matrix: np.ndarray, passages: tuple[Passage, ...], dtype: str, data: bytes, k: int
+    index: _Index, passages: tuple[Passage, ...], dtype: str, data: bytes, k: int
 ) -> tuple[ScoredPassage, ...]:
-    scores = similarities(matrix, np.frombuffer(data, dtype))
+    vector = np.frombuffer(data, dtype)
+    columns = np.flatnonzero(vector)
+    entries, lengths = _segments(index.col_ptr, columns)
+    products = index.values[entries] * np.repeat(vector[columns], lengths)
+    scores = _fold(index.rows[entries], products, len(passages))
     np.clip(scores, -1.0, 1.0, out=scores)
     n = len(scores)
     if k < n:
@@ -187,27 +300,12 @@ def build_index(passages: Iterable[Passage], provider: EmbeddingProvider) -> Vec
     """Embed and index passages; rejects duplicate ids by name.
 
     Passages are sorted by id before embedding so the resulting store is
-    identical regardless of input order.
+    identical regardless of input order. Each passage is embedded once and
+    only its nonzeros are kept.
     """
     ordered = sorted(passages, key=lambda p: p.id)
-    seen: set[str] = set()
-    for passage in ordered:
-        if passage.id in seen:
-            raise ValueError(f"duplicate passage id: {passage.id}")
-        seen.add(passage.id)
-    # Filled in place, so the build never holds the vectors twice.
-    matrix = np.empty((len(ordered), provider.dimension), dtype=np.float64, order="F")
-    block = np.empty((BUILD_BLOCK_ROWS, provider.dimension), dtype=np.float64)
-    for start in range(0, len(ordered), BUILD_BLOCK_ROWS):
-        chunk = ordered[start : start + BUILD_BLOCK_ROWS]
-        for offset, passage in enumerate(chunk):
-            vector = provider.embed(passage.text)
-            if vector.shape != (provider.dimension,):
-                raise ValueError(
-                    f"passage {passage.id}: embedding has shape {vector.shape}, "
-                    f"provider dimension is {provider.dimension}"
-                )
-            block[offset] = vector
-        matrix[start : start + len(chunk)] = block[: len(chunk)]
-    matrix.setflags(write=False)
-    return VectorStore(ordered, matrix)
+    for before, after in zip(ordered, ordered[1:]):
+        if before.id == after.id:
+            raise ValueError(f"duplicate passage id: {after.id}")
+    rows = (provider.embed(passage.text) for passage in ordered)
+    return VectorStore(ordered, rows, provider.dimension)

@@ -147,6 +147,13 @@ def test_every_float_key_and_declared_bound_is_covered():
         ({"qci.weights.wh": "nan"}, "qci.weights.wh: must be a finite number, got nan"),
         ({"latency.base_ms": "inf"}, "latency.base_ms: must be a finite number, got inf"),
         ({"run.jobs": "0"}, "run.jobs: must be >= 1, got 0"),
+        ({"rrl.score_floor": "1.5"}, "rrl.score_floor: must be in [0, 1], got 1.5"),
+        ({"rrl.top_rank": "0"}, "rrl.top_rank: must be >= 1, got 0"),
+        ({"rrl.cap": "3"}, "rrl.cap: must be >= rrl.top_rank (10), got 3"),
+        ({"rrl.near_dup_threshold": "0"}, "rrl.near_dup_threshold: must be in (0, 1], got 0.0"),
+        ({"qci.length_threshold": "0"}, "qci.length_threshold: must be > 0, got 0"),
+        ({"qci.lexicon.wh": ""}, "qci.lexicon.wh: must be nonempty"),
+        ({"qci.lexicon.sequence": ","}, "qci.lexicon.sequence: must be nonempty"),
     ],
 )
 def test_validate_messages(overrides, message):

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import copy
+import gc
+import hashlib
 import json
 import threading
+import weakref
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 from conftest import build_workload, make_engine
 
+from treeroute import embeddings
 from treeroute.embeddings import (
     DEFAULT_DIMENSION,
     EmbeddingProvider,
@@ -17,6 +21,7 @@ from treeroute.embeddings import (
 )
 from treeroute.errors import BackendError
 from treeroute.pipeline import run_workload
+from treeroute.signals import tokenize
 
 
 def test_default_dimension():
@@ -72,6 +77,75 @@ def test_embed_is_pure_and_readonly():
     with pytest.raises(ValueError):
         first[0] = 9.0
     assert vars(embedder) == state
+
+
+def _uncached_embed(text: str, dimension: int, seed: int) -> np.ndarray:
+    """The hashed bag with one SHA-256 per token occurrence and no table."""
+    vector = np.zeros(dimension)
+    for token in tokenize(text) or ("",):
+        digest = hashlib.sha256(f"{seed}:{token}".encode("utf-8")).digest()
+        vector[int.from_bytes(digest[:8], "big") % dimension] += 1.0
+    return vector / np.linalg.norm(vector)
+
+
+_TABLE_TEXTS = [
+    "cancel my card",
+    "card card card cancel",
+    "",
+    "   ",
+    "!!!",
+    "café crème brûlée",
+    "naïve Straße ÆØÅ",
+    "日本語 テキスト 日本語",
+    "emoji 🙂 and 🙂 again",
+]
+
+
+def test_token_table_vectors_equal_the_uncached_hash():
+    for dimension, seed in ((768, 0), (64, 7), (1, 3)):
+        embedder = HashedBagEmbedder(dimension=dimension, seed=seed)
+        # The second pass reads every coordinate from the table.
+        for _ in range(2):
+            for text in _TABLE_TEXTS:
+                expected = _uncached_embed(text, dimension, seed)
+                assert embedder.embed(text).tobytes() == expected.tobytes()
+        assert embedder._coordinate.cache_info().hits > 0
+
+
+def test_token_table_stays_bounded(monkeypatch):
+    monkeypatch.setattr(embeddings, "TOKEN_TABLE_SIZE", 4)
+    embedder = HashedBagEmbedder(dimension=32)
+    for i in range(20):
+        text = f"token{i} other{i} card rate {i}"
+        assert embedder.embed(text).tobytes() == _uncached_embed(text, 32, 0).tobytes()
+        assert embedder._coordinate.cache_info().currsize <= 4
+
+
+def test_embedders_with_different_seeds_share_no_table_entries():
+    a = HashedBagEmbedder(dimension=128, seed=0)
+    b = HashedBagEmbedder(dimension=128, seed=1)
+    text = "compare savings rates"
+    a.embed(text)
+    # b has seen none of these tokens, whatever a has.
+    b.embed(text)
+    assert b._coordinate.cache_info().hits == 0
+    assert b.embed(text).tobytes() == _uncached_embed(text, 128, 1).tobytes()
+    assert a.embed(text).tobytes() == _uncached_embed(text, 128, 0).tobytes()
+
+
+def test_dropped_embedder_is_freed_without_gc():
+    # The token table must hold no reference back to the embedder.
+    embedder = HashedBagEmbedder(dimension=64)
+    embedder.embed("cancel my card")
+    ref = weakref.ref(embedder)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del embedder
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_rejects_bad_dimension():

@@ -216,7 +216,7 @@ def test_wrong_dimension_embedding_raises():
         ]
         with pytest.raises(ValueError):
             prune(query, candidates, GateThresholds(), lambda p, s: True, embedding_of=table)
-    # A store gathers only the query's nonzero columns, so it checks the
+    # A store reads only the candidates' stored entries, so it checks the
     # query's dimension itself.
     store = VectorStore((Passage(id="a", text="a"),), np.array([[1.0, 0.0, 0.0]]))
     candidates = [ScoredPassage(passage=store.passages[0], score=0.5)]

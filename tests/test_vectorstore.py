@@ -224,21 +224,21 @@ def test_built_matrix_is_readonly_float64_rows_of_the_provider(monkeypatch):
     embedder = HashedBagEmbedder(dimension=16)
     texts = {f"p{i}": f"passage {i} about cards" for i in range(6)}
     store = build_index(_passages(texts), embedder)
-    matrix = store._matrix
-    assert matrix.dtype == np.float64
-    assert matrix.flags.f_contiguous
-    assert not matrix.flags.writeable
-    for row, passage in enumerate(store.passages):
-        assert matrix[row].tobytes() == embedder.embed(passage.text).tobytes()
+    for passage in store.passages:
+        row = store.embedding_of(passage.id)
+        assert row.dtype == np.float64
+        assert not row.flags.writeable
+        assert row.tobytes() == embedder.embed(passage.text).tobytes()
 
 
-def _fold_reference(row, q) -> float:
-    """Left-to-right float sum over the query's nonzero coordinates, clipped."""
+def _fold_reference(row, q, clamp=True) -> float:
+    """Left-to-right float sum over the query's nonzero coordinates, clipped
+    unless clamp is False."""
     total = 0.0
     for j in range(len(q)):
         if q[j] != 0.0:
             total += float(row[j]) * float(q[j])
-    return min(max(total, -1.0), 1.0)
+    return min(max(total, -1.0), 1.0) if clamp else total
 
 
 def _unit_rows(rng, n, dimension):
@@ -272,6 +272,74 @@ def test_hashed_bag_scores_equal_the_scalar_fold_bit_for_bit():
     store = build_index(_passages(texts), embedder)
     queries = [embedder.embed(" ".join(rng.choices(vocab, k=rng.randint(1, 6)))) for _ in range(20)]
     _assert_scores_are_the_fold(store, queries)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _assert_store_reads_the_provider_rows(store, rows, queries):
+    """search, similarities and embedding_of against the scalar fold, bit for bit."""
+    ids = [p.id for p in store.passages]
+    for pid, row in zip(ids, rows):
+        assert _bits(store.embedding_of(pid)) == _bits(row)
+    for q in queries:
+        scores = {h.passage.id: h.score for h in store.search(q, k=store.size)}
+        assert _bits([scores[pid] for pid in ids]) == _bits(
+            [_fold_reference(row, q) for row in rows]
+        )
+        picked = ids[::-1] + ids[:1]
+        by_id = dict(zip(ids, rows))
+        assert _bits(store.similarities(picked, q)) == _bits(
+            [_fold_reference(by_id[pid], q, clamp=False) for pid in picked]
+        )
+
+
+_WORDS = ["card", "savings", "rates", "charge", "café", "naïve", "日本", "ßtraße", "x"]
+_texts = st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    texts=st.lists(_texts, min_size=1, max_size=10),
+    queries=st.lists(_texts, min_size=1, max_size=3),
+    dimension=st.integers(1, 24),
+    seed=st.integers(0, 3),
+)
+def test_hashed_bag_store_reads_back_the_provider_bit_for_bit(texts, queries, dimension, seed):
+    embedder = HashedBagEmbedder(dimension=dimension, seed=seed)
+    passages = [Passage(id=f"p{i:02d}", text=text or "-") for i, text in enumerate(texts)]
+    store = build_index(passages, embedder)
+    rows = [embedder.embed(p.text) for p in store.passages]
+    _assert_store_reads_the_provider_rows(store, rows, [embedder.embed(q) for q in queries])
+
+
+# Exact zeros of both signs, negatives, and values whose products round.
+_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -0.5]),
+    st.floats(-1.0, 1.0, allow_subnormal=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dimension=st.integers(1, 8),
+    data=st.data(),
+)
+def test_dense_store_reads_back_the_provider_bit_for_bit(dimension, data):
+    vectors = st.lists(_entries, min_size=dimension, max_size=dimension)
+    rows = data.draw(st.lists(vectors, min_size=1, max_size=8))
+    # Some rows keep a single nonzero entry.
+    for row, keep in zip(rows, data.draw(st.lists(st.integers(-1, dimension - 1)))):
+        if keep >= 0:
+            row[:] = [v if j == keep else 0.0 for j, v in enumerate(row)]
+    queries = data.draw(st.lists(vectors, min_size=1, max_size=3))
+    matrix = np.array(rows, dtype=np.float64)
+    passages = tuple(Passage(id=f"p{i:02d}", text="t") for i in range(len(rows)))
+    store = VectorStore(passages, matrix)
+    _assert_store_reads_the_provider_rows(
+        store, list(matrix), [np.array(q, dtype=np.float64) for q in queries]
+    )
 
 
 class _DenseProvider:
@@ -313,19 +381,44 @@ def test_store_similarities_are_search_scores_before_the_clamp(store):
         store.similarities(["nope"], q)
 
 
+def _index_bytes(store) -> int:
+    return sum(array.nbytes for array in store._index)
+
+
 def test_build_peak_memory_stays_near_one_matrix():
     embedder = HashedBagEmbedder(dimension=256)
     passages = [
         Passage(id=f"p{i:04d}", text=f"passage {i} word{i % 50} card rate") for i in range(2000)
     ]
+    # Fill the embedder's token table first: it is the embedder's bounded
+    # memo, not the store's, and test_embeddings.py checks its bound.
+    for passage in passages:
+        embedder.embed(passage.text)
     tracemalloc.start()
     try:
         store = build_index(passages, embedder)
-        _, peak = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Stacking a list of every vector would peak at about twice the matrix.
-    assert peak < 1.5 * store._matrix.nbytes
+    # What the build keeps is the store: its index arrays, the passage
+    # tuple and the id -> row table.
+    assert _index_bytes(store) <= kept
+    # A second copy of the index arrays on the way would peak near 1.6 times
+    # what is kept; a dense matrix would be 4 MB, more than ten times it.
+    assert peak < 1.5 * kept
+
+
+def test_a_dense_store_holds_each_value_once():
+    rng = np.random.default_rng(3)
+    matrix = _unit_rows(rng, 300, 64)
+    matrix[matrix < -1.5 / 8] = 0.0  # some exact zeros, which are not stored
+    passages = tuple(Passage(id=f"p{i:03d}", text="t") for i in range(300))
+    store = VectorStore(passages, matrix)
+    assert store._index.values.dtype == np.float64
+    assert store._index.values.size == np.count_nonzero(matrix)
+    # A value, two int32 indices and a column number per entry, and a
+    # pointer per row and column.
+    assert _index_bytes(store) <= 2.5 * matrix.nbytes
 
 
 def _hits(hits):
