@@ -385,6 +385,18 @@ def _index_bytes(store) -> int:
     return sum(array.nbytes for array in store._index)
 
 
+def _store_bytes(store) -> int:
+    """What a store holds: its index arrays, the passage tuple and the
+    id -> row table with its row numbers."""
+    table = store._row_by_id
+    return (
+        _index_bytes(store)
+        + sys.getsizeof(store._passages)
+        + sys.getsizeof(table)
+        + sum(map(sys.getsizeof, table.values()))
+    )
+
+
 def test_build_peak_memory_stays_near_one_matrix():
     embedder = HashedBagEmbedder(dimension=256)
     passages = [
@@ -400,12 +412,13 @@ def test_build_peak_memory_stays_near_one_matrix():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # What the build keeps is the store: its index arrays, the passage
-    # tuple and the id -> row table.
-    assert _index_bytes(store) <= kept
-    # A second copy of the index arrays on the way would peak near 1.6 times
-    # what is kept; a dense matrix would be 4 MB, more than ten times it.
-    assert peak < 1.5 * kept
+    store_bytes = _store_bytes(store)
+    # The build keeps the store and nothing more: a kept copy of even the
+    # by_row positions would add an eighth of it.
+    assert kept < 1.1 * store_bytes
+    # Its temporaries stay under a quarter of the store; a second copy of
+    # the index on the way, or a dense matrix (4 MB), would not.
+    assert peak < 1.25 * store_bytes
 
 
 def test_a_dense_store_holds_each_value_once():
@@ -419,6 +432,29 @@ def test_a_dense_store_holds_each_value_once():
     # A value, two int32 indices and a column number per entry, and a
     # pointer per row and column.
     assert _index_bytes(store) <= 2.5 * matrix.nbytes
+
+
+@pytest.mark.parametrize("holes", [False, True])
+def test_a_dense_search_holds_a_few_score_arrays(holes):
+    rng = np.random.default_rng(5)
+    n, dimension = 2000, 256
+    matrix = _unit_rows(rng, n, dimension)
+    if holes:  # no column holds every row
+        matrix[matrix < -0.1] = 0.0
+    store = VectorStore(tuple(Passage(id=f"p{i:04d}", text="t") for i in range(n)), matrix)
+    q = _unit_rows(rng, 1, dimension)[0]
+    tracemalloc.start()
+    try:
+        hits = store.search(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [h.score for h in hits] == sorted(
+        (_fold_reference(row, q) for row in matrix), reverse=True
+    )[: len(hits)]
+    # A few arrays of n scores; gathering every stored entry under the
+    # query would take 4 MB an array.
+    assert peak < 8 * n * 8
 
 
 def _hits(hits):
