@@ -42,6 +42,11 @@ class BackendRole(Enum):
     RERANKER = "reranker"
     INTENT_CLASSIFIER = "intent_classifier"
 
+    # Members are singletons, kept as the same object by pickle and deepcopy,
+    # so identity is an exact hash; Enum's own hashes the name in Python code
+    # on every role-keyed lookup.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class ChatRequest:

@@ -2,9 +2,11 @@
 
 Stage one is a pure cosine gate against the original query embedding:
 clearly relevant candidates are retained, clearly irrelevant ones
-discarded. Only the borderline band between the two thresholds is
-escalated to a judge call, so judge volume is exactly the borderline
-count. Survivors keep their input order.
+discarded. A node's outcomes come from two comparisons over all its
+similarities at once. Only the borderline band between the two thresholds
+is escalated to a judge call, one candidate at a time in input order, so
+judge volume is exactly the borderline count. Survivors keep their input
+order.
 
 A node's cosines are the vector store's ordered fold: over each
 candidate's stored nonzeros, gathered in one call, or over the rows of a
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -50,12 +53,21 @@ class GateOutcome(Enum):
     BORDERLINE = "borderline"
 
 
+def _bands(sims: np.ndarray, thresholds: GateThresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Retain and borderline masks of an array or a numpy scalar of similarities.
+
+    Borderline is "neither retained nor below lo", so a NaN similarity,
+    which fails both comparisons, is judged.
+    """
+    retain = sims >= thresholds.hi
+    return retain, ~(retain | (sims < thresholds.lo))
+
+
 def quantitative_gate(sim: float, thresholds: GateThresholds) -> GateOutcome:
-    if sim >= thresholds.hi:
+    retain, borderline = _bands(np.float64(sim), thresholds)
+    if retain:
         return GateOutcome.RETAIN
-    if sim < thresholds.lo:
-        return GateOutcome.DISCARD
-    return GateOutcome.BORDERLINE
+    return GateOutcome.BORDERLINE if borderline else GateOutcome.DISCARD
 
 
 # (passage, similarity to the original query) -> keep?
@@ -91,15 +103,9 @@ def prune(
         sims = embedding_of.similarities(ids, original_embedding)
     else:
         sims = similarities(np.array([embedding_of[pid] for pid in ids]), original_embedding)
-    survivors: list[ScoredPassage] = []
-    judge_calls = 0
-    for candidate, sim in zip(candidates, sims.tolist()):
-        outcome = quantitative_gate(sim, thresholds)
-        if outcome is GateOutcome.BORDERLINE:
-            judge_calls += 1
-            keep = judge(candidate.passage, sim)
-        else:
-            keep = outcome is GateOutcome.RETAIN
-        if keep:
-            survivors.append(candidate)
-    return PruneResult(survivors=survivors, judge_calls=judge_calls)
+    retain, borderline = _bands(sims, thresholds)
+    keep = retain.tolist()
+    judged = np.flatnonzero(borderline)
+    for i, sim in zip(judged.tolist(), sims[judged].tolist()):
+        keep[i] = judge(candidates[i].passage, sim)
+    return PruneResult(survivors=list(compress(candidates, keep)), judge_calls=len(judged))

@@ -3,9 +3,11 @@
 Templates are plain text files with $name placeholders, shipped as package
 data and overridable with a prompt directory in config; each role accepts
 only the placeholders in ROLE_FIELDS, and a template is checked against
-them when it loads. A role call is a rendered prompt plus the payload the
-stub answers from; what else a remote model is sent (model, temperature,
-output budget) belongs to the remote backend.
+them when it loads. The same pass splits the template once into literal
+pieces and field slots, so a render fills the slots and joins. A role
+call is a rendered prompt plus the payload the stub answers from; what
+else a remote model is sent (model, temperature, output budget) belongs
+to the remote backend.
 
 A RoleRunner serves one query: it holds that query's text, owns its
 CallLog, records each request on it before sending it, and collects the
@@ -55,11 +57,47 @@ ROLE_FIELDS: Mapping[BackendRole, frozenset[str]] = {
 }
 
 
+# A template split at load: its literal pieces with "" in each field slot,
+# and each slot's (position in the pieces, field name).
+SplitTemplate = tuple[list[str], list[tuple[int, str]]]
+
+
+def _split_template(path: object, text: str, role: BackendRole) -> SplitTemplate:
+    """Split a role's template into literal pieces and field slots.
+
+    "$$" becomes a literal "$". A "$" that starts no placeholder, or a
+    placeholder the role never fills, would fail every render, so either
+    raises ConfigError naming its line.
+    """
+    pieces: list[str] = []
+    slots: list[tuple[int, str]] = []
+    literal, start = "", 0
+    for match in Template.pattern.finditer(text):
+        name = match.group("named") or match.group("braced")
+        if match.group("escaped") is not None:
+            literal += text[start : match.start()] + "$"
+        elif name in ROLE_FIELDS[role]:
+            slots.append((len(pieces) + 1, name))
+            pieces += [literal + text[start : match.start()], ""]
+            literal = ""
+        else:
+            if name is None:
+                problem = "'$' must start a placeholder or be written '$$'"
+            else:
+                accepted = ", ".join(f"${field}" for field in sorted(ROLE_FIELDS[role]))
+                problem = f"unknown placeholder ${name}; {role.value} accepts {accepted}"
+            line = text.count("\n", 0, match.start()) + 1
+            raise ConfigError(f"prompt template {path} line {line}: {problem}")
+        start = match.end()
+    pieces.append(literal + text[start:])
+    return pieces, slots
+
+
 class PromptLibrary:
     """Loads one template per role, from a directory or package data."""
 
     def __init__(self, prompt_dir: str | Path | None = None):
-        self._templates: dict[BackendRole, Template] = {}
+        self._templates: dict[BackendRole, SplitTemplate] = {}
         for role in BackendRole:
             if prompt_dir is not None:
                 path = Path(prompt_dir) / f"{role.value}.txt"
@@ -70,24 +108,15 @@ class PromptLibrary:
             else:
                 path = resources.files(__package__).joinpath("prompts", f"{role.value}.txt")
                 text = path.read_text(encoding="utf-8")
-            template = Template(text)
-            # A "$" that starts no placeholder, or a placeholder the role
-            # never fills, would fail every render; write a literal "$" as "$$".
-            for match in template.pattern.finditer(text):
-                name = match.group("named") or match.group("braced")
-                if match.group("invalid") is not None:
-                    problem = "'$' must start a placeholder or be written '$$'"
-                elif name is not None and name not in ROLE_FIELDS[role]:
-                    accepted = ", ".join(f"${field}" for field in sorted(ROLE_FIELDS[role]))
-                    problem = f"unknown placeholder ${name}; {role.value} accepts {accepted}"
-                else:
-                    continue
-                line = text.count("\n", 0, match.start()) + 1
-                raise ConfigError(f"prompt template {path} line {line}: {problem}")
-            self._templates[role] = template
+            self._templates[role] = _split_template(path, text, role)
 
     def render(self, role: BackendRole, **fields: str) -> str:
-        return self._templates[role].substitute(**fields)
+        """The template with each slot filled; a missing field raises KeyError."""
+        pieces, slots = self._templates[role]
+        parts = pieces.copy()
+        for slot, name in slots:
+            parts[slot] = fields[name]
+        return "".join(parts)
 
 
 def parse_decomposition(text: str) -> tuple[str, str]:

@@ -8,6 +8,7 @@ complexity index in [0, 1] that drives path routing.
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass
 
 DEFAULT_WH_TERMS = frozenset(
@@ -80,13 +81,9 @@ class SignalLexicons:
             raise ValueError(f"qci.length_threshold: must be > 0, got {self.length_threshold}")
 
 
-def _trim_boundary(fragment: str) -> str:
-    start, end = 0, len(fragment)
-    while start < end and not fragment[start].isalnum():
-        start += 1
-    while end > start and not fragment[end - 1].isalnum():
-        end -= 1
-    return fragment[start:end]
+# A run of non-whitespace that starts and ends alphanumeric: [^\W_] is
+# exactly the characters str.isalnum() accepts.
+_TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?")
 
 
 def tokenize(text: str) -> tuple[str, ...]:
@@ -95,12 +92,7 @@ def tokenize(text: str) -> tuple[str, ...]:
     Fragments that are empty after trimming are dropped, so punctuation-only
     fragments never produce tokens.
     """
-    tokens = []
-    for fragment in text.lower().split():
-        token = _trim_boundary(fragment)
-        if token:
-            tokens.append(token)
-    return tuple(tokens)
+    return tuple(_TOKEN.findall(text.lower()))
 
 
 def extract_signals(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import TEMPLATES, build_workload, make_engine
 
-from treeroute import pipeline, pruning, rerank, routing, vectorstore
+from treeroute import pipeline, rerank, routing, vectorstore
 from treeroute.backends import BackendRole, StubChatBackend, stub_decompose
 from treeroute.dataset import QueryRecord
 from treeroute.errors import BackendError
@@ -567,15 +567,17 @@ def test_matvec_gate_and_dedup_match_scalar_reference(tmp_path, monkeypatch, mod
 @pytest.mark.parametrize("mode", [ExecutionMode.ADAPTIVE, ExecutionMode.FIXED_DEPTH_3])
 def test_root_gate_similarities_equal_root_hit_scores(monkeypatch, mode):
     root_hits, gated, checked = [], [], [0]
-    expand, prune, gate = pipeline.expand, pipeline.prune, pruning.quantitative_gate
+    expand, prune = pipeline.expand, pipeline.prune
+    gate_similarities = vectorstore.VectorStore.similarities
 
     def spy_expand(*args, **kwargs):
         root_hits.append(kwargs["root_hits"])
         return expand(*args, **kwargs)
 
-    def spy_gate(sim, thresholds):
-        gated.append(sim)
-        return gate(sim, thresholds)
+    def spy_similarities(store, passage_ids, vector):
+        sims = gate_similarities(store, passage_ids, vector)
+        gated.extend(sims.tolist())
+        return sims
 
     def spy_prune(embedding, candidates, *args, **kwargs):
         gated.clear()
@@ -588,7 +590,7 @@ def test_root_gate_similarities_equal_root_hit_scores(monkeypatch, mode):
 
     monkeypatch.setattr(pipeline, "expand", spy_expand)
     monkeypatch.setattr(pipeline, "prune", spy_prune)
-    monkeypatch.setattr(pruning, "quantitative_gate", spy_gate)
+    monkeypatch.setattr(vectorstore.VectorStore, "similarities", spy_similarities)
     traces = run_workload(make_engine(), build_workload(48), mode=mode, jobs=1)
     assert all(t.error is None for t in traces)
     assert checked[0] >= len(root_hits) > 0

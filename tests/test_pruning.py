@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from treeroute.pruning import (
     GateOutcome,
@@ -13,7 +15,7 @@ from treeroute.pruning import (
     prune,
     quantitative_gate,
 )
-from treeroute.vectorstore import Passage, ScoredPassage, VectorStore
+from treeroute.vectorstore import Passage, ScoredPassage, VectorStore, similarities
 
 
 def _unit(angle: float) -> np.ndarray:
@@ -222,3 +224,82 @@ def test_wrong_dimension_embedding_raises():
     candidates = [ScoredPassage(passage=store.passages[0], score=0.5)]
     with pytest.raises(ValueError):
         prune(query, candidates, GateThresholds(), lambda p, s: True, embedding_of=store)
+
+
+def _loop_prune(original_embedding, candidates, thresholds, judge, *, embedding_of):
+    """The gate as one scalar comparison pair per candidate, in input order."""
+    if not candidates:
+        return [], 0
+    ids = [c.passage.id for c in candidates]
+    if isinstance(embedding_of, VectorStore):
+        sims = embedding_of.similarities(ids, original_embedding)
+    else:
+        sims = similarities(np.array([embedding_of[pid] for pid in ids]), original_embedding)
+    survivors, judge_calls = [], 0
+    for candidate, sim in zip(candidates, sims.tolist()):
+        if sim >= thresholds.hi:
+            keep = True
+        elif sim < thresholds.lo:
+            keep = False
+        else:
+            judge_calls += 1
+            keep = judge(candidate.passage, sim)
+        if keep:
+            survivors.append(candidate)
+    return survivors, judge_calls
+
+
+@st.composite
+def _gate_cases(draw):
+    """Thresholds plus similarities that hit lo, hi, NaN and values past [0, 1]."""
+    edges = st.sampled_from([0.0, 0.35, 0.5, 0.7, 1.0])
+    lo = draw(st.one_of(edges, st.floats(0.0, 1.0)))
+    hi = draw(st.one_of(st.just(lo), edges.filter(lambda v: v >= lo), st.floats(lo, 1.0)))
+    sim = st.one_of(
+        st.sampled_from([lo, hi, math.nan, -0.0, -1.5, 2.0]),
+        st.floats(-2.0, 2.0),
+    )
+    sims = draw(st.lists(sim, max_size=12))
+    verdicts = draw(st.lists(st.booleans(), min_size=len(sims), max_size=len(sims)))
+    order = draw(st.permutations(range(len(sims))))
+    return GateThresholds(hi=hi, lo=lo), sims, verdicts, order
+
+
+@given(_gate_cases(), st.booleans())
+def test_vector_gate_matches_the_per_candidate_loop(case, through_store):
+    thresholds, sims, verdicts, order = case
+    # One coordinate against a query of [1.0], so each similarity is its value.
+    passages = tuple(Passage(id=f"p{i:02d}", text=f"text {i}") for i in range(len(sims)))
+    rows = np.array(sims, dtype=np.float64).reshape(len(sims), 1)
+    if through_store:
+        embedding_of = VectorStore(passages, rows)
+    else:
+        embedding_of = {p.id: row for p, row in zip(passages, rows)}
+    # The store holds rows in id order; the candidates come in any order.
+    candidates = [ScoredPassage(passage=passages[i], score=0.5) for i in order]
+
+    def judging(calls):
+        def judge(passage, sim):
+            assert type(sim) is float
+            calls.append((passage.id, repr(sim)))
+            return verdicts[int(passage.id[1:])]
+
+        return judge
+
+    calls, expected_calls = [], []
+    query = np.array([1.0])
+    result = prune(query, candidates, thresholds, judging(calls), embedding_of=embedding_of)
+    survivors, judge_calls = _loop_prune(
+        query, candidates, thresholds, judging(expected_calls), embedding_of=embedding_of
+    )
+    assert result.survivors == survivors
+    assert result.judge_calls == judge_calls
+    assert calls == expected_calls
+    # The scalar gate classifies each value as the vector gate does.
+    for sim in sims:
+        expected = (
+            GateOutcome.RETAIN
+            if sim >= thresholds.hi
+            else GateOutcome.DISCARD if sim < thresholds.lo else GateOutcome.BORDERLINE
+        )
+        assert quantitative_gate(sim, thresholds) is expected

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import tempfile
 from importlib import resources
+from pathlib import Path
+from string import Template
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from treeroute import backends
 from treeroute.backends import (
@@ -16,6 +21,7 @@ from treeroute.errors import BackendError, ConfigError, DecompositionError
 from treeroute.pipeline import build_engine
 from treeroute.rerank import global_rescore
 from treeroute.roles import (
+    ROLE_FIELDS,
     ParseError,
     PromptLibrary,
     RoleRunner,
@@ -129,6 +135,66 @@ def test_misspelled_placeholder_in_a_prompt_template_fails_at_build(tmp_path):
         build_engine(config, [])
     judge.write_text("${query} ${sub_query} $passage", encoding="utf-8")
     build_engine(config, [])
+
+
+# Field values that a regex-based substitution would mangle.
+RENDER_VALUES = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet=list("aZ9_ $\\{}.*+?[]()^|\n"), max_size=8),
+)
+SHIPPED = PromptLibrary()
+
+
+def _package_template(role):
+    return resources.files("treeroute").joinpath("prompts", f"{role.value}.txt").read_text(
+        encoding="utf-8"
+    )
+
+
+@given(st.sampled_from(list(BackendRole)), st.data())
+def test_render_equals_substitute_on_the_shipped_templates(role, data):
+    fields = {name: data.draw(RENDER_VALUES, label=name) for name in sorted(ROLE_FIELDS[role])}
+    assert SHIPPED.render(role, **fields) == Template(_package_template(role)).substitute(**fields)
+    assert SHIPPED.render(role, **fields, unused="$x") == SHIPPED.render(role, **fields)
+    for name in fields:
+        with pytest.raises(KeyError):
+            SHIPPED.render(role, **{k: v for k, v in fields.items() if k != name})
+
+
+# Judge fields, "$$", and two atoms load rejects: a stray "$" and an unknown field.
+TEMPLATE_ATOMS = st.one_of(
+    st.sampled_from(
+        ["$$", "$query", "${query}", "$sub_query", "${sub_query}", "$passage", "${passage}"]
+        + ["$", "${bogus}"]
+    ),
+    st.text(alphabet=list("ab_9 {}\\.\n"), min_size=1, max_size=4),
+)
+
+
+@given(
+    st.lists(TEMPLATE_ATOMS, max_size=8).map("".join),
+    st.fixed_dictionaries({name: RENDER_VALUES for name in sorted(ROLE_FIELDS[BackendRole.JUDGE])}),
+)
+@example("$query${sub_query}$passage", {"query": "$", "sub_query": "\\1", "passage": "{}"})
+@example("$$${query}$$", {"query": ".*", "sub_query": "", "passage": ""})
+def test_render_equals_substitute_on_generated_templates(text, fields):
+    with tempfile.TemporaryDirectory() as directory:
+        _copy_package_prompts(Path(directory))
+        (Path(directory) / "judge.txt").write_text(text, encoding="utf-8")
+        try:
+            prompts = PromptLibrary(directory)
+        except ConfigError:
+            # Rejected at load exactly when substitute cannot render it.
+            with pytest.raises((KeyError, ValueError)):
+                Template(text).substitute(**fields)
+            return
+    expected = Template(text).substitute(**fields)
+    assert prompts.render(BackendRole.JUDGE, **fields) == expected
+    assert prompts.render(BackendRole.JUDGE, **fields, unused="$x") == expected
+    used = {m.group("named") or m.group("braced") for m in Template.pattern.finditer(text)}
+    for name in used - {None}:
+        with pytest.raises(KeyError):
+            prompts.render(BackendRole.JUDGE, **{k: v for k, v in fields.items() if k != name})
 
 
 def test_parse_decomposition_accepts_common_numbering():

@@ -53,6 +53,33 @@ def test_tokenize_idempotence_property(words):
     assert tokenize(" ".join(first)) == first
 
 
+def _split_and_trim(text: str) -> tuple[str, ...]:
+    """Tokenize as whitespace split plus a per-character trim of each fragment."""
+    tokens = []
+    for fragment in text.lower().split():
+        start, end = 0, len(fragment)
+        while start < end and not fragment[start].isalnum():
+            start += 1
+        while end > start and not fragment[end - 1].isalnum():
+            end -= 1
+        if start < end:
+            tokens.append(fragment[start:end])
+    return tuple(tokens)
+
+
+# Unicode whitespace, "_" (a word character but not alphanumeric), "İ"
+# (lowercases to "i" plus a combining dot) and "²" (alphanumeric, not a
+# decimal digit), among ASCII letters and punctuation.
+TOKENIZE_ALPHABET = list(
+    " \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u1680\u2000\u2028\u3000" + "_İ²aZ9'-.,!?éß\u0307"
+)
+
+
+@given(st.one_of(st.text(), st.text(alphabet=TOKENIZE_ALPHABET)))
+def test_tokenize_equals_split_and_trim(text):
+    assert tokenize(text) == _split_and_trim(text)
+
+
 def test_signal_counts_are_binary_per_category():
     sv = extract_signals(tokenize("compare and compare and compare"))
     assert sv.conjunction == 1
