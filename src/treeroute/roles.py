@@ -71,15 +71,15 @@ def _split_template(path: object, text: str, role: BackendRole) -> SplitTemplate
     """
     pieces: list[str] = []
     slots: list[tuple[int, str]] = []
-    literal, start = "", 0
+    start = 0
     for match in Template.pattern.finditer(text):
+        pieces.append(text[start : match.start()])
         name = match.group("named") or match.group("braced")
         if match.group("escaped") is not None:
-            literal += text[start : match.start()] + "$"
+            pieces.append("$")
         elif name in ROLE_FIELDS[role]:
-            slots.append((len(pieces) + 1, name))
-            pieces += [literal + text[start : match.start()], ""]
-            literal = ""
+            slots.append((len(pieces), name))
+            pieces.append("")
         else:
             if name is None:
                 problem = "'$' must start a placeholder or be written '$$'"
@@ -89,7 +89,7 @@ def _split_template(path: object, text: str, role: BackendRole) -> SplitTemplate
             line = text.count("\n", 0, match.start()) + 1
             raise ConfigError(f"prompt template {path} line {line}: {problem}")
         start = match.end()
-    pieces.append(literal + text[start:])
+    pieces.append(text[start:])
     return pieces, slots
 
 

@@ -90,11 +90,14 @@ def test_prompt_library_unknown_placeholder(tmp_path):
         PromptLibrary(tmp_path)
 
 
+def _package_template(role):
+    path = resources.files("treeroute").joinpath("prompts", f"{role.value}.txt")
+    return path.read_text(encoding="utf-8")
+
+
 def _copy_package_prompts(directory):
     for role in BackendRole:
-        name = f"{role.value}.txt"
-        text = resources.files("treeroute").joinpath("prompts", name).read_text(encoding="utf-8")
-        (directory / name).write_text(text, encoding="utf-8")
+        (directory / f"{role.value}.txt").write_text(_package_template(role), encoding="utf-8")
 
 
 def test_stray_dollar_in_a_prompt_template_fails_at_build(tmp_path):
@@ -143,12 +146,6 @@ RENDER_VALUES = st.one_of(
     st.text(alphabet=list("aZ9_ $\\{}.*+?[]()^|\n"), max_size=8),
 )
 SHIPPED = PromptLibrary()
-
-
-def _package_template(role):
-    return resources.files("treeroute").joinpath("prompts", f"{role.value}.txt").read_text(
-        encoding="utf-8"
-    )
 
 
 @given(st.sampled_from(list(BackendRole)), st.data())
