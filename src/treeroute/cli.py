@@ -56,29 +56,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="path to a config file")
-    common.add_argument("--seed", type=int, help="override run.seed")
-    common.add_argument(
-        "--deterministic",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="override run.deterministic",
-    )
-    common.add_argument("--jobs", type=int, help="override run.jobs")
-    common.add_argument("--out", help="output file path")
-
     parser = _Parser(prog="treeroute", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_index = sub.add_parser("index", parents=[common], help="build the corpus and write its manifest")
+    p_index = sub.add_parser("index", help="build the corpus and write its manifest")
     p_index.add_argument("dataset", help="workload file (JSON lines)")
     p_index.add_argument("--catalog", help="intent catalog file (JSON lines)")
 
-    p_route = sub.add_parser("route", parents=[common], help="explain the routing decision for one query")
+    p_route = sub.add_parser("route", help="explain the routing decision for one query")
     p_route.add_argument("query", help="query text")
 
-    p_run = sub.add_parser("run", parents=[common], help="process a workload into a trace file")
+    p_run = sub.add_parser("run", help="process a workload into a trace file")
     p_run.add_argument("dataset", help="workload file (JSON lines)")
     p_run.add_argument("--catalog", help="intent catalog file (JSON lines)")
     p_run.add_argument(
@@ -87,8 +75,9 @@ def _build_parser() -> _Parser:
         default=ExecutionMode.ADAPTIVE.value,
         help="execution mode",
     )
+    p_run.add_argument("--jobs", type=int, help="override run.jobs")
 
-    p_eval = sub.add_parser("eval", parents=[common], help="score a trace file against gold labels")
+    p_eval = sub.add_parser("eval", help="score a trace file against gold labels")
     p_eval.add_argument("traces", help="trace file from the run command")
     p_eval.add_argument("golds", help="workload file with gold intents")
     p_eval.add_argument("--label", help="system label for the report")
@@ -97,25 +86,30 @@ def _build_parser() -> _Parser:
         help="intent catalog file (JSON lines); macro-F1 averages over its intents",
     )
 
-    p_pareto = sub.add_parser("pareto", parents=[common], help="dominance analysis over report files")
+    p_pareto = sub.add_parser("pareto", help="dominance analysis over report files")
     p_pareto.add_argument("reports", nargs="+", help="report files from the eval command")
     p_pareto.add_argument("--accuracy-axes", help="comma-separated accuracy axis names")
     p_pareto.add_argument("--cost-axes", help="comma-separated cost axis names")
+
+    # Each subcommand declares only the flags it reads.
+    for p in (p_index, p_route, p_run):
+        p.add_argument("--config", help="path to a config file")
+    for p in (p_index, p_run):
+        p.add_argument("--seed", type=int, help="override run.seed")
+    for p in (p_index, p_run, p_eval, p_pareto):
+        p.add_argument("--out", help="output file path")
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> EngineConfig:
-    if getattr(args, "config", None):
-        config = EngineConfig.from_file(args.config)
-    else:
-        config = EngineConfig()
+def _load_config(
+    path: str | None, seed: int | None = None, jobs: int | None = None
+) -> EngineConfig:
+    config = EngineConfig.from_file(path) if path else EngineConfig()
     config.apply(env_overrides())
-    if getattr(args, "seed", None) is not None:
-        config.run_seed = args.seed
-    if getattr(args, "deterministic", None) is not None:
-        config.run_deterministic = args.deterministic
-    if getattr(args, "jobs", None) is not None:
-        config.run_jobs = args.jobs
+    if seed is not None:
+        config.run_seed = seed
+    if jobs is not None:
+        config.run_jobs = jobs
     config.validate()
     return config
 
@@ -126,7 +120,7 @@ def _emit(data: dict) -> None:
 
 def _load_corpus(args: argparse.Namespace):
     result = ingest(args.dataset)
-    if getattr(args, "catalog", None):
+    if args.catalog:
         catalog = load_catalog(args.catalog)
     else:
         catalog = derive_catalog(result.records)
@@ -145,7 +139,7 @@ def _corpus_hash(passages: Sequence[Passage]) -> str:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = _load_config(args.config, seed=args.seed)
     result, catalog, passages = _load_corpus(args)
     build_engine(config, passages)  # validates embeddings and ids
     manifest = {
@@ -165,7 +159,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = _load_config(args.config)
     engine = build_engine(config, [])  # no corpus: snippets are empty
     roles = RoleRunner(
         engine.backend, engine.prompts, query=args.query, fallback_level=engine.fallback_level
@@ -189,7 +183,7 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+    config = _load_config(args.config, seed=args.seed, jobs=args.jobs)
     result, _, passages = _load_corpus(args)
     engine = build_engine(config, passages)
     mode = ExecutionMode(args.mode)
@@ -318,6 +312,13 @@ def cmd_pareto(args: argparse.Namespace) -> int:
     accuracy_axes = args.accuracy_axes.split(",") if args.accuracy_axes else None
     cost_axes = args.cost_axes.split(",") if args.cost_axes else None
     points = [_load_point(path, accuracy_axes, cost_axes) for path in args.reports]
+    path_of: dict[str, str] = {}
+    for path, point in zip(args.reports, points):
+        if point.label in path_of:
+            raise CliError(
+                f"reports {path_of[point.label]} and {path} share the label {point.label!r}"
+            )
+        path_of[point.label] = path
     frontier = pareto_frontier(points)
     frontier_labels = [p.label for p in frontier]
     rows = []

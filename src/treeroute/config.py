@@ -125,10 +125,9 @@ class EngineConfig:
 
     # Run control
     run_seed: int = _opt(0, "run.seed")
-    run_deterministic: bool = _opt(True, "run.deterministic")
     run_jobs: int = _opt(1, "run.jobs", lo=1)
 
-    # Synthetic latency model, used for traces in deterministic runs
+    # Synthetic latency model: the latency_ms that every trace records
     latency_base_ms: float = _opt(5.0, "latency.base_ms", lo=0.0)
     latency_per_retrieval_ms: float = _opt(15.0, "latency.per_retrieval_ms", lo=0.0)
     latency_per_llm_call_ms: float = _opt(300.0, "latency.per_llm_call_ms", lo=0.0)

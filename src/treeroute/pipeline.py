@@ -20,15 +20,14 @@ Every processed query yields one trace with its routing fields, evidence,
 predictions, and an exact per-role cost ledger; a backend failure yields
 a failed trace, never a crashed batch.
 
-Latency in a trace is wall-clock unless the run is deterministic, in
-which case a synthetic per-call latency model is recorded instead so that
-identical runs serialize to identical bytes.
+A trace's latency is always the cost model (the latency.* keys applied to
+its retrievals and LLM calls), never measured time, so identical runs
+serialize to identical bytes; a run's wall time is in its manifest.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -230,7 +229,6 @@ def process_query(
         fallback_level=engine.fallback_level,
         decompose_retries=config.tor_retry_decompose,
     )
-    started = time.perf_counter()
     standard = mode is ExecutionMode.STANDARD_RAG
     if mode is ExecutionMode.FIXED_DEPTH_3:
         force_depth = 3
@@ -307,20 +305,13 @@ def process_query(
     # The plan search is an extra retrieval of routed and depth-0 queries;
     # a forced tree counts it as its root node.
     retrievals = node_count + int(searched and (routed or depth == 0))
-    if config.run_deterministic:
-        latency_ms = (
-            config.latency_base_ms
-            + config.latency_per_retrieval_ms * retrievals
-            + config.latency_per_llm_call_ms * roles.log.total_calls
-        )
-    else:
-        latency_ms = (time.perf_counter() - started) * 1000.0
-
     ledger = CostLedger(
         calls_by_role=roles.log.counts_by_role(),
         total_calls=roles.log.total_calls,
         prompt_tokens=roles.log.prompt_tokens,
-        latency_ms=latency_ms,
+        latency_ms=config.latency_base_ms
+        + config.latency_per_retrieval_ms * retrievals
+        + config.latency_per_llm_call_ms * roles.log.total_calls,
     )
     return QueryTrace(
         query_id=record.id,
@@ -387,7 +378,6 @@ def run_manifest(
         "mode": mode.value,
         "config_hash": config.config_hash(),
         "seed": config.run_seed,
-        "deterministic": config.run_deterministic,
         "query_count": query_count,
         "started_at": started_at,
         "finished_at": finished_at,

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from treeroute.config import EngineConfig
@@ -68,9 +70,8 @@ def toy_catalog() -> list[IntentCatalogEntry]:
 
 
 def make_engine(config: EngineConfig | None = None, **overrides: object) -> Engine:
-    config = config or EngineConfig()
-    for field_name, value in overrides.items():
-        setattr(config, field_name, value)
+    # replace() raises TypeError for a field EngineConfig does not have.
+    config = replace(config or EngineConfig(), **overrides)
     return build_engine(config, build_kb([], toy_catalog()))
 
 

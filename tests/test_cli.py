@@ -188,21 +188,59 @@ def test_run_retrieves_from_the_catalog(capsys, tmp_path, workload_file):
     assert predicted == {"cancel_card"}
 
 
-def test_deterministic_flag_overrides_the_config_file(capsys, tmp_path, workload_file):
+def test_config_file_with_run_deterministic_fails_as_an_unknown_key(
+    capsys, tmp_path, workload_file
+):
     config_path = tmp_path / "engine.ini"
     config_path.write_text("[run]\ndeterministic = false\n", encoding="utf-8")
-    traces_path = tmp_path / "traces.jsonl"
-    manifest_path = tmp_path / "traces.jsonl.manifest.json"
-    base = ["run", str(workload_file), "--out", str(traces_path)]
-    for flags, expected in (
-        ([], True),
-        (["--no-deterministic"], False),
-        (["--config", str(config_path)], False),
-        (["--config", str(config_path), "--deterministic"], True),
-    ):
-        assert _run_cli(capsys, base + flags)[0] == 0
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        assert manifest["deterministic"] is expected, flags
+    code, out, err = _run_cli(capsys, ["run", str(workload_file), "--config", str(config_path)])
+    assert code == 1 and out == ""
+    assert json.loads(err.strip()) == {
+        "command": "run",
+        "error": "unknown config key: run.deterministic",
+    }
+
+
+@pytest.mark.parametrize("flag", ["--deterministic", "--no-deterministic"])
+def test_deterministic_flags_are_usage_errors(capsys, workload_file, flag):
+    code, out, err = _run_cli(capsys, ["run", str(workload_file), flag])
+    assert code == 2 and out == ""
+    assert json.loads(err.strip()) == {
+        "command": "cli",
+        "error": f"unrecognized arguments: {flag}",
+    }
+
+
+_POSITIONALS = {
+    "index": ["queries.jsonl"],
+    "route": ["cancel my card"],
+    "eval": ["traces.jsonl", "queries.jsonl"],
+    "pareto": ["report.json"],
+}
+
+
+@pytest.mark.parametrize(
+    ("command", "flag"),
+    [
+        ("index", "--jobs"),
+        ("route", "--seed"),
+        ("route", "--jobs"),
+        ("route", "--out"),
+        ("eval", "--config"),
+        ("eval", "--seed"),
+        ("eval", "--jobs"),
+        ("pareto", "--config"),
+        ("pareto", "--seed"),
+        ("pareto", "--jobs"),
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(capsys, command, flag):
+    code, out, err = _run_cli(capsys, [command, *_POSITIONALS[command], flag, "1"])
+    assert code == 2 and out == ""
+    assert json.loads(err.strip()) == {
+        "command": "cli",
+        "error": f"unrecognized arguments: {flag} 1",
+    }
 
 
 def test_run_is_reproducible_across_invocations(capsys, tmp_path, workload_file):
@@ -405,6 +443,16 @@ def test_pareto_identifies_frontier_and_dominators(capsys, tmp_path):
     assert rows["fixed-depth"]["on_frontier"] is False
     assert rows["fixed-depth"]["dominated_by"] == ["adaptive"]
     assert rows["adaptive"]["dominated_by"] == []
+
+
+def test_pareto_rejects_reports_that_share_a_label(capsys, tmp_path):
+    # eval labels a report by its trace file's stem, so two runs written to
+    # traces.jsonl in different directories both report as "traces".
+    a = _point_report(tmp_path / "a.json", "traces", 0.72, 9.7, 6.0)
+    b = _point_report(tmp_path / "b.json", "traces", 0.71, 15.6, 10.5)
+    assert _pareto_error(capsys, [str(a), str(b)]) == (
+        f"reports {a} and {b} share the label 'traces'"
+    )
 
 
 def test_pareto_axis_filters(capsys, tmp_path):

@@ -29,14 +29,14 @@ def test_round_trip_preserves_overrides():
         {
             "apm.hi": "0.8",
             "rrl.cap": "12",
-            "run.deterministic": "false",
+            "rrl.floor_strict": "true",
             "qci.lexicon.conjunction": "and, plus",
         }
     )
     clone = EngineConfig.from_text(config.to_text())
     assert clone.apm_hi == 0.8
     assert clone.rrl_cap == 12
-    assert clone.run_deterministic is False
+    assert clone.rrl_floor_strict is True
     assert clone.qci_lexicon_conjunction == ("and", "plus")
     assert clone.to_text() == config.to_text()
 
@@ -72,8 +72,8 @@ def test_apply_coerces_types():
 def test_apply_bad_values_name_the_key():
     with pytest.raises(ConfigError, match="store.k"):
         EngineConfig().apply({"store.k": "many"})
-    with pytest.raises(ConfigError, match="run.deterministic"):
-        EngineConfig().apply({"run.deterministic": "maybe"})
+    with pytest.raises(ConfigError, match="rrl.floor_strict"):
+        EngineConfig().apply({"rrl.floor_strict": "maybe"})
 
 
 @pytest.mark.parametrize(

@@ -296,11 +296,16 @@ def test_fixed3_root_still_searches(monkeypatch):
     assert process_query(engine, SIMPLE, mode=ExecutionMode.FIXED_DEPTH_3) == trace
 
 
-def test_non_deterministic_runs_record_wall_clock():
-    engine = make_engine(run_deterministic=False)
-    trace = process_query(engine, SIMPLE)
-    assert 0.0 < trace.ledger.latency_ms < 10_000.0
-    assert trace.ledger.latency_ms != pytest.approx(320.0, abs=1e-6)
+def test_parallel_traces_each_record_their_own_cost_model():
+    engine = make_engine()
+    traces = run_workload(engine, build_workload(24), mode=ExecutionMode.ADAPTIVE, jobs=2)
+    assert {t.mode for t in traces} == {"simple", "hybrid", "tree"}
+    for trace in traces:
+        # Adaptive queries are routed: one plan search plus one per tree node.
+        assert trace.ledger.latency_ms == _model_latency(
+            engine.config, trace.node_count + 1, trace.ledger.total_calls
+        ), trace.query_id
+    assert len({t.ledger.latency_ms for t in traces}) > 1
 
 
 class _RoleFailingBackend:
@@ -615,10 +620,14 @@ def test_batch_continues_after_per_query_failure(engine):
 def test_run_manifest_contents():
     engine = make_engine()
     manifest = run_manifest(engine.config, ExecutionMode.ADAPTIVE, 20, 1.0, 2.0)
-    assert manifest["mode"] == "adaptive"
-    assert manifest["config_hash"] == engine.config.config_hash()
-    assert manifest["query_count"] == 20
-    assert manifest["deterministic"] is True
+    assert manifest == {
+        "mode": "adaptive",
+        "config_hash": engine.config.config_hash(),
+        "seed": engine.config.run_seed,
+        "query_count": 20,
+        "started_at": 1.0,
+        "finished_at": 2.0,
+    }
 
 
 def test_cost_ledger_round_trip():
