@@ -62,7 +62,6 @@ from .pipeline import (
 )
 from .pruning import GateOutcome, GateThresholds, PruneResult, prune, quantitative_gate
 from .rerank import (
-    DedupPolicy,
     SelectionRule,
     consolidate,
     deduplicate,

@@ -308,10 +308,15 @@ def _load_point(path: str, accuracy_axes: list[str] | None, cost_axes: list[str]
     return ParetoPoint(label=label, accuracy_axes=accuracy, cost_axes=cost)
 
 
+def _axes(point: ParetoPoint) -> str:
+    return f"accuracy {sorted(point.accuracy_axes)}, cost {sorted(point.cost_axes)}"
+
+
 def cmd_pareto(args: argparse.Namespace) -> int:
     accuracy_axes = args.accuracy_axes.split(",") if args.accuracy_axes else None
     cost_axes = args.cost_axes.split(",") if args.cost_axes else None
     points = [_load_point(path, accuracy_axes, cost_axes) for path in args.reports]
+    first_axes = _axes(points[0])
     path_of: dict[str, str] = {}
     for path, point in zip(args.reports, points):
         if point.label in path_of:
@@ -319,6 +324,11 @@ def cmd_pareto(args: argparse.Namespace) -> int:
                 f"reports {path_of[point.label]} and {path} share the label {point.label!r}"
             )
         path_of[point.label] = path
+        if _axes(point) != first_axes:
+            raise CliError(
+                f"reports {args.reports[0]} and {path} have different axes: "
+                f"{first_axes} and {_axes(point)}"
+            )
     frontier = pareto_frontier(points)
     frontier_labels = [p.label for p in frontier]
     rows = []

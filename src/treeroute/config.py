@@ -21,7 +21,7 @@ from .backends import BackendRole, StubBehavior
 from .embeddings import DEFAULT_DIMENSION
 from .errors import ConfigError
 from .pruning import GateThresholds
-from .rerank import DedupPolicy, SelectionRule
+from .rerank import SelectionRule
 from .routing import DEFAULT_TAU_SIMPLE, SemanticLevel
 from .signals import (
     DEFAULT_COMPARISON_TERMS,
@@ -100,11 +100,10 @@ class EngineConfig:
     apm_judge_temperature: float = _opt(0.1, "apm.judge_temperature", lo=0.0)
 
     # Consolidation
-    rrl_near_dup_threshold: float = _opt(DedupPolicy.near_dup_threshold, "rrl.near_dup_threshold")
+    rrl_near_dup_threshold: float = _opt(SelectionRule.near_dup_threshold, "rrl.near_dup_threshold")
     rrl_top_rank: int = _opt(SelectionRule.top_rank, "rrl.top_rank")
     rrl_score_floor: float = _opt(SelectionRule.score_floor, "rrl.score_floor")
     rrl_cap: int = _opt(SelectionRule.cap, "rrl.cap")
-    rrl_floor_strict: bool = _opt(SelectionRule.floor_strict, "rrl.floor_strict")
 
     # Chat backend
     backend_kind: str = _opt("stub", "backend.kind", choices=("stub", "remote"))
@@ -157,14 +156,11 @@ class EngineConfig:
 
     def selection_rule(self) -> SelectionRule:
         return SelectionRule(
+            near_dup_threshold=self.rrl_near_dup_threshold,
             top_rank=self.rrl_top_rank,
             score_floor=self.rrl_score_floor,
             cap=self.rrl_cap,
-            floor_strict=self.rrl_floor_strict,
         )
-
-    def dedup_policy(self) -> DedupPolicy:
-        return DedupPolicy(near_dup_threshold=self.rrl_near_dup_threshold)
 
     def stub_behavior(self) -> StubBehavior:
         return StubBehavior(
@@ -210,7 +206,6 @@ class EngineConfig:
             self.lexicons()
             self.gate_thresholds()
             self.selection_rule()
-            self.dedup_policy()
             self.stub_behavior()
         except ValueError as exc:
             raise ConfigError(str(exc))
@@ -270,8 +265,6 @@ class EngineConfig:
 
 
 def _format(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(value)
     return repr(value) if isinstance(value, float) else str(value)
@@ -280,11 +273,6 @@ def _format(value: Any) -> str:
 def _coerce(key: str, raw: str, current: Any) -> Any:
     raw = raw.strip()
     try:
-        if isinstance(current, bool):
-            state = configparser.RawConfigParser.BOOLEAN_STATES.get(raw.lower())
-            if state is None:
-                raise ValueError(f"not a boolean: {raw!r}")
-            return state
         if isinstance(current, int):
             return int(raw)
         if isinstance(current, float):

@@ -154,7 +154,6 @@ class Engine:
         self.lexicons = config.lexicons()
         self.weights = config.weights()
         self.thresholds = config.gate_thresholds()
-        self.dedup_policy = config.dedup_policy()
         self.selection_rule = config.selection_rule()
 
 
@@ -291,7 +290,6 @@ def process_query(
         elif pool:
             evidence = consolidate(
                 pool,
-                engine.dedup_policy,
                 engine.selection_rule,
                 engine.store.embedding_of,
                 roles.rerank,

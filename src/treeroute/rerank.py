@@ -5,10 +5,13 @@ overlaps heavily; standard mode hands over its search hits. The pool is
 deduplicated first (exact text after normalization, then near-duplicates
 by the cosine of the indexed passage embeddings), rescored with a single
 batched reranker call, and reduced to a bounded evidence set by rank and
-score floor. The reranker serves one query and supplies its own fallback
-scores if its call fails; rescoring clamps what it returns to [0, 1].
-Dedup cosines are not clamped: with the threshold in (0, 1], only search
-needs to clamp.
+score floor. One `SelectionRule` holds every setting of this stage, the
+`rrl.*` config section: the near-duplicate threshold, the top ranks, the
+inclusive score floor and the cap. The floor adds passages beyond the top
+ranks only when the cap exceeds them. The reranker serves one query and
+supplies its own fallback scores if its call fails; rescoring clamps what
+it returns to [0, 1]. Dedup cosines are not clamped: with the threshold
+in (0, 1], only search needs to clamp.
 """
 
 from __future__ import annotations
@@ -27,26 +30,20 @@ EmbeddingOf = Callable[[str], np.ndarray]
 
 
 @dataclass(frozen=True)
-class DedupPolicy:
+class SelectionRule:
+    """Merge near-duplicates at the threshold, then keep the union of the
+    top ranks and everything at or above the floor, up to the cap."""
+
     near_dup_threshold: float = 0.95
+    top_rank: int = 10
+    score_floor: float = 0.70
+    cap: int = 10
 
     def __post_init__(self) -> None:
         if not 0.0 < self.near_dup_threshold <= 1.0:
             raise ValueError(
                 f"rrl.near_dup_threshold: must be in (0, 1], got {self.near_dup_threshold}"
             )
-
-
-@dataclass(frozen=True)
-class SelectionRule:
-    """Keep the union of the top ranks and everything above the floor."""
-
-    top_rank: int = 10
-    score_floor: float = 0.70
-    cap: int = 10
-    floor_strict: bool = False
-
-    def __post_init__(self) -> None:
         if self.top_rank < 1:
             raise ValueError(f"rrl.top_rank: must be >= 1, got {self.top_rank}")
         if not 0.0 <= self.score_floor <= 1.0:
@@ -67,7 +64,7 @@ def _ranked(candidates: Sequence[ScoredPassage]) -> list[ScoredPassage]:
 
 def deduplicate(
     candidates: Sequence[ScoredPassage],
-    policy: DedupPolicy,
+    rule: SelectionRule,
     embedding_of: EmbeddingOf,
 ) -> list[ScoredPassage]:
     """Merge exact and near duplicates, keeping the better-scored copy.
@@ -87,7 +84,7 @@ def deduplicate(
         embedding = embedding_of(candidate.passage.id)
         if kept_rows is None:
             kept_rows = np.empty((len(candidates), embedding.shape[0]))
-        elif (kept_rows[: len(kept)] @ embedding >= policy.near_dup_threshold).any():
+        elif (kept_rows[: len(kept)] @ embedding >= rule.near_dup_threshold).any():
             continue
         seen_text.add(normalized)
         kept_rows[len(kept)] = embedding
@@ -113,27 +110,21 @@ def global_rescore(
 
 
 def select_topk(scored: Sequence[ScoredPassage], rule: SelectionRule) -> list[ScoredPassage]:
-    """Union of top ranks and above-floor scores, capped, score-descending."""
+    """Union of top ranks and at-or-above-floor scores, capped, score-descending."""
     ranked = _ranked(scored)
     selected = []
     for rank, candidate in enumerate(ranked, start=1):
-        above_floor = (
-            candidate.score > rule.score_floor
-            if rule.floor_strict
-            else candidate.score >= rule.score_floor
-        )
-        if rank <= rule.top_rank or above_floor:
+        if rank <= rule.top_rank or candidate.score >= rule.score_floor:
             selected.append(candidate)
     return selected[: rule.cap]
 
 
 def consolidate(
     candidates: Sequence[ScoredPassage],
-    policy: DedupPolicy,
     rule: SelectionRule,
     embedding_of: EmbeddingOf,
     reranker: Reranker,
 ) -> list[ScoredPassage]:
     """Full consolidation pass over the evidence pool: the final evidence."""
-    deduped = deduplicate(candidates, policy, embedding_of)
+    deduped = deduplicate(candidates, rule, embedding_of)
     return select_topk(global_rescore(deduped, reranker), rule)

@@ -85,12 +85,11 @@ def similarities(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Passage:
-    """One retrievable text with optional intent labels and domain."""
+    """One retrievable text with optional intent labels."""
 
     id: str
     text: str
     intent_labels: frozenset[str] = frozenset()
-    domain: str | None = None
 
     def __post_init__(self) -> None:
         if not self.id:

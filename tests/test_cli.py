@@ -188,17 +188,16 @@ def test_run_retrieves_from_the_catalog(capsys, tmp_path, workload_file):
     assert predicted == {"cancel_card"}
 
 
-def test_config_file_with_run_deterministic_fails_as_an_unknown_key(
-    capsys, tmp_path, workload_file
+@pytest.mark.parametrize("key", ["run.deterministic", "rrl.floor_strict"])
+def test_config_file_with_a_removed_key_fails_as_an_unknown_key(
+    capsys, tmp_path, workload_file, key
 ):
+    section, _, name = key.partition(".")
     config_path = tmp_path / "engine.ini"
-    config_path.write_text("[run]\ndeterministic = false\n", encoding="utf-8")
+    config_path.write_text(f"[{section}]\n{name} = false\n", encoding="utf-8")
     code, out, err = _run_cli(capsys, ["run", str(workload_file), "--config", str(config_path)])
     assert code == 1 and out == ""
-    assert json.loads(err.strip()) == {
-        "command": "run",
-        "error": "unknown config key: run.deterministic",
-    }
+    assert json.loads(err.strip()) == {"command": "run", "error": f"unknown config key: {key}"}
 
 
 @pytest.mark.parametrize("flag", ["--deterministic", "--no-deterministic"])
@@ -452,6 +451,21 @@ def test_pareto_rejects_reports_that_share_a_label(capsys, tmp_path):
     b = _point_report(tmp_path / "b.json", "traces", 0.71, 15.6, 10.5)
     assert _pareto_error(capsys, [str(a), str(b)]) == (
         f"reports {a} and {b} share the label 'traces'"
+    )
+
+
+def test_pareto_rejects_reports_with_different_axes(capsys, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path, cost_axis in ((a, "ms"), (b, "calls")):
+        path.write_text(
+            json.dumps(
+                {"label": path.stem, "accuracy_axes": {"f1": 0.5}, "cost_axes": {cost_axis: 1.0}}
+            ),
+            encoding="utf-8",
+        )
+    assert _pareto_error(capsys, [str(a), str(b)]) == (
+        f"reports {a} and {b} have different axes: "
+        "accuracy ['f1'], cost ['ms'] and accuracy ['f1'], cost ['calls']"
     )
 
 

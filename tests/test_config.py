@@ -29,14 +29,14 @@ def test_round_trip_preserves_overrides():
         {
             "apm.hi": "0.8",
             "rrl.cap": "12",
-            "rrl.floor_strict": "true",
+            "rrl.near_dup_threshold": "0.9",
             "qci.lexicon.conjunction": "and, plus",
         }
     )
     clone = EngineConfig.from_text(config.to_text())
     assert clone.apm_hi == 0.8
     assert clone.rrl_cap == 12
-    assert clone.rrl_floor_strict is True
+    assert clone.rrl_near_dup_threshold == 0.9
     assert clone.qci_lexicon_conjunction == ("and", "plus")
     assert clone.to_text() == config.to_text()
 
@@ -60,20 +60,20 @@ def test_apply_coerces_types():
         {
             "store.k": "16",
             "apm.lo": "0.2",
-            "rrl.floor_strict": "TRUE",
+            "rrl.near_dup_threshold": " 0.9 ",
             "backend.kind": "stub",
         }
     )
     assert config.store_k == 16
     assert config.apm_lo == 0.2
-    assert config.rrl_floor_strict is True
+    assert config.rrl_near_dup_threshold == 0.9
 
 
 def test_apply_bad_values_name_the_key():
     with pytest.raises(ConfigError, match="store.k"):
         EngineConfig().apply({"store.k": "many"})
-    with pytest.raises(ConfigError, match="rrl.floor_strict"):
-        EngineConfig().apply({"rrl.floor_strict": "maybe"})
+    with pytest.raises(ConfigError, match="rrl.near_dup_threshold"):
+        EngineConfig().apply({"rrl.near_dup_threshold": "high"})
 
 
 @pytest.mark.parametrize(
@@ -235,6 +235,7 @@ def test_derived_views_reflect_fields():
             "qtc.fallback_level": "high",
             "rrl.top_rank": "5",
             "rrl.cap": "7",
+            "rrl.near_dup_threshold": "0.9",
         }
     )
     assert config.gate_thresholds().hi == 0.9
@@ -242,7 +243,7 @@ def test_derived_views_reflect_fields():
     assert config.temperatures()[BackendRole.JUDGE] == 0.25
     assert config.fallback_level() is SemanticLevel.HIGH
     rule = config.selection_rule()
-    assert (rule.top_rank, rule.cap) == (5, 7)
+    assert (rule.top_rank, rule.cap, rule.near_dup_threshold) == (5, 7, 0.9)
     assert config.weights().wh == 0.25
     assert "and" in config.lexicons().conjunction_terms
     assert config.stub_behavior().judge_threshold == 0.5

@@ -6,7 +6,6 @@ import pytest
 
 from treeroute.embeddings import HashedBagEmbedder
 from treeroute.rerank import (
-    DedupPolicy,
     SelectionRule,
     consolidate,
     deduplicate,
@@ -33,11 +32,11 @@ def test_normalize_text():
     assert normalize_text("already clean") == "already clean"
 
 
-def test_policy_and_rule_validation():
+def test_rule_validation():
     with pytest.raises(ValueError):
-        DedupPolicy(near_dup_threshold=0.0)
+        SelectionRule(near_dup_threshold=0.0)
     with pytest.raises(ValueError):
-        DedupPolicy(near_dup_threshold=1.01)
+        SelectionRule(near_dup_threshold=1.01)
     with pytest.raises(ValueError):
         SelectionRule(top_rank=0)
     with pytest.raises(ValueError):
@@ -52,7 +51,7 @@ def test_exact_duplicates_keep_best_score():
         _sp("b", "Freeze  my CARD", 0.9),
         _sp("c", "unrelated text entirely", 0.5),
     ]
-    kept = deduplicate(candidates, DedupPolicy(), _index(candidates))
+    kept = deduplicate(candidates, SelectionRule(), _index(candidates))
     assert [(c.passage.id, c.score) for c in kept] == [("b", 0.9), ("c", 0.5)]
 
 
@@ -61,7 +60,7 @@ def test_exact_duplicate_tie_keeps_lowest_id():
         _sp("z", "freeze my card", 0.5),
         _sp("a", "freeze my card", 0.5),
     ]
-    kept = deduplicate(candidates, DedupPolicy(), _index(candidates))
+    kept = deduplicate(candidates, SelectionRule(), _index(candidates))
     assert [c.passage.id for c in kept] == ["a"]
 
 
@@ -73,7 +72,7 @@ def test_near_duplicates_merge_by_embedding():
         _sp("b", "gamma beta alpha", 0.6),
         _sp("c", "totally different words", 0.7),
     ]
-    kept = deduplicate(candidates, DedupPolicy(), _index(candidates))
+    kept = deduplicate(candidates, SelectionRule(), _index(candidates))
     assert [c.passage.id for c in kept] == ["a", "c"]
 
 
@@ -82,7 +81,7 @@ def test_near_dup_threshold_is_inclusive_boundary():
         _sp("a", "alpha beta gamma", 0.8),
         _sp("b", "gamma beta alpha", 0.6),
     ]
-    kept_tight = deduplicate(candidates, DedupPolicy(near_dup_threshold=1.0), _index(candidates))
+    kept_tight = deduplicate(candidates, SelectionRule(near_dup_threshold=1.0), _index(candidates))
     assert [c.passage.id for c in kept_tight] == ["a"]
 
 
@@ -99,7 +98,7 @@ def test_near_duplicates_of_blocked_and_tail_rows_merge():
         _sp("dup_last", "foxtroty foxtrot foxtrotx", 0.4),
         _sp("fresh", "golf hotel india", 0.3),
     ]
-    kept = deduplicate(candidates, DedupPolicy(), _index(candidates))
+    kept = deduplicate(candidates, SelectionRule(), _index(candidates))
     assert [c.passage.id for c in kept] == [f"k{i}" for i in range(6)] + ["fresh"]
 
 
@@ -110,9 +109,9 @@ def test_deduplicate_output_is_ranked_and_idempotent():
         for i in range(20)
     ]
     rng.shuffle(candidates)
-    once = deduplicate(candidates, DedupPolicy(), _index(candidates))
+    once = deduplicate(candidates, SelectionRule(), _index(candidates))
     assert once == sorted(once, key=lambda c: (-c.score, c.passage.id))
-    assert deduplicate(once, DedupPolicy(), _index(candidates)) == once
+    assert deduplicate(once, SelectionRule(), _index(candidates)) == once
 
 
 def test_global_rescore_marks_source_and_counts_one_call():
@@ -151,11 +150,7 @@ def _brute_force_select(scored, rule):
     ranked = sorted(scored, key=lambda c: (-c.score, c.passage.id))
     picked = []
     for rank, candidate in enumerate(ranked, start=1):
-        if rule.floor_strict:
-            above = candidate.score > rule.score_floor
-        else:
-            above = candidate.score >= rule.score_floor
-        if rank <= rule.top_rank or above:
+        if rank <= rule.top_rank or candidate.score >= rule.score_floor:
             picked.append(candidate)
     return picked[: rule.cap]
 
@@ -171,7 +166,6 @@ def test_select_topk_matches_brute_force_randomized():
             top_rank=rng.randint(1, 10),
             score_floor=round(rng.random(), 2),
             cap=rng.randint(10, 15),
-            floor_strict=rng.random() < 0.5,
         )
         assert select_topk(scored, rule) == _brute_force_select(scored, rule)
 
@@ -185,13 +179,6 @@ def test_select_topk_floor_admits_beyond_top_rank():
     picked = select_topk(scored, rule)
     # Ranks 1..3 plus the floor passers at ranks 4..6 (0.92, 0.91, 0.90).
     assert [c.passage.id for c in picked] == [f"p{i}" for i in range(6)]
-
-
-def test_select_topk_strict_floor_excludes_boundary():
-    scored = [_sp(f"p{i}", f"t{i}", s) for i, s in enumerate(FLOOR_LADDER)]
-    strict = SelectionRule(top_rank=3, score_floor=0.90, cap=10, floor_strict=True)
-    picked = select_topk(scored, strict)
-    assert [c.passage.id for c in picked] == [f"p{i}" for i in range(5)]
 
 
 def test_select_topk_cap_keeps_highest():
@@ -223,7 +210,7 @@ def test_consolidate_reranks_exactly_the_deduped_pool():
         _sp("c", "order a replacement", 0.7),
         _sp("d", "check my balance", 0.6),
     ]
-    evidence = consolidate(pool, DedupPolicy(), SelectionRule(), _index(pool), reranker)
+    evidence = consolidate(pool, SelectionRule(), _index(pool), reranker)
     assert batch_sizes == [3]
     assert [c.passage.id for c in evidence] == ["a", "c", "d"]
     assert all(c.source == "rerank" for c in evidence)
@@ -231,8 +218,6 @@ def test_consolidate_reranks_exactly_the_deduped_pool():
 
 def test_consolidate_empty_pool():
     calls = []
-    evidence = consolidate(
-        [], DedupPolicy(), SelectionRule(), _index([]), lambda c: calls.append(c) or []
-    )
+    evidence = consolidate([], SelectionRule(), _index([]), lambda c: calls.append(c) or [])
     assert evidence == []
     assert calls == []
