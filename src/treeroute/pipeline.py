@@ -291,7 +291,7 @@ def process_query(
             evidence = consolidate(
                 pool,
                 engine.selection_rule,
-                engine.store.embedding_of,
+                engine.store,
                 roles.rerank,
             )
 

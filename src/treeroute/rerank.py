@@ -3,15 +3,16 @@
 Tree expansion hands over a pool of per-node survivors that usually
 overlaps heavily; standard mode hands over its search hits. The pool is
 deduplicated first (exact text after normalization, then near-duplicates
-by the cosine of the indexed passage embeddings), rescored with a single
-batched reranker call, and reduced to a bounded evidence set by rank and
-score floor. One `SelectionRule` holds every setting of this stage, the
-`rrl.*` config section: the near-duplicate threshold, the top ranks, the
-inclusive score floor and the cap. The floor adds passages beyond the top
-ranks only when the cap exceeds them. The reranker serves one query and
-supplies its own fallback scores if its call fails; rescoring clamps what
-it returns to [0, 1]. Dedup cosines are not clamped: with the threshold
-in (0, 1], only search needs to clamp.
+by the store's fold similarity of their indexed rows, every pair from one
+VectorStore.gram() call), rescored with a single batched reranker call,
+and reduced to a bounded evidence set by rank and score floor. One
+`SelectionRule` holds every setting of this stage, the `rrl.*` config
+section: the near-duplicate threshold, the top ranks, the inclusive score
+floor and the cap. The floor adds passages beyond the top ranks only when
+the cap exceeds them. The reranker serves one query and supplies its own
+fallback scores if its call fails; rescoring clamps what it returns to
+[0, 1]. Dedup similarities are not clamped: with the threshold in (0, 1],
+only search needs to clamp.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .vectorstore import ScoredPassage
+from .vectorstore import ScoredPassage, VectorStore
 
 # candidates -> one score per candidate, for the query the reranker serves
 Reranker = Callable[[Sequence[ScoredPassage]], Sequence[float]]
-# passage id -> its unit-norm embedding, as indexed
-EmbeddingOf = Callable[[str], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -65,31 +64,33 @@ def _ranked(candidates: Sequence[ScoredPassage]) -> list[ScoredPassage]:
 def deduplicate(
     candidates: Sequence[ScoredPassage],
     rule: SelectionRule,
-    embedding_of: EmbeddingOf,
+    store: VectorStore,
 ) -> list[ScoredPassage]:
     """Merge exact and near duplicates, keeping the better-scored copy.
 
     Candidates are processed in descending score order (ties by id), so
     the survivor of every merge is the highest-scored member and the
-    result is already ranked. Applying this twice changes nothing.
+    result is already ranked. A candidate whose normalized text ranks
+    after an equal one is dropped; each one kept then drops the later
+    ones whose similarity to it, read from the store, reaches the
+    threshold. Applying this twice changes nothing.
     """
-    kept: list[ScoredPassage] = []
-    # Row i is kept[i]'s embedding; the first embedding is always kept.
-    kept_rows: np.ndarray | None = None
+    distinct: list[ScoredPassage] = []
     seen_text: set[str] = set()
     for candidate in _ranked(candidates):
         normalized = normalize_text(candidate.passage.text)
-        if normalized in seen_text:
-            continue
-        embedding = embedding_of(candidate.passage.id)
-        if kept_rows is None:
-            kept_rows = np.empty((len(candidates), embedding.shape[0]))
-        elif (kept_rows[: len(kept)] @ embedding >= rule.near_dup_threshold).any():
-            continue
-        seen_text.add(normalized)
-        kept_rows[len(kept)] = embedding
-        kept.append(candidate)
-    return kept
+        if normalized not in seen_text:
+            seen_text.add(normalized)
+            distinct.append(candidate)
+    near = store.gram([c.passage.id for c in distinct]) >= rule.near_dup_threshold
+    np.fill_diagonal(near, False)
+    blocked = np.zeros(len(distinct), dtype=bool)
+    # Each kept row blocks the later rows it is near. A row near no other
+    # row blocks none, so only the rows near another are walked.
+    for i in np.flatnonzero(near.any(axis=1)).tolist():
+        if not blocked[i]:
+            blocked[i + 1 :] |= near[i, i + 1 :]
+    return [c for c, dropped in zip(distinct, blocked.tolist()) if not dropped]
 
 
 def global_rescore(
@@ -122,9 +123,9 @@ def select_topk(scored: Sequence[ScoredPassage], rule: SelectionRule) -> list[Sc
 def consolidate(
     candidates: Sequence[ScoredPassage],
     rule: SelectionRule,
-    embedding_of: EmbeddingOf,
+    store: VectorStore,
     reranker: Reranker,
 ) -> list[ScoredPassage]:
     """Full consolidation pass over the evidence pool: the final evidence."""
-    deduped = deduplicate(candidates, rule, embedding_of)
+    deduped = deduplicate(candidates, rule, store)
     return select_topk(global_rescore(deduped, reranker), rule)

@@ -23,12 +23,18 @@ bincount when the stored entries under them number at most the row count
 (a hashed-bag query), else column by column (a dense query on a dense
 store), so no temporary outgrows the row count. It clamps to [-1, 1] (the
 only clamp on a similarity, since search scores reach the traces), then
-takes an exact top-k by partition. The row index breaks ties, so results
-are stable under re-indexing in any order. The gate folds each candidate
-row's stored entries, in their ascending column order, so the root's gate
-similarities equal its hit scores before the clamp. Dedup reads dense
-rows through embedding_of() and takes its own product; its values never
-reach the traces.
+takes an exact top-k. Below n rows it first takes a floor: the smallest
+of the maxima of k equal blocks of n // k rows. Those maxima are k
+distinct rows at or above the floor, so the k-th best score is too, and
+the partition runs only over the rows at or above it. The row index
+breaks ties, so results are stable under re-indexing in any order.
+
+The gate folds each candidate row's stored entries, in their ascending
+column order, so the root's gate similarities equal its hit scores before
+the clamp. Dedup takes gram(), the fold similarity of every pair of the
+given rows, in one bincount for hashed bags: its [i, j] has the bits of
+similarities([id_i], row j) and equals its [j, i]. No dedup value
+reaches the traces.
 
 The store never changes after build_index(), so search memoizes its
 result on the query vector's dtype, bytes and k in a functools.lru_cache
@@ -249,6 +255,17 @@ class VectorStore:
         vector.setflags(write=False)
         return vector
 
+    def _entries(self, passage_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in by_row of the given passages' stored entries, by
+        passage in the given order and columns ascending, and each
+        passage's entry count."""
+        rows = np.fromiter(
+            map(self._row_by_id.__getitem__, passage_ids), dtype=np.intp, count=len(passage_ids)
+        )
+        starts = self._index.row_ptr[rows]
+        lengths = self._index.row_ptr[rows + 1] - starts
+        return _segments(starts, lengths), lengths
+
     def similarities(self, passage_ids: Sequence[str], vector: np.ndarray) -> np.ndarray:
         """Unclamped fold similarities of the given passages to vector, in order.
 
@@ -260,15 +277,44 @@ class VectorStore:
             raise ValueError(
                 f"vector has shape {vector.shape}, store dimension is {self.dimension}"
             )
-        rows = np.fromiter(
-            map(self._row_by_id.__getitem__, passage_ids), dtype=np.intp, count=len(passage_ids)
-        )
+        entries, lengths = self._entries(passage_ids)
         index = self._index
-        starts = index.row_ptr[rows]
-        lengths = index.row_ptr[rows + 1] - starts
-        entries = _segments(starts, lengths)
         products = index.values[index.by_row[entries]] * vector[index.columns[entries]]
-        return _fold(np.repeat(np.arange(len(rows)), lengths), products, len(rows))
+        return _fold(np.repeat(np.arange(len(lengths)), lengths), products, len(lengths))
+
+    def gram(self, passage_ids: Sequence[str]) -> np.ndarray:
+        """The m x m unclamped fold similarities of the given passages to each other.
+
+        [i, j] folds passage i's stored entries against row j, in ascending
+        column order, as similarities([passage_ids[i]], row j) does, with
+        the same bits. It equals [j, i] bit for bit: only the columns the
+        two rows share add a nonzero product, and a zero product never
+        changes a sum that starts at +0.0. Ids may repeat.
+        """
+        entries, lengths = self._entries(passage_ids)
+        index = self._index
+        m = len(lengths)
+        columns = index.columns[entries].astype(np.intp)
+        values = index.values[index.by_row[entries]]
+        owners = np.repeat(np.arange(m), lengths)
+        # The given rows as columns, so one gather reads every row's entry
+        # in a column.
+        rows = np.zeros((self.dimension, m))
+        rows[columns, owners] = values
+        # A block of passages makes about m x dimension products, as many as
+        # the rows hold: all passages at once for hashed bags, one at a time
+        # for dense rows.
+        step = max(1, m * self.dimension // max(len(entries), 1))
+        bounds = [0, *np.cumsum(lengths).tolist()]
+        gram = np.empty(m * m)
+        for top in range(0, m, step):
+            bottom = min(top + step, m)
+            block = slice(bounds[top], bounds[bottom])
+            products = rows[columns[block]]
+            products *= values[block, None]
+            bins = (owners[block, None] - top) * m + np.arange(m)
+            gram[top * m : bottom * m] = _fold(bins.ravel(), products.ravel(), (bottom - top) * m)
+        return gram.reshape(m, m)
 
     def search(self, query_embedding: np.ndarray, k: int = DEFAULT_SEARCH_K) -> list[ScoredPassage]:
         """Top-k passages by cosine, ties broken by ascending passage id.
@@ -319,9 +365,14 @@ def _scan(
     scores = _column_fold(index, np.frombuffer(data, dtype), n)
     np.clip(scores, -1.0, 1.0, out=scores)
     if k < n:
+        # The k block maxima are k distinct rows at or above the floor, so
+        # the k-th score is too: only rows at or above it can place.
+        floor = scores[: n - n % k].reshape(k, -1).max(axis=1).min()
+        pool = np.flatnonzero(scores >= floor)
+        pooled = scores[pool]
         # Every row tied with the k-th score competes for the last places.
-        kth = np.partition(scores, n - k)[n - k]
-        rows = np.flatnonzero(scores >= kth)
+        kth = np.partition(pooled, len(pool) - k)[len(pool) - k]
+        rows = pool[pooled >= kth]
     else:
         rows = np.arange(n)
     order = rows[np.lexsort((rows, -scores[rows]))][:k]

@@ -526,14 +526,14 @@ def _reference_prune(original_embedding, candidates, thresholds, judge, *, embed
     return PruneResult(survivors=survivors, judge_calls=judge_calls)
 
 
-def _reference_deduplicate(candidates, rule, embedding_of):
+def _reference_deduplicate(candidates, rule, store):
     """Dedup as one clamped scalar np.dot per candidate and kept passage."""
     kept, kept_embeddings, seen_text = [], [], set()
     for candidate in sorted(candidates, key=lambda c: (-c.score, c.passage.id)):
         normalized = rerank.normalize_text(candidate.passage.text)
         if normalized in seen_text:
             continue
-        embedding = embedding_of(candidate.passage.id)
+        embedding = store.embedding_of(candidate.passage.id)
         if any(
             _scalar_cosine(embedding, other) >= rule.near_dup_threshold
             for other in kept_embeddings

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from treeroute.embeddings import HashedBagEmbedder
@@ -13,7 +14,7 @@ from treeroute.rerank import (
     normalize_text,
     select_topk,
 )
-from treeroute.vectorstore import Passage, ScoredPassage
+from treeroute.vectorstore import Passage, ScoredPassage, VectorStore, build_index
 
 EMBEDDER = HashedBagEmbedder(dimension=64)
 
@@ -23,8 +24,8 @@ def _sp(pid: str, text: str, score: float) -> ScoredPassage:
 
 
 def _index(candidates):
-    """Passage id -> embedding of its text, as a built store holds it."""
-    return {c.passage.id: EMBEDDER.embed(c.passage.text) for c in candidates}.__getitem__
+    """A store built over the candidates' passages."""
+    return build_index([c.passage for c in candidates], EMBEDDER)
 
 
 def test_normalize_text():
@@ -100,6 +101,20 @@ def test_near_duplicates_of_blocked_and_tail_rows_merge():
     ]
     kept = deduplicate(candidates, SelectionRule(), _index(candidates))
     assert [c.passage.id for c in kept] == [f"k{i}" for i in range(6)] + ["fresh"]
+
+
+def test_exact_twin_of_a_merged_near_duplicate_is_merged():
+    # b and c share their normalized text but not their rows, as a
+    # case-sensitive embedder could give them: b merges into a by its row,
+    # and c, b's exact twin, goes with it although its own row is far.
+    passages = (
+        Passage(id="a", text="keep me"),
+        Passage(id="b", text="Twin Text"),
+        Passage(id="c", text="twin  text"),
+    )
+    store = VectorStore(passages, np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    candidates = [ScoredPassage(p, s) for p, s in zip(passages, (0.9, 0.8, 0.7))]
+    assert [c.passage.id for c in deduplicate(candidates, SelectionRule(), store)] == ["a"]
 
 
 def test_deduplicate_output_is_ranked_and_idempotent():

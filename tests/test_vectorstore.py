@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treeroute import vectorstore
@@ -136,6 +136,39 @@ def test_search_equals_sorted_reference(pool, picks, query):
         hits = store.search(q, k=k)
         assert [(h.passage.id, h.score) for h in hits] == _sorted_reference(
             passages, matrix, q, k
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(_small_vectors, min_size=1, max_size=4),
+    query=_small_vectors,
+    k=st.integers(2, 9),
+    layout=st.sampled_from(["drawn", "best_in_tail", "all_tied"]),
+    data=st.data(),
+)
+def test_search_over_blocks_equals_sorted_reference(pool, query, k, layout, data):
+    # Below n rows, search takes its floor from k blocks of n // k rows;
+    # the n % k rows after the last block belong to no block.
+    n = data.draw(st.integers(k + 1, 100))
+    picks = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    matrix = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64) / 2.0
+    q = np.array(query, dtype=np.float64)
+    if layout == "all_tied":
+        matrix[:] = matrix[0]
+    elif layout == "best_in_tail":
+        assume(n % k and q.any())
+        # Rows before the tail score at most 0, tail rows above 0, some
+        # above 1 before the clamp.
+        tail = n - n % k
+        matrix[:tail] = -q * np.array(picks[:tail])[:, None] / 8.0
+        matrix[tail:] = q * (1 + np.array(picks[tail:]))[:, None] / 8.0
+    passages = tuple(Passage(id=f"p{i:03d}", text="t") for i in range(n))
+    store = VectorStore(passages, matrix)
+    for top in (k, k - 1, n - 1):
+        hits = store.search(q, k=top)
+        assert [(h.passage.id, h.score) for h in hits] == _sorted_reference(
+            passages, matrix, q, top
         )
 
 
@@ -340,6 +373,44 @@ def test_dense_store_reads_back_the_provider_bit_for_bit(dimension, data):
     _assert_store_reads_the_provider_rows(
         store, list(matrix), [np.array(q, dtype=np.float64) for q in queries]
     )
+
+
+def _assert_gram_is_the_fold(store, ids):
+    gram = store.gram(ids)
+    assert gram.shape == (len(ids), len(ids))
+    for j, pid in enumerate(ids):
+        assert _bits(gram[:, j]) == _bits(store.similarities(ids, store.embedding_of(pid)))
+    assert _bits(gram) == _bits(gram.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    texts=st.lists(_texts, min_size=1, max_size=10),
+    dimension=st.integers(1, 24),
+    seed=st.integers(0, 3),
+    data=st.data(),
+)
+def test_hashed_bag_gram_is_the_fold_bit_for_bit(texts, dimension, seed, data):
+    embedder = HashedBagEmbedder(dimension=dimension, seed=seed)
+    passages = [Passage(id=f"p{i:02d}", text=text or "-") for i, text in enumerate(texts)]
+    store = build_index(passages, embedder)
+    # Repeated ids, in any order.
+    picks = data.draw(st.lists(st.integers(0, len(passages) - 1), max_size=12))
+    _assert_gram_is_the_fold(store, [passages[i].id for i in picks])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dimension=st.integers(1, 8),
+    data=st.data(),
+)
+def test_dense_gram_is_the_fold_bit_for_bit(dimension, data):
+    vectors = st.lists(_entries, min_size=dimension, max_size=dimension)
+    rows = data.draw(st.lists(vectors, min_size=1, max_size=8))
+    passages = tuple(Passage(id=f"p{i:02d}", text="t") for i in range(len(rows)))
+    store = VectorStore(passages, np.array(rows, dtype=np.float64))
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=12))
+    _assert_gram_is_the_fold(store, [passages[i].id for i in picks])
 
 
 class _DenseProvider:
