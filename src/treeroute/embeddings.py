@@ -1,13 +1,20 @@
 """Embedding providers.
 
-Two providers implement the same contract: map text to a unit-norm vector
-of a fixed dimension. The hashed bag-of-tokens provider is fully
-deterministic and needs no network; its vector is a pure function of the
-text. It memoizes each token's coordinate in a bounded table of
-TOKEN_TABLE_SIZE entries (token -> int, never a vector), so a token seen
-before skips its SHA-256; the vector store memoizes repeated searches.
-The remote provider calls an HTTP embedding endpoint. Every vector
-returned by a provider is L2-normalized, which the vector store relies on.
+Two providers implement the same contract: embed(text) maps one text to a
+read-only unit-norm float64 vector of a fixed dimension, and
+embed_many(texts) maps a block of texts to a read-only float64 array of
+len(texts) x dimension whose row i has the bits of embed(texts[i]). A
+query takes embed; build_index takes embed_many, one block of
+vectorstore.BUILD_BLOCK_ROWS passages at a time.
+
+The hashed bag-of-tokens provider is fully deterministic and needs no
+network; its vector is a pure function of the text. It memoizes each
+token's coordinate in a bounded table of TOKEN_TABLE_SIZE entries
+(token -> int, never a vector), so a token seen before skips its SHA-256;
+the vector store memoizes repeated searches. The remote provider calls an
+HTTP embedding endpoint: one request per text for embed, one request with
+a list input per block for embed_many. Every vector returned by a
+provider is L2-normalized, which the vector store relies on.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ from __future__ import annotations
 import hashlib
 import math
 from functools import lru_cache, partial
-from typing import Protocol, runtime_checkable
+from itertools import chain
+from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -31,11 +39,13 @@ TOKEN_TABLE_SIZE = 65_536
 
 @runtime_checkable
 class EmbeddingProvider(Protocol):
-    """Anything that can turn text into a unit-norm vector."""
+    """Anything that can turn text into a unit-norm vector, one text or a block."""
 
     dimension: int
 
     def embed(self, text: str) -> np.ndarray: ...
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
 class HashedBagEmbedder:
@@ -71,6 +81,22 @@ class HashedBagEmbedder:
         vector.setflags(write=False)
         return vector
 
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        bags = [tokenize(text) or ("",) for text in texts]
+        keys = np.fromiter(map(self._coordinate, chain.from_iterable(bags)), dtype=np.intp)
+        keys += np.repeat(np.arange(len(bags)) * self.dimension, [len(bag) for bag in bags])
+        # Float weights count straight into the float64 block, with no
+        # integer block beside it; with no weights at all (no texts),
+        # bincount returns integers.
+        size = len(bags) * self.dimension
+        counts = np.bincount(keys, weights=np.ones(len(keys)), minlength=size)
+        block = counts.astype(np.float64, copy=False).reshape(len(bags), self.dimension)
+        # Each row's sum of squares is an exact integer, as in embed, so
+        # each row gets embed's bits.
+        block /= np.sqrt(np.einsum("ij,ij->i", block, block))[:, None]
+        block.setflags(write=False)
+        return block
+
 
 def _token_coordinate(seed: int, dimension: int, token: str) -> int:
     """The coordinate a hashed-bag embedder with this seed gives token."""
@@ -79,7 +105,14 @@ def _token_coordinate(seed: int, dimension: int, token: str) -> int:
 
 
 class RemoteEmbedder:
-    """Embedding client for an HTTP endpoint; retries a transient failure once."""
+    """Embedding client for an HTTP endpoint; retries a transient failure once.
+
+    embed sends {"model", "input": text} and reads {"embedding": [...]} or
+    {"data": [{"embedding": [...]}, ...]}. embed_many sends the texts as a
+    list input and reads {"data": [{"index": i, "embedding": [...]}, ...]},
+    one entry per text in any order; a wrong count or a missing index fails
+    the whole block.
+    """
 
     def __init__(
         self,
@@ -99,10 +132,43 @@ class RemoteEmbedder:
         body = {"model": self.model, "input": text}
         return post_json(self.endpoint, body, self.timeout_s, "embedding", self._to_vector)
 
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        body = {"model": self.model, "input": list(texts)}
+        parse = partial(self._to_block, len(texts))
+        return post_json(self.endpoint, body, self.timeout_s, "embedding", parse)
+
     def _to_vector(self, data: object) -> np.ndarray:
         values = _extract_embedding(data)
         if values is None:
             raise BackendError("embedding", "unrecognized response shape")
+        vector = self._unit(values)
+        vector.setflags(write=False)
+        return vector
+
+    def _to_block(self, count: int, data: object) -> np.ndarray:
+        """A list-form reply's embeddings in index order, each checked as
+        _to_vector checks one."""
+        items = data.get("data") if isinstance(data, dict) else None
+        if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+            raise BackendError("embedding", "unrecognized response shape")
+        if len(items) != count:
+            raise BackendError("embedding", f"expected {count} embeddings, got {len(items)}")
+        by_index = {
+            item["index"]: item.get("embedding")
+            for item in items
+            if isinstance(item.get("index"), int)
+        }
+        block = np.empty((count, self.dimension))
+        for row in range(count):
+            values = by_index.get(row)
+            if not isinstance(values, list):
+                raise BackendError("embedding", f"no embedding with index {row}")
+            block[row] = self._unit(values)
+        block.setflags(write=False)
+        return block
+
+    def _unit(self, values: list) -> np.ndarray:
+        """values as a float64 vector of the provider's dimension, divided by its norm."""
         try:
             vector = np.asarray(values, dtype=np.float64)
         except TypeError as exc:
@@ -123,9 +189,7 @@ class RemoteEmbedder:
             )
         if norm == 0.0:
             raise BackendError("embedding", "endpoint returned a zero vector")
-        vector = vector / norm
-        vector.setflags(write=False)
-        return vector
+        return vector / norm
 
 
 def _extract_embedding(data: object) -> list[float] | None:

@@ -11,9 +11,9 @@ same four steps:
    depths are plan choices; the adaptive mode asks the router);
 2. gather: at depth 0 the evidence pool is the search hits; a tree's root
    gates those hits and every other node searches its own sub-query;
-3. consolidate: deduplicate with the indexed passage embeddings, rerank
-   once, and select (simple and hybrid queries skip this and keep their
-   top hits);
+3. consolidate: deduplicate by the fold similarities of the stored rows
+   (one VectorStore.gram call), rerank once, and select (simple and hybrid
+   queries skip this and keep their top hits);
 4. classify the intents from the final evidence.
 
 Every processed query yields one trace with its routing fields, evidence,

@@ -10,6 +10,12 @@ so a stored -0.0 keeps its sign. A hashed-bag passage has a handful of
 nonzeros out of 768; a dense row of 768 costs 2.25 times its dense bytes
 (per entry a float64, two int32 and a uint16).
 
+build_index reads the provider's rows block by block: one embed_many call
+per BUILD_BLOCK_ROWS passages, whose read-only float64 block of
+len(texts) x dimension is scanned whole for its nonzeros and then
+dropped. A dense matrix given to VectorStore is read in the same blocks,
+so the build never holds a dense matrix.
+
 Search and the pruning gate compute similarities with one ordered fold:
 for each nonzero coordinate j of the query, in ascending order, add row
 r's entry in column j times q[j] to r's sum, starting from zero. Only
@@ -21,13 +27,15 @@ the BLAS build, the thread split or a passage's row.
 Search folds the query's columns over every row: all at once with one
 bincount when the stored entries under them number at most the row count
 (a hashed-bag query), else column by column (a dense query on a dense
-store), so no temporary outgrows the row count. It clamps to [-1, 1] (the
-only clamp on a similarity, since search scores reach the traces), then
-takes an exact top-k. Below n rows it first takes a floor: the smallest
-of the maxima of k equal blocks of n // k rows. Those maxima are k
-distinct rows at or above the floor, so the k-th best score is too, and
-the partition runs only over the rows at or above it. The row index
-breaks ties, so results are stable under re-indexing in any order.
+store), so no temporary outgrows the row count. Then it takes an exact
+top-k of the scores clamped to [-1, 1] (the only clamp on a similarity,
+since search scores reach the traces). Below n rows it first takes a
+floor: the smallest of the maxima of k equal blocks of n // k rows,
+capped at 1. Those maxima are k distinct rows at or above the floor, so
+the k-th best clamped score is too, and only the rows at or above the
+floor (every row, when the floor is -1 or below, or when k >= n) are
+clamped and partitioned. The row index breaks ties, so results are
+stable under re-indexing in any order.
 
 The gate folds each candidate row's stored entries, in their ascending
 column order, so the root's gate similarities equal its hit scores before
@@ -50,8 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,12 +66,14 @@ from .embeddings import EmbeddingProvider
 
 DEFAULT_SEARCH_K = 32
 SEARCH_CACHE_SIZE = 1024
-# Rows copied into one dense block during a build (196 KB at dimension
-# 768); each block's nonzeros become one chunk, so the build holds a few
-# arrays per block, never a dense matrix or arrays per row. In a sweep of
-# 16-256 on kb50k-standard-j2 (seed 1, 4 runs each), 32 gave the lowest
-# peak RSS (86.9 MB median, 89.6 at 128) and packed 50,000 rows in 0.164 s
-# (median of 7), against 0.151 s at 128.
+# Passages embedded by one embed_many call (one request for a remote
+# provider) and read as one dense block during a build (196 KB at
+# dimension 768); each block's nonzeros become one chunk, so the build
+# holds a few arrays per block, never a dense matrix or arrays per row. In
+# a sweep of 16-128 on kb50k-standard-j2 (seed 1, 4 runs each, medians, a
+# shared 2-core x86_64 host), 32 gave the lowest peak RSS (86.7 MB; 86.9
+# at 64, 88.3 at 128, 87.7 at 16) and set up in 0.322 s (0.313 s at 64,
+# 0.318 s at 128, 0.361 s at 16).
 BUILD_BLOCK_ROWS = 32
 
 
@@ -139,7 +148,7 @@ def _fold(bins: np.ndarray, products: np.ndarray, n: int) -> np.ndarray:
 
 
 def _nonzeros(
-    passages: Sequence[Passage], rows: Iterable[np.ndarray], dimension: int
+    passages: Sequence[Passage], blocks: Iterable[np.ndarray], dimension: int
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """The rows' nonzero entries in row-major order: row_ptr, their columns
     in the smallest uint, and their values as one chunk per block of rows."""
@@ -147,19 +156,16 @@ def _nonzeros(
     row_ptr = np.zeros(len(passages) + 1, dtype=np.int64)
     column_chunks: list[np.ndarray] = []
     value_chunks: list[np.ndarray] = []
-    block = np.empty((BUILD_BLOCK_ROWS, dimension))
-    pending = iter(rows)
-    for start in range(0, len(passages), BUILD_BLOCK_ROWS):
+    starts = range(0, len(passages), BUILD_BLOCK_ROWS)
+    for start, block in zip(starts, blocks, strict=True):
         chunk = passages[start : start + BUILD_BLOCK_ROWS]
-        rows_of_chunk = zip(chunk, islice(pending, len(chunk)), strict=True)
-        for offset, (passage, row) in enumerate(rows_of_chunk):
-            if row.shape != (dimension,):
-                raise ValueError(
-                    f"passage {passage.id}: embedding has shape {row.shape}, "
-                    f"store dimension is {dimension}"
-                )
-            block[offset] = row
-        filled = block[: len(chunk)].ravel()
+        block = np.asarray(block, dtype=np.float64)
+        if block.shape != (len(chunk), dimension):
+            raise ValueError(
+                f"passages {chunk[0].id}..{chunk[-1].id}: embeddings have shape "
+                f"{block.shape}, expected {(len(chunk), dimension)}"
+            )
+        filled = block.ravel()
         # Row-major order: by row, then by ascending column. An entry with
         # any bit set is kept, so a -0.0 reads back with its sign.
         flat = np.flatnonzero(filled.view(np.uint64) != 0)
@@ -171,11 +177,17 @@ def _nonzeros(
     return row_ptr, np.concatenate(column_chunks or [np.empty(0, column_type)]), value_chunks
 
 
-def _pack(passages: Sequence[Passage], rows: Iterable[np.ndarray], dimension: int) -> _Index:
-    """Read rows, one per passage, into the sparse layout."""
-    # The dense block and the per-block temporaries are freed when
-    # _nonzeros returns, before any index array is made.
-    row_ptr, columns, value_chunks = _nonzeros(passages, rows, dimension)
+def _blocks(rows: Sequence) -> Iterator:
+    """rows in slices of BUILD_BLOCK_ROWS."""
+    starts = range(0, len(rows), BUILD_BLOCK_ROWS)
+    return (rows[start : start + BUILD_BLOCK_ROWS] for start in starts)
+
+
+def _pack(passages: Sequence[Passage], blocks: Iterable[np.ndarray], dimension: int) -> _Index:
+    """Read blocks of BUILD_BLOCK_ROWS rows, one row per passage, into the sparse layout."""
+    # Each dense block and its temporaries are freed before the next block
+    # is read, and all of them before any index array is made.
+    row_ptr, columns, value_chunks = _nonzeros(passages, blocks, dimension)
     col_ptr = np.zeros(dimension + 1, dtype=np.int64)
     np.cumsum(np.bincount(columns, minlength=dimension), out=col_ptr[1:])
     # A stable sort by column keeps each column's rows ascending.
@@ -199,8 +211,10 @@ class VectorStore:
 
     Passages must be in strictly ascending id order, as build_index()
     leaves them: search breaks score ties by row index. matrix holds one
-    row per passage, read in order: a dense n x d array, or an iterable
-    of n rows given with their dimension. No dense copy is kept.
+    row per passage, read in order and in blocks of BUILD_BLOCK_ROWS rows:
+    a dense n x d array, read in slices, or an iterable of such blocks
+    (the last may be shorter) given with their dimension. No dense copy is
+    kept.
     """
 
     def __init__(
@@ -221,7 +235,10 @@ class VectorStore:
                     f"matrix has shape {matrix.shape}, passages need {len(self._passages)} rows"
                 )
             dimension = matrix.shape[1]
-        self._index = _pack(self._passages, matrix, dimension)
+            blocks = _blocks(matrix)
+        else:
+            blocks = matrix
+        self._index = _pack(self._passages, blocks, dimension)
         self._row_by_id = {p.id: i for i, p in enumerate(self._passages)}
         # Worker threads share one store. Two misses on the same key may both
         # scan; they cache equal results. The cache wraps a partial over the
@@ -363,32 +380,32 @@ def _scan(
 ) -> tuple[ScoredPassage, ...]:
     n = len(passages)
     scores = _column_fold(index, np.frombuffer(data, dtype), n)
-    np.clip(scores, -1.0, 1.0, out=scores)
-    if k < n:
-        # The k block maxima are k distinct rows at or above the floor, so
-        # the k-th score is too: only rows at or above it can place.
-        floor = scores[: n - n % k].reshape(k, -1).max(axis=1).min()
-        pool = np.flatnonzero(scores >= floor)
-        pooled = scores[pool]
-        # Every row tied with the k-th score competes for the last places.
-        kth = np.partition(pooled, len(pool) - k)[len(pool) - k]
-        rows = pool[pooled >= kth]
-    else:
-        rows = np.arange(n)
-    order = rows[np.lexsort((rows, -scores[rows]))][:k]
-    return tuple(ScoredPassage(passage=passages[i], score=float(scores[i])) for i in order)
+    # The k block maxima are k distinct rows at or above the floor, so the
+    # k-th score is too: only rows at or above it can place. Clamped, every
+    # score above 1 ties at 1, and every row ties at -1 with a floor of -1.
+    floor = min(scores[: n - n % k].reshape(k, -1).max(axis=1).min(), 1.0) if k < n else -1.0
+    pool = np.flatnonzero(scores >= floor) if floor > -1.0 else np.arange(n)
+    pooled = np.clip(scores[pool], -1.0, 1.0)
+    # Every row tied with the k-th score competes for the last places.
+    last = max(len(pool) - k, 0)
+    kept = pooled >= np.partition(pooled, last)[last]
+    pool, pooled = pool[kept], pooled[kept]
+    order = np.lexsort((pool, -pooled))[:k]
+    hits = zip(map(passages.__getitem__, pool[order].tolist()), pooled[order].tolist())
+    return tuple(ScoredPassage(passage, score) for passage, score in hits)
 
 
 def build_index(passages: Iterable[Passage], provider: EmbeddingProvider) -> VectorStore:
     """Embed and index passages; rejects duplicate ids by name.
 
     Passages are sorted by id before embedding so the resulting store is
-    identical regardless of input order. Each passage is embedded once and
-    only its nonzeros are kept.
+    identical regardless of input order. Each passage is embedded once, in
+    one embed_many call per block of BUILD_BLOCK_ROWS passages, and only
+    its nonzeros are kept.
     """
     ordered = sorted(passages, key=lambda p: p.id)
     for before, after in zip(ordered, ordered[1:]):
         if before.id == after.id:
             raise ValueError(f"duplicate passage id: {after.id}")
-    rows = (provider.embed(passage.text) for passage in ordered)
-    return VectorStore(ordered, rows, provider.dimension)
+    blocks = (provider.embed_many([p.text for p in chunk]) for chunk in _blocks(ordered))
+    return VectorStore(ordered, blocks, provider.dimension)

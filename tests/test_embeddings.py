@@ -4,6 +4,7 @@ import copy
 import gc
 import hashlib
 import json
+import math
 import threading
 import weakref
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -11,8 +12,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 from conftest import build_workload, make_engine
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treeroute import embeddings
+from treeroute import embeddings, vectorstore
 from treeroute.embeddings import (
     DEFAULT_DIMENSION,
     EmbeddingProvider,
@@ -22,6 +25,7 @@ from treeroute.embeddings import (
 from treeroute.errors import BackendError
 from treeroute.pipeline import run_workload
 from treeroute.signals import tokenize
+from treeroute.vectorstore import Passage, build_index
 
 
 def test_default_dimension():
@@ -154,6 +158,45 @@ def test_dropped_embedder_is_freed_without_gc():
             gc.enable()
 
 
+# Empty, punctuation-only and repeated-token texts among ordinary ones.
+_block_texts = st.one_of(
+    st.sampled_from(_TABLE_TEXTS + ["...", "?!", "card card card card", "a a b"]),
+    st.lists(st.sampled_from(["card", "rate", "café", "!", "日本"]), max_size=8).map(" ".join),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    texts=st.one_of(
+        st.lists(_block_texts, min_size=1, max_size=1),
+        st.lists(_block_texts, min_size=33, max_size=33),
+        st.lists(_block_texts, max_size=40),
+    ),
+    dimension=st.sampled_from([1, 7, 64, 768]),
+    seed=st.integers(0, 3),
+)
+def test_embed_many_rows_have_the_bits_of_embed(texts, dimension, seed):
+    embedder = HashedBagEmbedder(dimension=dimension, seed=seed)
+    block = embedder.embed_many(texts)
+    assert block.shape == (len(texts), dimension)
+    assert block.dtype == np.float64
+    assert not block.flags.writeable
+    # A fresh embedder, so embed fills its own token table.
+    single = HashedBagEmbedder(dimension=dimension, seed=seed)
+    for row, text in zip(block, texts):
+        assert row.tobytes() == single.embed(text).tobytes()
+
+
+def test_a_hashed_bag_build_never_calls_embed(monkeypatch):
+    def refuse(self, text):
+        raise AssertionError(f"embed called on {text!r}")
+
+    monkeypatch.setattr(HashedBagEmbedder, "embed", refuse)
+    passages = [Passage(id=f"p{i:02d}", text=f"passage {i}") for i in range(40)]
+    store = build_index(passages, HashedBagEmbedder(dimension=16))
+    assert store.size == 40
+
+
 def test_rejects_bad_dimension():
     with pytest.raises(ValueError):
         HashedBagEmbedder(dimension=0)
@@ -161,14 +204,22 @@ def test_rejects_bad_dimension():
 
 def test_provider_protocol():
     assert isinstance(HashedBagEmbedder(), EmbeddingProvider)
+    assert isinstance(RemoteEmbedder("http://127.0.0.1:1/embed", model="m"), EmbeddingProvider)
+
+
+def _server_vector(text: str, dimension: int) -> list[float]:
+    """The embedding the test server gives text: positive, and parallel to no other length's."""
+    return [float(len(text) + i + 1) for i in range(dimension)]
 
 
 class _EmbedHandler(BaseHTTPRequestHandler):
     fail_first = 0
     fail_status = 500
     payload_shape = "flat"
+    block_shape = "ordered"  # how a list input is answered
     dimension = 8
     requests_seen = 0
+    inputs: list = []  # the input of every request, in arrival order
     bad_input: str | None = None  # an input answered with a non-number element
 
     def do_POST(self):
@@ -177,30 +228,51 @@ class _EmbedHandler(BaseHTTPRequestHandler):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         assert "input" in body and "model" in body
+        cls.inputs.append(body["input"])
         if cls.fail_first > 0:
             cls.fail_first -= 1
             self.send_response(cls.fail_status)
             self.end_headers()
             return
-        values = [float(i + 1) for i in range(cls.dimension)]
-        if body["input"] == cls.bad_input:
-            payload = {"embedding": [{}] + values[1:]}
-        elif cls.payload_shape == "flat":
-            payload = {"embedding": values}
-        elif cls.payload_shape == "openai":
-            payload = {"data": [{"embedding": values}]}
-        elif cls.payload_shape == "zero":
-            payload = {"embedding": [0.0] * cls.dimension}
-        elif cls.payload_shape in ("nan", "inf"):
-            payload = {"embedding": values[:-1] + [float(cls.payload_shape)]}
+        if isinstance(body["input"], list):
+            payload = {"data": self._block(body["input"])}
         else:
-            payload = {"surprise": True}
+            payload = self._single(body["input"])
         data = json.dumps(payload).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+
+    def _single(self, text):
+        cls = type(self)
+        values = _server_vector(text, cls.dimension)
+        if text == cls.bad_input:
+            return {"embedding": [{}] + values[1:]}
+        if cls.payload_shape == "flat":
+            return {"embedding": values}
+        if cls.payload_shape == "openai":
+            return {"data": [{"embedding": values}]}
+        if cls.payload_shape == "zero":
+            return {"embedding": [0.0] * cls.dimension}
+        if cls.payload_shape in ("nan", "inf"):
+            return {"embedding": values[:-1] + [float(cls.payload_shape)]}
+        return {"surprise": True}
+
+    def _block(self, texts):
+        cls = type(self)
+        rows = [
+            {"index": i, "embedding": _server_vector(text, cls.dimension)}
+            for i, text in enumerate(texts)
+        ]
+        if cls.block_shape == "reversed":
+            rows.reverse()
+        elif cls.block_shape == "short":
+            rows.pop()
+        elif cls.block_shape == "nan":
+            rows[-1]["embedding"][0] = float("nan")
+        return rows
 
     def log_message(self, *args):
         pass
@@ -214,7 +286,9 @@ def embed_server():
     _EmbedHandler.fail_first = 0
     _EmbedHandler.fail_status = 500
     _EmbedHandler.payload_shape = "flat"
+    _EmbedHandler.block_shape = "ordered"
     _EmbedHandler.requests_seen = 0
+    _EmbedHandler.inputs = []
     _EmbedHandler.bad_input = None
     yield f"http://127.0.0.1:{server.server_port}/embed"
     server.shutdown()
@@ -301,6 +375,47 @@ def test_remote_rejects_wrong_dimension(embed_server):
     client = RemoteEmbedder(embed_server, model="m", dimension=99, timeout_ms=5000)
     with pytest.raises(BackendError, match="dimension"):
         client.embed("hello")
+
+
+def _remote_passages(n):
+    # Text lengths vary, so the server's rows differ.
+    return [Passage(id=f"p{i:03d}", text="word " * (1 + i % 5) + str(i)) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 32, 70])
+def test_a_remote_build_sends_one_list_request_per_block(embed_server, n):
+    client = _remote(embed_server)
+    passages = _remote_passages(n)
+    store = build_index(passages, client)
+    texts = [p.text for p in passages]
+    blocks = vectorstore.BUILD_BLOCK_ROWS
+    assert _EmbedHandler.requests_seen == math.ceil(n / blocks)
+    assert _EmbedHandler.inputs == [
+        texts[start : start + blocks] for start in range(0, n, blocks)
+    ]
+    for passage in passages:
+        assert store.embedding_of(passage.id).tobytes() == client.embed(passage.text).tobytes()
+
+
+def test_a_remote_block_is_read_in_index_order(embed_server):
+    _EmbedHandler.block_shape = "reversed"
+    client = _remote(embed_server)
+    texts = ["a", "bb", "ccc"]
+    block = client.embed_many(texts)
+    assert not block.flags.writeable
+    for row, text in zip(block, texts):
+        assert row.tobytes() == client.embed(text).tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape, message", [("short", "expected 32 embeddings, got 31"), ("nan", "non-finite")]
+)
+def test_a_bad_remote_block_fails_the_build(embed_server, shape, message):
+    _EmbedHandler.block_shape = shape
+    with pytest.raises(BackendError, match=message):
+        build_index(_remote_passages(40), _remote(embed_server))
+    # The first block fails and is not sent again.
+    assert _EmbedHandler.requests_seen == 1
 
 
 def test_remote_requires_endpoint():

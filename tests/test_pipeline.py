@@ -23,6 +23,7 @@ from treeroute.pipeline import (
 )
 from treeroute.pruning import GateOutcome, PruneResult, quantitative_gate
 from treeroute.tree import expand
+from treeroute.vectorstore import Passage, ScoredPassage, VectorStore
 
 SIMPLE = QueryRecord(id="q_simple", text="cancel my card", intents=frozenset({"cancel_card"}))
 HYBRID = QueryRecord(
@@ -527,22 +528,42 @@ def _reference_prune(original_embedding, candidates, thresholds, judge, *, embed
 
 
 def _reference_deduplicate(candidates, rule, store):
-    """Dedup as one clamped scalar np.dot per candidate and kept passage."""
+    """Dedup as one clamped scalar np.dot per candidate and kept passage.
+
+    Every distinct normalized text is seen before its near-duplicate check,
+    so an exact twin of a merged passage is merged too.
+    """
     kept, kept_embeddings, seen_text = [], [], set()
     for candidate in sorted(candidates, key=lambda c: (-c.score, c.passage.id)):
         normalized = rerank.normalize_text(candidate.passage.text)
         if normalized in seen_text:
             continue
+        seen_text.add(normalized)
         embedding = store.embedding_of(candidate.passage.id)
         if any(
             _scalar_cosine(embedding, other) >= rule.near_dup_threshold
             for other in kept_embeddings
         ):
             continue
-        seen_text.add(normalized)
         kept.append(candidate)
         kept_embeddings.append(embedding)
     return kept
+
+
+def test_reference_deduplicate_merges_the_twin_of_a_merged_near_duplicate():
+    # The passages of test_rerank.py's twin test: the hashed-bag pipeline
+    # test cannot tell the rules apart, since equal texts get equal rows.
+    passages = (
+        Passage(id="a", text="keep me"),
+        Passage(id="b", text="Twin Text"),
+        Passage(id="c", text="twin  text"),
+    )
+    store = VectorStore(passages, np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    candidates = [ScoredPassage(p, s) for p, s in zip(passages, (0.9, 0.8, 0.7))]
+    rule = rerank.SelectionRule()
+    engine = rerank.deduplicate(candidates, rule, store)
+    assert _reference_deduplicate(candidates, rule, store) == engine
+    assert [c.passage.id for c in engine] == ["a"]
 
 
 @pytest.mark.parametrize("mode", [ExecutionMode.ADAPTIVE, ExecutionMode.FIXED_DEPTH_3])

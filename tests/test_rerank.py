@@ -87,8 +87,11 @@ def test_near_dup_threshold_is_inclusive_boundary():
 
 
 def test_near_duplicates_of_blocked_and_tail_rows_merge():
-    # Six kept rows before the near-duplicates: BLAS gemv kernels take rows
-    # in blocks of four, so row 0 falls in a block and row 5 in the tail.
+    # Six kept rows, then near-duplicates of the first (k0) and of the last
+    # (k5), then a row near none. Dedup reads every pair from one
+    # VectorStore.gram call and walks only the rows near another, so a
+    # merge must be found at either edge of the Gram matrix, and the fresh
+    # row, near no row, kept.
     words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
     candidates = [
         _sp(f"k{i}", f"{word} {word}x {word}y", 0.9 - 0.01 * i)

@@ -235,7 +235,7 @@ def test_scored_passage_defaults():
 
 
 class _ShortVectorProvider:
-    """Returns a one-element vector for one text, which would broadcast."""
+    """Returns one-element vectors for a block holding one text, which would broadcast."""
 
     dimension = 4
 
@@ -243,6 +243,9 @@ class _ShortVectorProvider:
         if text == "short":
             return np.ones(1)
         return np.full(4, 0.5)
+
+    def embed_many(self, texts) -> np.ndarray:
+        return np.ones((len(texts), 1)) if "short" in texts else np.full((len(texts), 4), 0.5)
 
 
 def test_build_rejects_a_wrong_embedding_shape_by_passage_id():
@@ -421,6 +424,9 @@ class _DenseProvider:
     def embed(self, text: str) -> np.ndarray:
         seed = int.from_bytes(text.encode("utf-8"), "big") % (2**32)
         return _unit_rows(np.random.default_rng(seed), 1, self.dimension)[0]
+
+    def embed_many(self, texts) -> np.ndarray:
+        return np.array([self.embed(text) for text in texts]).reshape(len(texts), self.dimension)
 
 
 def test_a_passage_score_does_not_depend_on_its_row():
