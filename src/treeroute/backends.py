@@ -25,7 +25,7 @@ from typing import Any, Callable, Mapping, Protocol, TypeVar, runtime_checkable
 import requests
 
 from .errors import BackendError
-from .signals import DEFAULT_CONJUNCTION_TERMS, tokenize
+from .signals import SignalLexicons, tokenize
 
 T = TypeVar("T")
 
@@ -96,6 +96,18 @@ class CallLog:
 
 
 @dataclass(frozen=True)
+class CostModel:
+    """Synthetic latency of a query, the only latency a trace records."""
+
+    base_ms: float = 5.0
+    per_retrieval_ms: float = 15.0
+    per_llm_call_ms: float = 300.0
+
+    def latency_ms(self, retrievals: int, llm_calls: int) -> float:
+        return self.base_ms + self.per_retrieval_ms * retrievals + self.per_llm_call_ms * llm_calls
+
+
+@dataclass(frozen=True)
 class StubBehavior:
     """Knobs for the deterministic stub backend.
 
@@ -108,17 +120,19 @@ class StubBehavior:
     assessor_low: float = 0.35
     assessor_high: float = 0.55
     judge_threshold: float = 0.5
-    conjunction_terms: frozenset[str] = DEFAULT_CONJUNCTION_TERMS
+    conjunction_terms: frozenset[str] = SignalLexicons.conjunction_terms
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.assessor_low <= self.assessor_high <= 1.0:
-            raise ValueError(
-                "assessor bands must satisfy 0 <= low <= high <= 1, got "
-                f"({self.assessor_low}, {self.assessor_high})"
-            )
+        if not 0.0 <= self.assessor_low:
+            raise ValueError(f"stub.assessor_low: must be >= 0, got {self.assessor_low}")
+        if not self.assessor_low <= self.assessor_high <= 1.0:
+            bounds = f"[stub.assessor_low ({self.assessor_low}), 1]"
+            raise ValueError(f"stub.assessor_high: must be in {bounds}, got {self.assessor_high}")
 
 
-def stub_decompose(text: str, conjunction_terms: frozenset[str] = DEFAULT_CONJUNCTION_TERMS) -> tuple[str, str]:
+def stub_decompose(
+    text: str, conjunction_terms: frozenset[str] = SignalLexicons.conjunction_terms
+) -> tuple[str, str]:
     """Split text into two sub-queries; always succeeds, always distinct.
 
     Prefers splitting at the first conjunction token with nonempty sides,

@@ -159,14 +159,14 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    engine = build_engine(config, [])  # no corpus: snippets are empty
+    engine = build_engine(_load_config(args.config), [])  # no corpus: snippets are empty
+    routing = engine.routing
     roles = RoleRunner(
-        engine.backend, engine.prompts, query=args.query, fallback_level=engine.fallback_level
+        engine.backend, engine.prompts, query=args.query, fallback_level=routing.fallback_level
     )
     signals = extract_signals(tokenize(args.query), engine.lexicons)
     qci = compute_qci(signals, engine.weights)
-    decision = decide(signals, qci, [], roles.assess_level, tau_simple=config.qtc_tau_simple)
+    decision = decide(signals, qci, [], roles.assess_level, routing)
     _emit(
         {
             "query": args.query,
@@ -175,7 +175,7 @@ def cmd_route(args: argparse.Namespace) -> int:
             "qci": qci,
             "level": decision.level.value if decision.level else None,
             "signals": signals.as_dict(),
-            "tau_simple": config.qtc_tau_simple,
+            "tau_simple": routing.tau_simple,
             "warnings": roles.warnings,
         }
     )

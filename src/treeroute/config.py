@@ -17,21 +17,13 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .backends import BackendRole, StubBehavior
+from .backends import BackendRole, CostModel, StubBehavior
 from .embeddings import DEFAULT_DIMENSION
 from .errors import ConfigError
 from .pruning import GateThresholds
 from .rerank import SelectionRule
-from .routing import DEFAULT_TAU_SIMPLE, SemanticLevel
-from .signals import (
-    DEFAULT_COMPARISON_TERMS,
-    DEFAULT_CONJUNCTION_TERMS,
-    DEFAULT_LENGTH_THRESHOLD,
-    DEFAULT_SEQUENCE_TERMS,
-    DEFAULT_WH_TERMS,
-    QciWeights,
-    SignalLexicons,
-)
+from .routing import RoutingRule, SemanticLevel
+from .signals import QciWeights, SignalLexicons
 from .vectorstore import DEFAULT_SEARCH_K
 
 ENV_PREFIX = "TREEROUTE_"
@@ -63,23 +55,25 @@ class EngineConfig:
     qci_weight_comparison: float = _opt(QciWeights.comparison, "qci.weights.comparison")
     qci_weight_sequence: float = _opt(QciWeights.sequence, "qci.weights.sequence")
     qci_weight_length: float = _opt(QciWeights.length, "qci.weights.length")
-    qci_length_threshold: int = _opt(DEFAULT_LENGTH_THRESHOLD, "qci.length_threshold")
-    qci_lexicon_wh: tuple[str, ...] = _opt(_terms(DEFAULT_WH_TERMS), "qci.lexicon.wh")
+    qci_length_threshold: int = _opt(SignalLexicons.length_threshold, "qci.length_threshold")
+    qci_lexicon_wh: tuple[str, ...] = _opt(_terms(SignalLexicons.wh_terms), "qci.lexicon.wh")
     qci_lexicon_conjunction: tuple[str, ...] = _opt(
-        _terms(DEFAULT_CONJUNCTION_TERMS), "qci.lexicon.conjunction"
+        _terms(SignalLexicons.conjunction_terms), "qci.lexicon.conjunction"
     )
     qci_lexicon_comparison: tuple[str, ...] = _opt(
-        _terms(DEFAULT_COMPARISON_TERMS), "qci.lexicon.comparison"
+        _terms(SignalLexicons.comparison_terms), "qci.lexicon.comparison"
     )
     qci_lexicon_sequence: tuple[str, ...] = _opt(
-        _terms(DEFAULT_SEQUENCE_TERMS), "qci.lexicon.sequence"
+        _terms(SignalLexicons.sequence_terms), "qci.lexicon.sequence"
     )
 
     # Routing
-    qtc_tau_simple: float = _opt(DEFAULT_TAU_SIMPLE, "qtc.tau_simple", lo=0.0, hi=1.0)
-    qtc_assessor_snippets: int = _opt(3, "qtc.assessor_snippets", lo=0)
+    qtc_tau_simple: float = _opt(RoutingRule.tau_simple, "qtc.tau_simple", lo=0.0, hi=1.0)
+    qtc_assessor_snippets: int = _opt(RoutingRule.assessor_snippets, "qtc.assessor_snippets", lo=0)
     qtc_fallback_level: str = _opt(
-        "mid", "qtc.fallback_level", choices=tuple(level.value for level in SemanticLevel)
+        RoutingRule.fallback_level.value,
+        "qtc.fallback_level",
+        choices=tuple(level.value for level in SemanticLevel),
     )
 
     # Vector store
@@ -127,20 +121,24 @@ class EngineConfig:
     run_jobs: int = _opt(1, "run.jobs", lo=1)
 
     # Synthetic latency model: the latency_ms that every trace records
-    latency_base_ms: float = _opt(5.0, "latency.base_ms", lo=0.0)
-    latency_per_retrieval_ms: float = _opt(15.0, "latency.per_retrieval_ms", lo=0.0)
-    latency_per_llm_call_ms: float = _opt(300.0, "latency.per_llm_call_ms", lo=0.0)
+    latency_base_ms: float = _opt(CostModel.base_ms, "latency.base_ms", lo=0.0)
+    latency_per_retrieval_ms: float = _opt(
+        CostModel.per_retrieval_ms, "latency.per_retrieval_ms", lo=0.0
+    )
+    latency_per_llm_call_ms: float = _opt(
+        CostModel.per_llm_call_ms, "latency.per_llm_call_ms", lo=0.0
+    )
 
-    # -- derived views ---------------------------------------------------
+    # -- derived views: one object per section ----------------------------
+
+    def _section(self, cls: type, section: str, **given: Any) -> Any:
+        """Build cls from the keys <section>.<field>; given supplies the other fields."""
+        by_key = {f.metadata["key"]: getattr(self, f.name) for f in fields(self)}
+        values = {f.name: by_key[f"{section}.{f.name}"] for f in fields(cls) if f.name not in given}
+        return cls(**values, **given)
 
     def weights(self) -> QciWeights:
-        return QciWeights(
-            wh=self.qci_weight_wh,
-            conjunction=self.qci_weight_conjunction,
-            comparison=self.qci_weight_comparison,
-            sequence=self.qci_weight_sequence,
-            length=self.qci_weight_length,
-        )
+        return self._section(QciWeights, "qci.weights")
 
     def lexicons(self) -> SignalLexicons:
         return SignalLexicons(
@@ -152,23 +150,21 @@ class EngineConfig:
         )
 
     def gate_thresholds(self) -> GateThresholds:
-        return GateThresholds(hi=self.apm_hi, lo=self.apm_lo)
+        return self._section(GateThresholds, "apm")
 
     def selection_rule(self) -> SelectionRule:
-        return SelectionRule(
-            near_dup_threshold=self.rrl_near_dup_threshold,
-            top_rank=self.rrl_top_rank,
-            score_floor=self.rrl_score_floor,
-            cap=self.rrl_cap,
-        )
+        return self._section(SelectionRule, "rrl")
 
     def stub_behavior(self) -> StubBehavior:
-        return StubBehavior(
-            assessor_low=self.stub_assessor_low,
-            assessor_high=self.stub_assessor_high,
-            judge_threshold=self.stub_judge_threshold,
-            conjunction_terms=frozenset(self.qci_lexicon_conjunction),
+        return self._section(
+            StubBehavior, "stub", conjunction_terms=frozenset(self.qci_lexicon_conjunction)
         )
+
+    def routing_rule(self) -> RoutingRule:
+        return self._section(RoutingRule, "qtc", fallback_level=SemanticLevel(self.qtc_fallback_level))
+
+    def cost_model(self) -> CostModel:
+        return self._section(CostModel, "latency")
 
     def temperatures(self) -> dict[BackendRole, float]:
         return {
@@ -178,9 +174,6 @@ class EngineConfig:
             BackendRole.RERANKER: self.backend_temperature_reranker,
             BackendRole.INTENT_CLASSIFIER: self.backend_temperature_classifier,
         }
-
-    def fallback_level(self) -> SemanticLevel:
-        return SemanticLevel(self.qtc_fallback_level)
 
     # -- validation ------------------------------------------------------
 

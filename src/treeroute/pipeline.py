@@ -20,8 +20,8 @@ Every processed query yields one trace with its routing fields, evidence,
 predictions, and an exact per-role cost ledger; a backend failure yields
 a failed trace, never a crashed batch.
 
-A trace's latency is always the cost model (the latency.* keys applied to
-its retrievals and LLM calls), never measured time, so identical runs
+A trace's latency is always CostModel.latency_ms (the latency.* keys) of
+its retrievals and LLM calls, never measured time, so identical runs
 serialize to identical bytes; a run's wall time is in its manifest.
 """
 
@@ -133,7 +133,7 @@ class QueryTrace:
 
 
 class Engine:
-    """A built index plus backends, ready to process queries."""
+    """A built index, backends and one object per config section, ready for queries."""
 
     def __init__(
         self,
@@ -150,11 +150,12 @@ class Engine:
         self.backend = backend
         self.prompts = prompts
         self.intent_names = intent_names
-        self.fallback_level = config.fallback_level()
         self.lexicons = config.lexicons()
         self.weights = config.weights()
+        self.routing = config.routing_rule()
         self.thresholds = config.gate_thresholds()
         self.selection_rule = config.selection_rule()
+        self.cost_model = config.cost_model()
 
 
 def build_engine(
@@ -225,7 +226,7 @@ def process_query(
         engine.backend,
         engine.prompts,
         query=record.text,
-        fallback_level=engine.fallback_level,
+        fallback_level=engine.routing.fallback_level,
         decompose_retries=config.tor_retry_decompose,
     )
     standard = mode is ExecutionMode.STANDARD_RAG
@@ -251,9 +252,9 @@ def process_query(
             decision = decide(
                 signals,
                 qci,
-                [hit.passage.text for hit in hits[: config.qtc_assessor_snippets]],
+                [hit.passage.text for hit in hits[: engine.routing.assessor_snippets]],
                 roles.assess_level,
-                tau_simple=config.qtc_tau_simple,
+                engine.routing,
             )
             route, depth = decision.mode, decision.depth
         elif not standard and force_depth >= 1:
@@ -286,7 +287,7 @@ def process_query(
 
         # Consolidate: simple and hybrid queries keep their top hits unranked.
         if depth == 0 and not standard:
-            evidence = hits[: config.rrl_cap]
+            evidence = hits[: engine.selection_rule.cap]
         elif pool:
             evidence = consolidate(
                 pool,
@@ -307,9 +308,7 @@ def process_query(
         calls_by_role=roles.log.counts_by_role(),
         total_calls=roles.log.total_calls,
         prompt_tokens=roles.log.prompt_tokens,
-        latency_ms=config.latency_base_ms
-        + config.latency_per_retrieval_ms * retrievals
-        + config.latency_per_llm_call_ms * roles.log.total_calls,
+        latency_ms=engine.cost_model.latency_ms(retrievals, roles.log.total_calls),
     )
     return QueryTrace(
         query_id=record.id,

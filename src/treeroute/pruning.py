@@ -41,10 +41,10 @@ class GateThresholds:
     lo: float = 0.35
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.lo <= self.hi <= 1.0:
-            raise ValueError(
-                f"thresholds must satisfy 0 <= lo <= hi <= 1, got lo={self.lo} hi={self.hi}"
-            )
+        if not 0.0 <= self.lo:
+            raise ValueError(f"apm.lo: must be >= 0, got {self.lo}")
+        if not self.lo <= self.hi <= 1.0:
+            raise ValueError(f"apm.hi: must be in [apm.lo ({self.lo}), 1], got {self.hi}")
 
 
 class GateOutcome(Enum):

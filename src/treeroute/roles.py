@@ -29,7 +29,7 @@ from typing import Any, Mapping, Sequence
 
 from .backends import BackendRole, CallLog, ChatBackend, ChatRequest
 from .errors import BackendError, ConfigError, DecompositionError, EngineError
-from .routing import RouteMode, SemanticLevel
+from .routing import RouteMode, RoutingRule, SemanticLevel
 from .vectorstore import Passage, ScoredPassage
 
 _NUMBERED_LINE = re.compile(r"^\s*(\d+)\s*[.):\-]\s*(.*\S)\s*$", re.MULTILINE)
@@ -193,7 +193,7 @@ class RoleRunner:
         prompts: PromptLibrary | None = None,
         *,
         query: str,
-        fallback_level: SemanticLevel = SemanticLevel.MID,
+        fallback_level: SemanticLevel = RoutingRule.fallback_level,
         decompose_retries: int = 1,
     ):
         self.backend = backend

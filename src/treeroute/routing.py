@@ -3,7 +3,8 @@
 Queries with a conjunction or comparison marker always take the tree path;
 the rest split on the complexity index into a simple path (below the
 threshold) or a hybrid path (at or above it, still depth 0). Tree-path
-queries get a depth of 1 to 3 from a semantic level assessment.
+queries get a depth of 1 to 3 from a semantic level assessment. The
+[qtc] config section builds one RoutingRule.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .errors import RoutingError
 # compute_qci and extract_signals go unused here: perfbench's tracer wraps them in this module.
 from .signals import SignalVector, compute_qci, extract_signals  # noqa: F401
 
-DEFAULT_TAU_SIMPLE = 0.10
 MAX_DEPTH = 3
 
 
@@ -44,6 +44,15 @@ LevelAssessor = Callable[[Sequence[str], float], SemanticLevel]
 
 
 @dataclass(frozen=True)
+class RoutingRule:
+    """The simple-path threshold, the assessor's snippet count and its fallback level."""
+
+    tau_simple: float = 0.10
+    assessor_snippets: int = 3
+    fallback_level: SemanticLevel = SemanticLevel.MID
+
+
+@dataclass(frozen=True)
 class RoutingDecision:
     mode: RouteMode
     level: SemanticLevel | None
@@ -51,7 +60,7 @@ class RoutingDecision:
 
 
 def route(
-    signals: SignalVector, qci: float, tau_simple: float = DEFAULT_TAU_SIMPLE
+    signals: SignalVector, qci: float, tau_simple: float = RoutingRule.tau_simple
 ) -> RouteMode:
     """Total routing rule over the signal vector and complexity index.
 
@@ -82,7 +91,7 @@ def decide(
     qci: float,
     context_snippets: Sequence[str],
     assessor: LevelAssessor,
-    tau_simple: float = DEFAULT_TAU_SIMPLE,
+    rule: RoutingRule = RoutingRule(),
 ) -> RoutingDecision:
     """Route a query from its signals and index, then give it a depth.
 
@@ -90,7 +99,7 @@ def decide(
     The level assessor is consulted exactly once and only for tree-route
     queries; simple and hybrid queries never touch a backend here.
     """
-    mode = route(signals, qci, tau_simple)
+    mode = route(signals, qci, rule.tau_simple)
     level: SemanticLevel | None = None
     if mode is RouteMode.TREE:
         try:

@@ -11,15 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import asdict, dataclass
 
-DEFAULT_WH_TERMS = frozenset(
-    {"what", "when", "where", "who", "whom", "whose", "which", "why", "how"}
-)
-DEFAULT_CONJUNCTION_TERMS = frozenset({"and", "or", "but", "while"})
-DEFAULT_COMPARISON_TERMS = frozenset({"compare", "versus", "better", "difference"})
-DEFAULT_SEQUENCE_TERMS = frozenset({"first", "then", "after", "before", "next"})
-DEFAULT_LENGTH_THRESHOLD = 25
-
-
 @dataclass(frozen=True)
 class SignalVector:
     """Four binary structure markers plus a length signal, each in [0, 1]."""
@@ -67,11 +58,13 @@ class QciWeights:
 class SignalLexicons:
     """Marker term sets plus the token count at which length saturates."""
 
-    wh_terms: frozenset[str] = DEFAULT_WH_TERMS
-    conjunction_terms: frozenset[str] = DEFAULT_CONJUNCTION_TERMS
-    comparison_terms: frozenset[str] = DEFAULT_COMPARISON_TERMS
-    sequence_terms: frozenset[str] = DEFAULT_SEQUENCE_TERMS
-    length_threshold: int = DEFAULT_LENGTH_THRESHOLD
+    wh_terms: frozenset[str] = frozenset(
+        {"what", "when", "where", "who", "whom", "whose", "which", "why", "how"}
+    )
+    conjunction_terms: frozenset[str] = frozenset({"and", "or", "but", "while"})
+    comparison_terms: frozenset[str] = frozenset({"compare", "versus", "better", "difference"})
+    sequence_terms: frozenset[str] = frozenset({"first", "then", "after", "before", "next"})
+    length_threshold: int = 25
 
     def __post_init__(self) -> None:
         for name in ("wh", "conjunction", "comparison", "sequence"):

@@ -83,10 +83,16 @@ def test_route_config_file_with_invalid_utf8_is_engine_error(capsys, tmp_path):
     assert error["error"].startswith(f"cannot read config file {config_path}")
 
 
-def test_route_reports_what_the_pipeline_traces(capsys):
-    engine = make_engine()
+@pytest.mark.parametrize("overrides", [{}, {"qtc.tau_simple": "0.5"}], ids=["defaults", "tau"])
+def test_route_reports_what_the_pipeline_traces(capsys, tmp_path, overrides):
+    config = EngineConfig()
+    config.apply(overrides)
+    config_path = tmp_path / "engine.ini"
+    config_path.write_text(config.to_text(), encoding="utf-8")
+    engine = make_engine(config)
+    modes = set()
     for text, intents in TEMPLATES:
-        code, out, _ = _run_cli(capsys, ["route", text])
+        code, out, _ = _run_cli(capsys, ["route", text, "--config", str(config_path)])
         assert code == 0
         data = _last_json(out)
         trace = process_query(engine, QueryRecord(id="q", text=text, intents=frozenset(intents)))
@@ -96,6 +102,10 @@ def test_route_reports_what_the_pipeline_traces(capsys):
             trace.qci,
             trace.signals,
         ), text
+        assert data["tau_simple"] == config.qtc_tau_simple
+        modes.add(data["mode"])
+    # At tau_simple 0.5 every template without a tree marker routes simple.
+    assert ("hybrid" in modes) == (config.qtc_tau_simple == 0.10)
 
 
 def test_index_writes_reproducible_manifest(capsys, tmp_path, workload_file):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from dataclasses import fields
@@ -154,6 +155,14 @@ def test_every_float_key_and_declared_bound_is_covered():
         ({"qci.length_threshold": "0"}, "qci.length_threshold: must be > 0, got 0"),
         ({"qci.lexicon.wh": ""}, "qci.lexicon.wh: must be nonempty"),
         ({"qci.lexicon.sequence": ","}, "qci.lexicon.sequence: must be nonempty"),
+        ({"apm.hi": "1.5"}, "apm.hi: must be in [apm.lo (0.35), 1], got 1.5"),
+        ({"apm.lo": "0.8"}, "apm.hi: must be in [apm.lo (0.8), 1], got 0.7"),
+        ({"apm.lo": "-0.1"}, "apm.lo: must be >= 0, got -0.1"),
+        (
+            {"stub.assessor_high": "0.1"},
+            "stub.assessor_high: must be in [stub.assessor_low (0.35), 1], got 0.1",
+        ),
+        ({"stub.assessor_low": "-1"}, "stub.assessor_low: must be >= 0, got -1.0"),
     ],
 )
 def test_validate_messages(overrides, message):
@@ -241,7 +250,7 @@ def test_derived_views_reflect_fields():
     assert config.gate_thresholds().hi == 0.9
     assert config.gate_thresholds().lo == 0.1
     assert config.temperatures()[BackendRole.JUDGE] == 0.25
-    assert config.fallback_level() is SemanticLevel.HIGH
+    assert config.routing_rule().fallback_level is SemanticLevel.HIGH
     rule = config.selection_rule()
     assert (rule.top_rank, rule.cap, rule.near_dup_threshold) == (5, 7, 0.9)
     assert config.weights().wh == 0.25
@@ -264,3 +273,65 @@ def test_to_text_groups_by_section():
     # Sections arrive sorted.
     sections = [line for line in text.splitlines() if line.startswith("[")]
     assert sections == sorted(sections)
+
+
+def test_default_config_text_is_pinned():
+    # Defaults live on each section's class; moving one must not move the hash.
+    text = EngineConfig().to_text()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "7ffc8b4c92cb325cef7a479f2f7e98fb317816c58018c9f3c1cf222ef74d1309"
+    )
+
+
+# key -> (raw non-default value, builder, field of the built object, expected value).
+# The values are valid together, and distinct within each section.
+SECTION_KEYS = {
+    "qci.weights.wh": ("0.3", "weights", "wh", 0.3),
+    "qci.weights.conjunction": ("0.1", "weights", "conjunction", 0.1),
+    "qci.weights.comparison": ("0.25", "weights", "comparison", 0.25),
+    "qci.weights.sequence": ("0.2", "weights", "sequence", 0.2),
+    "qci.weights.length": ("0.15", "weights", "length", 0.15),
+    "qci.length_threshold": ("12", "lexicons", "length_threshold", 12),
+    "qci.lexicon.wh": ("who,how", "lexicons", "wh_terms", frozenset({"who", "how"})),
+    "qci.lexicon.conjunction": ("plus", "lexicons", "conjunction_terms", frozenset({"plus"})),
+    "qci.lexicon.comparison": ("vs", "lexicons", "comparison_terms", frozenset({"vs"})),
+    "qci.lexicon.sequence": ("later", "lexicons", "sequence_terms", frozenset({"later"})),
+    "qtc.tau_simple": ("0.4", "routing_rule", "tau_simple", 0.4),
+    "qtc.assessor_snippets": ("5", "routing_rule", "assessor_snippets", 5),
+    "qtc.fallback_level": ("high", "routing_rule", "fallback_level", SemanticLevel.HIGH),
+    "apm.hi": ("0.8", "gate_thresholds", "hi", 0.8),
+    "apm.lo": ("0.45", "gate_thresholds", "lo", 0.45),
+    "rrl.near_dup_threshold": ("0.9", "selection_rule", "near_dup_threshold", 0.9),
+    "rrl.top_rank": ("4", "selection_rule", "top_rank", 4),
+    "rrl.score_floor": ("0.6", "selection_rule", "score_floor", 0.6),
+    "rrl.cap": ("7", "selection_rule", "cap", 7),
+    "stub.assessor_low": ("0.3", "stub_behavior", "assessor_low", 0.3),
+    "stub.assessor_high": ("0.65", "stub_behavior", "assessor_high", 0.65),
+    "stub.judge_threshold": ("0.55", "stub_behavior", "judge_threshold", 0.55),
+    "latency.base_ms": ("1", "cost_model", "base_ms", 1.0),
+    "latency.per_retrieval_ms": ("2", "cost_model", "per_retrieval_ms", 2.0),
+    "latency.per_llm_call_ms": ("3", "cost_model", "per_llm_call_ms", 3.0),
+}
+
+
+def test_section_keys_cover_every_key_and_field():
+    sections = ("qci.", "qtc.", "apm.hi", "apm.lo", "rrl.", "stub.", "latency.")
+    keys = {f.metadata["key"] for f in fields(EngineConfig)}
+    assert {key for key in keys if key.startswith(sections)} == set(SECTION_KEYS)
+    config = EngineConfig()
+    for builder in {builder for _, builder, _, _ in SECTION_KEYS.values()}:
+        built = {f.name for f in fields(getattr(config, builder)())}
+        covered = {name for _, b, name, _ in SECTION_KEYS.values() if b == builder}
+        # The stub's decomposer terms come from qci.lexicon.conjunction.
+        assert built - covered <= {"conjunction_terms"}, builder
+
+
+@pytest.mark.parametrize("key", sorted(SECTION_KEYS))
+def test_every_section_key_reaches_its_object(key):
+    raw, builder, name, expected = SECTION_KEYS[key]
+    config = EngineConfig()
+    default = getattr(getattr(config, builder)(), name)
+    config.apply({k: v for k, (v, *_) in SECTION_KEYS.items()})
+    config.validate()
+    assert expected != default
+    assert getattr(getattr(config, builder)(), name) == expected

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Mapping
 
 import numpy as np
@@ -195,6 +196,27 @@ def test_level_assessor_prompt_states_the_tree_route(engine):
     assert "Initial routing: tree\n" in prompts[0]
 
 
+def _assessor_snippet_block(snippet_count: int) -> tuple[str, QueryTrace]:
+    engine = make_engine(qtc_assessor_snippets=snippet_count)
+    engine.backend = _RecordingBackend()
+    trace = process_query(engine, TREE_MID)
+    (prompt,) = [
+        r.prompt for r in engine.backend.requests if r.role is BackendRole.LEVEL_ASSESSOR
+    ]
+    return re.search(r"Context snippets:\n(.*?)\n\n", prompt, re.DOTALL).group(1), trace
+
+
+def test_qtc_assessor_snippets_sets_the_hits_the_assessor_sees():
+    three, _ = _assessor_snippet_block(3)
+    assert [line[:3] for line in three.splitlines()] == ["1. ", "2. ", "3. "]
+    one, one_trace = _assessor_snippet_block(1)
+    assert one.startswith("1. ") and "\n" not in one
+    none, none_trace = _assessor_snippet_block(0)
+    assert none == "(none)"
+    assert one_trace.mode == none_trace.mode == "tree"
+    assert one_trace.ledger.prompt_tokens != none_trace.ledger.prompt_tokens
+
+
 def test_signals_and_qci_are_computed_once_per_query(monkeypatch):
     calls = {"extract_signals": 0, "compute_qci": 0}
     for module in (pipeline, routing):
@@ -227,6 +249,20 @@ def test_deterministic_latency_follows_the_model(engine):
         + config.latency_per_llm_call_ms * 2
     )
     assert standard.ledger.latency_ms == pytest.approx(expected, abs=1e-9)
+
+
+def test_latency_keys_set_the_cost_model():
+    engine = make_engine(
+        latency_base_ms=1.0, latency_per_retrieval_ms=2.0, latency_per_llm_call_ms=3.0
+    )
+    # One retrieval; one classifier call, plus the reranker's in standard mode.
+    assert process_query(engine, SIMPLE).ledger.latency_ms == 6.0
+    standard = process_query(engine, SIMPLE, mode=ExecutionMode.STANDARD_RAG)
+    assert standard.ledger.latency_ms == 9.0
+    tree = process_query(engine, TREE_MID)
+    assert tree.ledger.latency_ms == 1.0 + 2.0 * (tree.node_count + 1) + 3.0 * (
+        tree.ledger.total_calls
+    )
 
 
 def test_tree_latency_counts_per_node_retrievals():

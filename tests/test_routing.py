@@ -13,6 +13,7 @@ from treeroute.routing import (
     MAX_DEPTH,
     RouteMode,
     RoutingDecision,
+    RoutingRule,
     SemanticLevel,
     assign_depth,
     decide,
@@ -136,7 +137,7 @@ def test_decide_routes_on_the_given_index():
     signals = extract_signals(tokenize("cancel my card"))
     assert decide(signals, 0.0, [], None).mode is RouteMode.SIMPLE
     assert decide(signals, 0.5, [], None).mode is RouteMode.HYBRID
-    assert decide(signals, 0.5, [], None, tau_simple=0.6).mode is RouteMode.SIMPLE
+    assert decide(signals, 0.5, [], None, RoutingRule(tau_simple=0.6)).mode is RouteMode.SIMPLE
 
 
 def test_decide_wraps_missing_assessor():

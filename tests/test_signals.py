@@ -7,10 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from treeroute.signals import (
-    DEFAULT_COMPARISON_TERMS,
-    DEFAULT_CONJUNCTION_TERMS,
-    DEFAULT_LENGTH_THRESHOLD,
-    DEFAULT_WH_TERMS,
     QciWeights,
     SignalLexicons,
     SignalVector,
@@ -188,10 +184,10 @@ def test_nan_weight_is_rejected():
 
 
 def test_default_lexicons_contents():
-    assert "which" in DEFAULT_WH_TERMS
-    assert "while" in DEFAULT_CONJUNCTION_TERMS
-    assert "versus" in DEFAULT_COMPARISON_TERMS
-    assert DEFAULT_LENGTH_THRESHOLD == 25
+    assert "which" in SignalLexicons.wh_terms
+    assert "while" in SignalLexicons.conjunction_terms
+    assert "versus" in SignalLexicons.comparison_terms
+    assert SignalLexicons.length_threshold == 25
 
 
 def test_lexicons_reject_empty_sets():
