@@ -13,6 +13,7 @@ from .backends import (
     BackendRole,
     CallLog,
     ChatRequest,
+    CostModel,
     RemoteChatBackend,
     StubBehavior,
     StubChatBackend,
@@ -72,6 +73,7 @@ from .roles import PromptLibrary, RoleRunner
 from .routing import (
     RouteMode,
     RoutingDecision,
+    RoutingRule,
     SemanticLevel,
     assign_depth,
     decide,

@@ -159,7 +159,10 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    engine = build_engine(_load_config(args.config), [])  # no corpus: snippets are empty
+    # No corpus: the level assessor sees no snippets, where run shows it the
+    # query's top qtc.assessor_snippets hits, so with a remote backend the
+    # level, and then the depth, may differ from run's.
+    engine = build_engine(_load_config(args.config), [])
     routing = engine.routing
     roles = RoleRunner(
         engine.backend, engine.prompts, query=args.query, fallback_level=routing.fallback_level

@@ -5,16 +5,17 @@ read-only unit-norm float64 vector of a fixed dimension, and
 embed_many(texts) maps a block of texts to a read-only float64 array of
 len(texts) x dimension whose row i has the bits of embed(texts[i]). A
 query takes embed; build_index takes embed_many, one block of
-vectorstore.BUILD_BLOCK_ROWS passages at a time.
+vectorstore.BUILD_BLOCK_ROWS passages at a time. The engine compares
+vectors only through the vector store's fold.
 
 The hashed bag-of-tokens provider is fully deterministic and needs no
 network; its vector is a pure function of the text. It memoizes each
 token's coordinate in a bounded table of TOKEN_TABLE_SIZE entries
 (token -> int, never a vector), so a token seen before skips its SHA-256;
 the vector store memoizes repeated searches. The remote provider calls an
-HTTP embedding endpoint: one request per text for embed, one request with
-a list input per block for embed_many. Every vector returned by a
-provider is L2-normalized, which the vector store relies on.
+HTTP embedding endpoint with one request shape, a list input: embed is
+embed_many of a one-text list. Every vector returned by a provider is
+L2-normalized, which the vector store relies on.
 """
 
 from __future__ import annotations
@@ -107,11 +108,10 @@ def _token_coordinate(seed: int, dimension: int, token: str) -> int:
 class RemoteEmbedder:
     """Embedding client for an HTTP endpoint; retries a transient failure once.
 
-    embed sends {"model", "input": text} and reads {"embedding": [...]} or
-    {"data": [{"embedding": [...]}, ...]}. embed_many sends the texts as a
-    list input and reads {"data": [{"index": i, "embedding": [...]}, ...]},
-    one entry per text in any order; a wrong count or a missing index fails
-    the whole block.
+    embed_many sends {"model", "input": [text, ...]} and reads
+    {"data": [{"index": i, "embedding": [...]}, ...]}, one entry per text
+    in any order; a wrong count or a missing index fails the whole block.
+    embed sends the same request for a one-text list.
     """
 
     def __init__(
@@ -129,34 +129,25 @@ class RemoteEmbedder:
         self.timeout_s = timeout_ms / 1000.0
 
     def embed(self, text: str) -> np.ndarray:
-        body = {"model": self.model, "input": text}
-        return post_json(self.endpoint, body, self.timeout_s, "embedding", self._to_vector)
+        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         body = {"model": self.model, "input": list(texts)}
         parse = partial(self._to_block, len(texts))
         return post_json(self.endpoint, body, self.timeout_s, "embedding", parse)
 
-    def _to_vector(self, data: object) -> np.ndarray:
-        values = _extract_embedding(data)
-        if values is None:
-            raise BackendError("embedding", "unrecognized response shape")
-        vector = self._unit(values)
-        vector.setflags(write=False)
-        return vector
-
     def _to_block(self, count: int, data: object) -> np.ndarray:
-        """A list-form reply's embeddings in index order, each checked as
-        _to_vector checks one."""
+        """A reply's count embeddings in index order, each checked by _unit."""
         items = data.get("data") if isinstance(data, dict) else None
         if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
             raise BackendError("embedding", "unrecognized response shape")
         if len(items) != count:
             raise BackendError("embedding", f"expected {count} embeddings, got {len(items)}")
+        # A bool is no index, though Python counts True as 1.
         by_index = {
             item["index"]: item.get("embedding")
             for item in items
-            if isinstance(item.get("index"), int)
+            if type(item.get("index")) is int
         }
         block = np.empty((count, self.dimension))
         for row in range(count):
@@ -169,12 +160,15 @@ class RemoteEmbedder:
 
     def _unit(self, values: list) -> np.ndarray:
         """values as a float64 vector of the provider's dimension, divided by its norm."""
+        # Only a JSON number is a coordinate: a string, bool, null, list or
+        # object fails with a ValueError, which post_json retries once.
+        if not all(type(value) in (int, float) for value in values):
+            raise ValueError("embedding holds a non-number")
         try:
             vector = np.asarray(values, dtype=np.float64)
-        except TypeError as exc:
-            # An element such as {} fails as a string element does, with a
-            # ValueError that post_json retries once.
-            raise ValueError(f"embedding holds a non-number: {exc}") from exc
+        except OverflowError:
+            # An integer past float64's range, as 1e400 parses to inf.
+            raise BackendError("embedding", "endpoint returned a vector with a non-finite norm")
         if vector.shape != (self.dimension,):
             raise BackendError(
                 "embedding",
@@ -191,14 +185,3 @@ class RemoteEmbedder:
             raise BackendError("embedding", "endpoint returned a zero vector")
         return vector / norm
 
-
-def _extract_embedding(data: object) -> list[float] | None:
-    if not isinstance(data, dict):
-        return None
-    if isinstance(data.get("embedding"), list):
-        return data["embedding"]
-    items = data.get("data")
-    if isinstance(items, list) and items and isinstance(items[0], dict):
-        if isinstance(items[0].get("embedding"), list):
-            return items[0]["embedding"]
-    return None

@@ -8,12 +8,13 @@ is escalated to a judge call, one candidate at a time in input order, so
 judge volume is exactly the borderline count. Survivors keep their input
 order.
 
-A node's cosines are the vector store's ordered fold: over each
-candidate's stored nonzeros, gathered in one call, or over the rows of a
-plain id -> embedding table. Either way a
-candidate's similarity has the bits of its search score against the same
-query, before search's clamp. The gate does not clamp: with thresholds in
-[0, 1], only search needs to, since its scores reach the traces.
+A node's cosines are the vector store's ordered fold over each
+candidate's stored nonzeros, gathered in one call; it is the only fold. A
+plain id -> embedding table is first read into a store of its own over
+the candidates' rows. A candidate's similarity thus has the bits of its
+search score against the same query, before search's clamp. The gate
+does not clamp: with thresholds in [0, 1], only search needs to, since
+its scores reach the traces.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .vectorstore import Passage, ScoredPassage, VectorStore, similarities
+from .vectorstore import Passage, ScoredPassage, VectorStore
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,19 @@ def prune(
     Similarity is always computed against the original query embedding,
     not the sub-query that retrieved the candidate, so one detached branch
     cannot flood the evidence pool. embedding_of is the store that holds
-    the candidates, or a table of their embeddings; an embedding whose
+    the candidates, or a table of their embeddings, read into a store over
+    the candidates' distinct passages in id order; an embedding whose
     dimension differs from the query's raises ValueError.
     """
     if not candidates:
         return PruneResult(survivors=[], judge_calls=0)
-    ids = [c.passage.id for c in candidates]
     if isinstance(embedding_of, VectorStore):
-        sims = embedding_of.similarities(ids, original_embedding)
+        store = embedding_of
     else:
-        sims = similarities(np.array([embedding_of[pid] for pid in ids]), original_embedding)
+        by_id = {c.passage.id: c.passage for c in candidates}
+        passages = [by_id[pid] for pid in sorted(by_id)]
+        store = VectorStore(passages, np.stack([embedding_of[p.id] for p in passages]))
+    sims = store.similarities([c.passage.id for c in candidates], original_embedding)
     retain, borderline = _bands(sims, thresholds)
     keep = retain.tolist()
     judged = np.flatnonzero(borderline)

@@ -16,13 +16,15 @@ len(texts) x dimension is scanned whole for its nonzeros and then
 dropped. A dense matrix given to VectorStore is read in the same blocks,
 so the build never holds a dense matrix.
 
-Search and the pruning gate compute similarities with one ordered fold:
-for each nonzero coordinate j of the query, in ascending order, add row
-r's entry in column j times q[j] to r's sum, starting from zero. Only
-stored entries are read; a skipped one would add a product of zero (the
-vectors are finite), and adding a zero never changes a sum that starts at
-+0.0. So the bits of a similarity depend only on the two vectors, never on
-the BLAS build, the thread split or a passage's row.
+Search, the pruning gate and dedup compute similarities with one ordered
+fold, the only one in the engine (the gate reads a plain table of
+embeddings into a store of its own first): for each nonzero coordinate j
+of the query, in ascending order, add row r's entry in column j times
+q[j] to r's sum, starting from zero. Only stored entries are read; a
+skipped one would add a product of zero (the vectors are finite), and
+adding a zero never changes a sum that starts at +0.0. So the bits of a
+similarity depend only on the two vectors, never on the BLAS build, the
+thread split or a passage's row.
 
 Search folds the query's columns over every row: all at once with one
 bincount when the stored entries under them number at most the row count
@@ -75,27 +77,6 @@ SEARCH_CACHE_SIZE = 1024
 # at 64, 88.3 at 128, 87.7 at 16) and set up in 0.322 s (0.313 s at 64,
 # 0.318 s at 128, 0.361 s at 16).
 BUILD_BLOCK_ROWS = 32
-
-
-def similarities(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Every row of a dense matrix dotted with vector, as one left fold.
-
-    For each nonzero coordinate j of vector, in ascending order, the
-    result accumulates matrix[:, j] * vector[j], starting from zero. Each
-    row's value is thus the left-to-right float sum of its products over
-    the vector's nonzero coordinates, whatever the row's position or the
-    number of rows: the same bits as the store's sparse fold. Not clamped.
-    """
-    if vector.shape != (matrix.shape[1],):
-        raise ValueError(
-            f"vector has shape {vector.shape}, matrix rows have {matrix.shape[1]} coordinates"
-        )
-    out = np.zeros(matrix.shape[0])
-    term = np.empty_like(out)
-    for j in np.flatnonzero(vector):
-        np.multiply(matrix[:, j], vector[j], out=term)
-        out += term
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import pytest
 
+from treeroute.backends import BackendRole, StubChatBackend
 from treeroute.config import EngineConfig
 from treeroute.dataset import IntentCatalogEntry, QueryRecord, build_kb
 from treeroute.pipeline import Engine, build_engine
@@ -83,3 +85,33 @@ def engine() -> Engine:
 @pytest.fixture
 def workload() -> list[QueryRecord]:
     return build_workload(40)
+
+
+class CountingBackend:
+    """Delegates to the stub and counts the chat calls that reach it."""
+
+    def __init__(self):
+        self.inner = StubChatBackend()
+        self.calls = 0
+
+    def chat(self, request):
+        self.calls += 1
+        return self.inner.chat(request)
+
+
+class RecordingBackend(CountingBackend):
+    """Counts like CountingBackend and keeps every request it was sent."""
+
+    def __init__(self):
+        super().__init__()
+        self.requests = []
+
+    def chat(self, request):
+        self.requests.append(request)
+        return super().chat(request)
+
+
+def assessor_snippets(backend: RecordingBackend) -> str:
+    """The context snippets of the one level-assessor prompt backend was sent."""
+    (prompt,) = [r.prompt for r in backend.requests if r.role is BackendRole.LEVEL_ASSESSOR]
+    return re.search(r"Context snippets:\n(.*?)\n\n", prompt, re.DOTALL).group(1)

@@ -3,12 +3,13 @@ from __future__ import annotations
 import json
 
 import pytest
-from conftest import TEMPLATES, build_workload, make_engine
+from conftest import TEMPLATES, RecordingBackend, assessor_snippets, build_workload, make_engine
 
+from treeroute import cli
 from treeroute.cli import main
 from treeroute.config import EngineConfig
 from treeroute.dataset import QueryRecord
-from treeroute.pipeline import process_query, read_traces
+from treeroute.pipeline import build_engine, process_query, read_traces
 
 
 def _write_workload(path, records):
@@ -55,6 +56,30 @@ def test_route_tree_query_reports_level(capsys):
     assert data["mode"] == "tree"
     assert data["level"] == "mid"
     assert data["depth"] == 2
+
+
+def test_route_shows_the_level_assessor_no_corpus(capsys, monkeypatch):
+    # route builds its engine over no corpus, so the assessor sees no
+    # snippets; run shows it the query's top search hits.
+    text = "compare savings rates and open the new account"
+    backends = []
+
+    def recording_engine(config, passages):
+        engine = build_engine(config, passages)
+        engine.backend = RecordingBackend()
+        backends.append(engine.backend)
+        return engine
+
+    monkeypatch.setattr(cli, "build_engine", recording_engine)
+    code, out, _ = _run_cli(capsys, ["route", text])
+    assert code == 0 and _last_json(out)["mode"] == "tree"
+    assert assessor_snippets(backends[0]) == "(none)"
+    engine = make_engine()
+    engine.backend = RecordingBackend()
+    trace = process_query(engine, QueryRecord(id="q", text=text, intents=frozenset()))
+    assert trace.mode == "tree"
+    snippets = assessor_snippets(engine.backend).splitlines()
+    assert [line[:3] for line in snippets] == ["1. ", "2. ", "3. "]
 
 
 def test_route_respects_config_file(capsys, tmp_path):

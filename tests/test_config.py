@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import treeroute
 from treeroute.backends import BackendRole
 from treeroute.config import ENV_KEYS, EngineConfig, env_overrides
 from treeroute.errors import ConfigError
@@ -335,3 +336,10 @@ def test_every_section_key_reaches_its_object(key):
     config.validate()
     assert expected != default
     assert getattr(getattr(config, builder)(), name) == expected
+
+
+def test_every_section_object_is_exported_from_the_package():
+    config = EngineConfig()
+    for builder in {builder for _, builder, _, _ in SECTION_KEYS.values()}:
+        section = type(getattr(config, builder)())
+        assert getattr(treeroute, section.__name__, None) is section, builder

@@ -212,15 +212,19 @@ def _server_vector(text: str, dimension: int) -> list[float]:
     return [float(len(text) + i + 1) for i in range(dimension)]
 
 
+# JSON 1e400 parses to inf; an integer of 401 digits is as far out of range.
+_NON_FINITE = {"nan": float("nan"), "inf": float("inf"), "huge": 10**400}
+
+
 class _EmbedHandler(BaseHTTPRequestHandler):
     fail_first = 0
     fail_status = 500
-    payload_shape = "flat"
-    block_shape = "ordered"  # how a list input is answered
+    shape = "ordered"  # how a reply is shaped; zero and _NON_FINITE spoil its last row
     dimension = 8
     requests_seen = 0
     inputs: list = []  # the input of every request, in arrival order
-    bad_input: str | None = None  # an input answered with a non-number element
+    bad_input: str | None = None  # a text whose vector starts with bad_element
+    bad_element: object = {}
 
     def do_POST(self):
         cls = type(self)
@@ -234,45 +238,35 @@ class _EmbedHandler(BaseHTTPRequestHandler):
             self.send_response(cls.fail_status)
             self.end_headers()
             return
-        if isinstance(body["input"], list):
-            payload = {"data": self._block(body["input"])}
-        else:
-            payload = self._single(body["input"])
-        data = json.dumps(payload).encode("utf-8")
+        data = json.dumps(self._reply(body["input"])).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
 
-    def _single(self, text):
+    def _reply(self, texts):
         cls = type(self)
-        values = _server_vector(text, cls.dimension)
-        if text == cls.bad_input:
-            return {"embedding": [{}] + values[1:]}
-        if cls.payload_shape == "flat":
-            return {"embedding": values}
-        if cls.payload_shape == "openai":
-            return {"data": [{"embedding": values}]}
-        if cls.payload_shape == "zero":
-            return {"embedding": [0.0] * cls.dimension}
-        if cls.payload_shape in ("nan", "inf"):
-            return {"embedding": values[:-1] + [float(cls.payload_shape)]}
-        return {"surprise": True}
-
-    def _block(self, texts):
-        cls = type(self)
+        if cls.shape == "weird":
+            return {"surprise": True}
         rows = [
             {"index": i, "embedding": _server_vector(text, cls.dimension)}
             for i, text in enumerate(texts)
         ]
-        if cls.block_shape == "reversed":
+        for row, text in zip(rows, texts):
+            if text == cls.bad_input:
+                row["embedding"][0] = cls.bad_element
+        if cls.shape == "reversed":
             rows.reverse()
-        elif cls.block_shape == "short":
+        elif cls.shape == "short":
             rows.pop()
-        elif cls.block_shape == "nan":
-            rows[-1]["embedding"][0] = float("nan")
-        return rows
+        elif cls.shape == "zero":
+            rows[-1]["embedding"] = [0.0] * cls.dimension
+        elif cls.shape in _NON_FINITE:
+            rows[-1]["embedding"][0] = _NON_FINITE[cls.shape]
+        elif cls.shape == "bool_index":
+            rows[0]["index"] = bool(rows[0]["index"])
+        return {"data": rows}
 
     def log_message(self, *args):
         pass
@@ -285,11 +279,11 @@ def embed_server():
     thread.start()
     _EmbedHandler.fail_first = 0
     _EmbedHandler.fail_status = 500
-    _EmbedHandler.payload_shape = "flat"
-    _EmbedHandler.block_shape = "ordered"
+    _EmbedHandler.shape = "ordered"
     _EmbedHandler.requests_seen = 0
     _EmbedHandler.inputs = []
     _EmbedHandler.bad_input = None
+    _EmbedHandler.bad_element = {}
     yield f"http://127.0.0.1:{server.server_port}/embed"
     server.shutdown()
 
@@ -305,10 +299,12 @@ def test_remote_happy_path_normalizes(embed_server):
     assert vector[7] > vector[0] > 0
 
 
-def test_remote_parses_nested_shape(embed_server):
-    _EmbedHandler.payload_shape = "openai"
-    vector = _remote(embed_server).embed("hello")
-    assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-9)
+def test_remote_embed_is_one_request_for_a_one_text_list(embed_server):
+    client = _remote(embed_server)
+    vector = client.embed("hello")
+    assert _EmbedHandler.inputs == [["hello"]]
+    assert not vector.flags.writeable
+    assert vector.tobytes() == client.embed_many(["hello"])[0].tobytes()
 
 
 def test_remote_retries_transport_failure_once(embed_server):
@@ -335,27 +331,35 @@ def test_remote_retries_only_transient_statuses(embed_server, status, sent):
 
 
 def test_remote_rejects_unknown_shape(embed_server):
-    _EmbedHandler.payload_shape = "weird"
+    _EmbedHandler.shape = "weird"
     with pytest.raises(BackendError, match="shape"):
         _remote(embed_server).embed("hello")
 
 
+def test_remote_reads_no_bool_as_an_index(embed_server):
+    _EmbedHandler.shape = "bool_index"
+    with pytest.raises(BackendError, match="no embedding with index 0"):
+        _remote(embed_server).embed("hello")
+
+
 def test_remote_rejects_zero_vector(embed_server):
-    _EmbedHandler.payload_shape = "zero"
+    _EmbedHandler.shape = "zero"
     with pytest.raises(BackendError, match="zero"):
         _remote(embed_server).embed("hello")
 
 
-@pytest.mark.parametrize("shape", ["nan", "inf"])
+@pytest.mark.parametrize("shape", sorted(_NON_FINITE))
 def test_remote_rejects_non_finite_vector_without_retry(embed_server, shape):
-    _EmbedHandler.payload_shape = shape
+    _EmbedHandler.shape = shape
     with pytest.raises(BackendError, match="non-finite"):
         _remote(embed_server).embed("hello")
     assert _EmbedHandler.requests_seen == 1
 
 
-def test_remote_non_number_element_is_retried_then_a_backend_error(embed_server):
+@pytest.mark.parametrize("element", [{}, "0.5", "abc", True, False, None, [1.0]])
+def test_remote_non_number_element_is_retried_then_a_backend_error(embed_server, element):
     _EmbedHandler.bad_input = "hello"
+    _EmbedHandler.bad_element = element
     with pytest.raises(BackendError, match="non-number"):
         _remote(embed_server).embed("hello")
     assert _EmbedHandler.requests_seen == 2
@@ -398,7 +402,7 @@ def test_a_remote_build_sends_one_list_request_per_block(embed_server, n):
 
 
 def test_a_remote_block_is_read_in_index_order(embed_server):
-    _EmbedHandler.block_shape = "reversed"
+    _EmbedHandler.shape = "reversed"
     client = _remote(embed_server)
     texts = ["a", "bb", "ccc"]
     block = client.embed_many(texts)
@@ -411,7 +415,7 @@ def test_a_remote_block_is_read_in_index_order(embed_server):
     "shape, message", [("short", "expected 32 embeddings, got 31"), ("nan", "non-finite")]
 )
 def test_a_bad_remote_block_fails_the_build(embed_server, shape, message):
-    _EmbedHandler.block_shape = shape
+    _EmbedHandler.shape = shape
     with pytest.raises(BackendError, match=message):
         build_index(_remote_passages(40), _remote(embed_server))
     # The first block fails and is not sent again.

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
-import re
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from conftest import TEMPLATES, build_workload, make_engine
+from conftest import (
+    TEMPLATES,
+    CountingBackend,
+    RecordingBackend,
+    assessor_snippets,
+    build_workload,
+    make_engine,
+)
 
 from treeroute import pipeline, rerank, routing, vectorstore
 from treeroute.backends import BackendRole, StubChatBackend, stub_decompose
@@ -151,20 +157,8 @@ def test_standard_rag_costs_exactly_two_calls(engine):
     assert all(e["source"] == "rerank" for e in trace.evidence)
 
 
-class _CountingBackend:
-    """Delegates to the stub and counts the chat calls that reach it."""
-
-    def __init__(self):
-        self.inner = StubChatBackend()
-        self.calls = 0
-
-    def chat(self, request):
-        self.calls += 1
-        return self.inner.chat(request)
-
-
 def test_ledger_matches_backend_call_count(engine):
-    engine.backend = _CountingBackend()
+    engine.backend = CountingBackend()
     traces = [
         process_query(engine, record, mode=mode)
         for mode in ExecutionMode
@@ -173,20 +167,8 @@ def test_ledger_matches_backend_call_count(engine):
     assert engine.backend.calls == sum(t.ledger.total_calls for t in traces) > 0
 
 
-class _RecordingBackend(_CountingBackend):
-    """Counts like _CountingBackend and keeps every request it was sent."""
-
-    def __init__(self):
-        super().__init__()
-        self.requests = []
-
-    def chat(self, request):
-        self.requests.append(request)
-        return super().chat(request)
-
-
 def test_level_assessor_prompt_states_the_tree_route(engine):
-    engine.backend = _RecordingBackend()
+    engine.backend = RecordingBackend()
     trace = process_query(engine, TREE_MID)
     assert trace.mode == "tree"
     prompts = [
@@ -198,12 +180,9 @@ def test_level_assessor_prompt_states_the_tree_route(engine):
 
 def _assessor_snippet_block(snippet_count: int) -> tuple[str, QueryTrace]:
     engine = make_engine(qtc_assessor_snippets=snippet_count)
-    engine.backend = _RecordingBackend()
+    engine.backend = RecordingBackend()
     trace = process_query(engine, TREE_MID)
-    (prompt,) = [
-        r.prompt for r in engine.backend.requests if r.role is BackendRole.LEVEL_ASSESSOR
-    ]
-    return re.search(r"Context snippets:\n(.*?)\n\n", prompt, re.DOTALL).group(1), trace
+    return assessor_snippets(engine.backend), trace
 
 
 def test_qtc_assessor_snippets_sets_the_hits_the_assessor_sees():

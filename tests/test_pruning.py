@@ -15,7 +15,7 @@ from treeroute.pruning import (
     prune,
     quantitative_gate,
 )
-from treeroute.vectorstore import Passage, ScoredPassage, VectorStore, similarities
+from treeroute.vectorstore import Passage, ScoredPassage, VectorStore
 
 
 def _unit(angle: float) -> np.ndarray:
@@ -226,17 +226,83 @@ def test_wrong_dimension_embedding_raises():
         prune(query, candidates, GateThresholds(), lambda p, s: True, embedding_of=store)
 
 
+def _scalar_fold(row, query) -> float:
+    """Left-to-right float sum over the query's nonzero coordinates, from +0.0."""
+    total = 0.0
+    for j in np.flatnonzero(query).tolist():
+        total += float(row[j]) * float(query[j])
+    return total
+
+
+def _gate(query, candidates, thresholds, embedding_of, verdict=lambda passage: True):
+    """Survivor ids, judge_calls and every judge call as (id, repr(sim))."""
+    calls = []
+
+    def judge(passage, sim):
+        calls.append((passage.id, repr(sim)))
+        return verdict(passage)
+
+    result = prune(query, candidates, thresholds, judge, embedding_of=embedding_of)
+    return [s.passage.id for s in result.survivors], result.judge_calls, calls
+
+
+def test_a_table_gates_as_a_store_over_the_same_rows():
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(6, 5))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    query = rows[0] + rows[1]
+    query /= np.linalg.norm(query)
+    passages = [Passage(id=f"p{i}", text=f"text {i}") for i in range(6)]
+    store = VectorStore(passages, rows)
+    # Extra ids, one with a row of another dimension, are never read.
+    table = {p.id: row for p, row in zip(passages, rows)}
+    table.update({"a": rng.normal(size=5), "zz": np.ones(3)})
+    # Out of id order, with repeats, and without p2.
+    order = [3, 0, 3, 5, 1, 0, 4, 5]
+    candidates = [ScoredPassage(passage=passages[i], score=0.5) for i in order]
+    thresholds = GateThresholds(hi=0.6, lo=0.1)
+
+    def verdict(passage):
+        return passage.id in ("p3", "p4")
+
+    from_table = _gate(query, candidates, thresholds, table, verdict)
+    assert from_table == _gate(query, candidates, thresholds, store, verdict)
+    _, judge_calls, calls = from_table
+    assert judge_calls == len(calls) > 0
+    assert "p2" not in {pid for pid, _ in calls}
+
+
+def test_table_gate_on_nan_and_negative_zero_rows():
+    query = np.array([1.0, 0.0])
+    table = {
+        "nan": np.array([math.nan, 1.0]),
+        "neg": np.array([-0.0, 1.0]),
+        "pos": np.array([0.5, math.sqrt(0.75)]),
+    }
+    candidates = [ScoredPassage(passage=Passage(id=pid, text=pid), score=0.5) for pid in table]
+    # A NaN similarity fails both comparisons and is judged; -0.0 folds
+    # from +0.0 to +0.0, so it is judged as 0.0 when lo is 0.
+    loose = _gate(query, candidates, GateThresholds(hi=0.5, lo=0.0), table)
+    assert loose == (["nan", "neg", "pos"], 2, [("nan", "nan"), ("neg", "0.0")])
+    default = _gate(query, candidates, GateThresholds(), table)
+    assert default == (["nan", "pos"], 2, [("nan", "nan"), ("pos", "0.5")])
+
+
 def _loop_prune(original_embedding, candidates, thresholds, judge, *, embedding_of):
-    """The gate as one scalar comparison pair per candidate, in input order."""
+    """The gate as one scalar comparison pair per candidate, in input order.
+
+    A store gives its own similarities; a table's are scalar folds, so the
+    property compares the store's fold with an independent one.
+    """
     if not candidates:
         return [], 0
     ids = [c.passage.id for c in candidates]
     if isinstance(embedding_of, VectorStore):
-        sims = embedding_of.similarities(ids, original_embedding)
+        sims = embedding_of.similarities(ids, original_embedding).tolist()
     else:
-        sims = similarities(np.array([embedding_of[pid] for pid in ids]), original_embedding)
+        sims = [_scalar_fold(embedding_of[pid], original_embedding) for pid in ids]
     survivors, judge_calls = [], 0
-    for candidate, sim in zip(candidates, sims.tolist()):
+    for candidate, sim in zip(candidates, sims):
         if sim >= thresholds.hi:
             keep = True
         elif sim < thresholds.lo:
