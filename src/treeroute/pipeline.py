@@ -28,6 +28,7 @@ serialize to identical bytes; a run's wall time is in its manifest.
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -335,15 +336,38 @@ def run_workload(
     jobs: int | None = None,
     force_depth: int | None = None,
 ) -> list[QueryTrace]:
-    """Process a batch; output is ordered by query id however it ran."""
+    """Process a batch as `jobs` concurrent clients; traces are in id order.
+
+    jobs defaults to run.jobs; at jobs <= 1 the queries run in turn on the
+    calling thread. Otherwise min(jobs, len(records)) client threads each
+    take the next query in id order when they finish one and write its
+    trace into that query's slot, so the output does not depend on the job
+    count. The calling thread waits once per client. An error that is not
+    an EngineError (process_query turns those into failed traces) stops its
+    client and is raised here after the other clients have run the rest.
+    """
     if jobs is None:
         jobs = engine.config.run_jobs
     ordered = sorted(records, key=attrgetter("id"))
     worker = partial(process_query, engine, mode=mode, force_depth=force_depth)
     if jobs <= 1:
         return [worker(record) for record in ordered]
+    traces: list[QueryTrace | None] = [None] * len(ordered)
+    positions = iter(range(len(ordered)))
+    taking = threading.Lock()
+
+    def client() -> None:
+        while True:
+            with taking:
+                position = next(positions, None)
+            if position is None:
+                return
+            traces[position] = worker(ordered[position])
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, ordered))
+        for finished in [pool.submit(client) for _ in range(min(jobs, len(ordered)))]:
+            finished.result()
+    return traces
 
 
 def write_traces(path: str | Path, traces: Sequence[QueryTrace]) -> None:

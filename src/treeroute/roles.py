@@ -154,10 +154,10 @@ def parse_verdict(text: str) -> bool | None:
 def parse_scores(text: str, count: int) -> list[float | None]:
     """Per-candidate scores from numbered lines; None where missing."""
     found: dict[int, float] = {}
-    for match in _NUMBERED_SCORE.finditer(text):
-        index = int(match.group(1))
+    for number, score in _NUMBERED_SCORE.findall(text):
+        index = int(number)
         if 1 <= index <= count and index not in found:
-            found[index] = float(match.group(2))
+            found[index] = float(score)
     return [found.get(i) for i in range(1, count + 1)]
 
 

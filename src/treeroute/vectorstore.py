@@ -26,10 +26,12 @@ adding a zero never changes a sum that starts at +0.0. So the bits of a
 similarity depend only on the two vectors, never on the BLAS build, the
 thread split or a passage's row.
 
-Search folds the query's columns over every row: all at once with one
-bincount when the stored entries under them number at most the row count
-(a hashed-bag query), else column by column (a dense query on a dense
-store), so no temporary outgrows the row count. Then it takes an exact
+Search folds the query's columns over every row: all at once when the
+stored entries under them number at most the row count (a hashed-bag
+query), else column by column (a dense query on a dense store), so no
+temporary outgrows the row count. All at once, each column's entries and
+rows are read as one contiguous slice, the slices joined in ascending
+column order, and one bincount folds them. Then it takes an exact
 top-k of the scores clamped to [-1, 1] (the only clamp on a similarity,
 since search scores reach the traces). Below n rows it first takes a
 floor: the smallest of the maxima of k equal blocks of n // k rows,
@@ -336,13 +338,17 @@ def _column_fold(index: _Index, vector: np.ndarray, n: int) -> np.ndarray:
     """Every row's unclamped fold similarity to vector; no temporary exceeds n entries."""
     columns = np.flatnonzero(vector)
     starts = index.col_ptr[columns]
-    lengths = index.col_ptr[columns + 1] - starts
-    if int(lengths.sum()) <= n:
+    ends = index.col_ptr[columns + 1]
+    lengths = ends - starts
+    if len(columns) and int(lengths.sum()) <= n:
         # Few stored entries under the query, as for a hashed bag: fold
-        # them all at once.
-        entries = _segments(starts, lengths)
-        products = index.values[entries] * np.repeat(vector[columns], lengths)
-        return _fold(index.rows[entries], products, n)
+        # them all at once, each column read as one contiguous slice. A
+        # query with no nonzero column has no slice to join; the loop below
+        # leaves its scores at zero.
+        spans = [slice(start, end) for start, end in zip(starts.tolist(), ends.tolist())]
+        products = np.concatenate([index.values[span] for span in spans])
+        products *= np.repeat(vector[columns], lengths)
+        return _fold(np.concatenate([index.rows[span] for span in spans]), products, n)
     # Many entries, as for a dense query: add one column at a time. A
     # column's rows are distinct, and a full column holds every row in order.
     scores = np.zeros(n)

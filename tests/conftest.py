@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import replace
 
 import pytest
@@ -93,9 +94,12 @@ class CountingBackend:
     def __init__(self):
         self.inner = StubChatBackend()
         self.calls = 0
+        self._counting = threading.Lock()
 
     def chat(self, request):
-        self.calls += 1
+        # Concurrent clients share one backend.
+        with self._counting:
+            self.calls += 1
         return self.inner.chat(request)
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from collections.abc import Mapping
 
 import numpy as np
@@ -475,11 +477,71 @@ def test_run_workload_sorts_by_query_id(engine):
     assert [t.query_id for t in traces] == sorted(r.id for r in records)
 
 
-def test_run_workload_parallel_matches_sequential():
-    workload = build_workload(24)
+def _within(seconds: float, call):
+    """call()'s result, run on a daemon thread that must finish within seconds;
+    an exception it raises is raised here."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = call()
+        except BaseException as error:  # handed to the test's thread below
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"no return within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+# Adaptive queries of every route and depth at two and four clients, more
+# clients than queries, and no queries at all.
+@pytest.mark.parametrize("count, jobs", [(24, 2), (24, 4), (3, 8), (0, 4)])
+def test_run_workload_parallel_matches_sequential(count, jobs):
+    workload = build_workload(count)
     sequential = run_workload(make_engine(), workload, jobs=1)
-    parallel = run_workload(make_engine(), workload, jobs=4)
-    assert [t.to_json_line() for t in sequential] == [t.to_json_line() for t in parallel]
+    parallel = _within(60, lambda: run_workload(make_engine(), workload, jobs=jobs))
+    assert [t.to_json_line() for t in parallel] == [t.to_json_line() for t in sequential]
+    assert len(parallel) == count
+    if count == 24:
+        assert {t.depth for t in sequential} == {0, 1, 2, 3}
+
+
+def test_clients_run_every_query_exactly_once():
+    # More clients than cores and a switch interval of a microsecond, so the
+    # clients interleave often: a query run twice adds calls the ledgers do
+    # not hold, and a skipped one leaves a slot without its trace.
+    workload = build_workload(48)
+    engine = make_engine()
+    engine.backend = CountingBackend()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        traces = _within(120, lambda: run_workload(engine, workload, jobs=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [t.query_id for t in traces] == [r.id for r in workload]
+    assert engine.backend.calls == sum(t.ledger.total_calls for t in traces) > 0
+
+
+class _CrashingBackend:
+    """A backend with a bug: every call raises an error that is no EngineError."""
+
+    def chat(self, request):
+        raise RuntimeError("backend bug")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_error_outside_engine_errors_escapes_run_workload(jobs):
+    # process_query turns only an EngineError into a failed trace, so any
+    # other error stops the batch, at one client or several.
+    engine = make_engine()
+    engine.backend = _CrashingBackend()
+    with pytest.raises(RuntimeError, match="backend bug"):
+        _within(60, lambda: run_workload(engine, build_workload(8), jobs=jobs))
 
 
 def test_identical_runs_serialize_identically(tmp_path):

@@ -4,9 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from treeroute.embeddings import HashedBagEmbedder
 from treeroute.rerank import (
+    NORMALIZED_TEXT_TABLE_SIZE,
     SelectionRule,
     consolidate,
     deduplicate,
@@ -31,6 +34,32 @@ def _index(candidates):
 def test_normalize_text():
     assert normalize_text("  Freeze   MY card\t") == "freeze my card"
     assert normalize_text("already clean") == "already clean"
+
+
+def test_normalized_text_table_is_bounded():
+    assert normalize_text.cache_info().maxsize == NORMALIZED_TEXT_TABLE_SIZE
+
+
+@given(st.text(st.sampled_from("aAbB \t\n\u00c9\u00e9"), max_size=12))
+def test_normalize_text_from_the_table_equals_a_fresh_normalization(text):
+    # A case or whitespace variant gets its own entry, never another's.
+    fresh = " ".join(text.lower().split())
+    assert normalize_text(text) == fresh
+    assert normalize_text(text) == fresh
+
+
+def test_repeated_dedup_normalizes_each_text_once():
+    candidates = [
+        _sp("a", "Memo   Probe one", 0.4),
+        _sp("b", "memo probe ONE", 0.9),
+        _sp("c", "memo probe two", 0.5),
+    ]
+    store = _index(candidates)
+    first = deduplicate(candidates, SelectionRule(), store)
+    hits = normalize_text.cache_info().hits
+    assert deduplicate(candidates, SelectionRule(), store) == first
+    assert normalize_text.cache_info().hits - hits == len(candidates)
+    assert [(c.passage.id, c.score) for c in first] == [("b", 0.9), ("c", 0.5)]
 
 
 def test_rule_validation():

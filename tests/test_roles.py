@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from treeroute import backends
+from treeroute import backends, roles
 from treeroute.backends import (
     MAX_OUTPUT_TOKENS,
     BackendRole,
@@ -257,6 +257,47 @@ def test_parse_scores_missing_and_out_of_range():
 
 def test_parse_scores_first_mention_wins():
     assert parse_scores("1. 0.9\n1. 0.1", count=1) == [0.9]
+
+
+def _parse_scores_by_match(text: str, count: int) -> list[float | None]:
+    """The reference for parse_scores: the same rule, one match object at a time."""
+    found: dict[int, float] = {}
+    for match in roles._NUMBERED_SCORE.finditer(text):
+        index = int(match.group(1))
+        if 1 <= index <= count and index not in found:
+            found[index] = float(match.group(2))
+    return [found.get(i) for i in range(1, count + 1)]
+
+
+_score_text = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.builds(
+        "{}{}.{}e{}{}".format,
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 99),
+        st.integers(0, 99),
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 400),
+    ),
+)
+_score_line = st.one_of(
+    # Indices repeat and fall outside 1..count.
+    st.builds(
+        "{}{}{} {}".format,
+        st.sampled_from(["", " ", "\t"]),
+        st.integers(0, 12),
+        st.sampled_from(["", ".", ")", ":", "-"]),
+        _score_text,
+    ),
+    st.text(st.sampled_from("0123456789.-+e :)abc\t"), max_size=12),
+)
+
+
+@given(lines=st.lists(_score_line, max_size=16), count=st.integers(0, 10))
+@example(lines=["1. 0.5", "1. 0.9", "11. 0.3", "0. 0.2", "2) -1e-3", "3: +2E+2"], count=3)
+def test_parse_scores_reads_what_one_match_at_a_time_reads(lines, count):
+    text = "\n".join(lines)
+    assert parse_scores(text, count) == _parse_scores_by_match(text, count)
 
 
 def test_parse_intents():
