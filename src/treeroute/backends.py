@@ -12,6 +12,7 @@ answers in plain text, so response parsing is exercised on every path.
 
 Every call goes through RoleRunner._call, which records it on the
 query's CallLog before sending it, so a call that raises still counts.
+ChatRequest is a typing.NamedTuple equal to the tuple (role, prompt, payload).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Any, Callable, Mapping, Protocol, TypeVar, runtime_checkable
+from typing import Any, Callable, Mapping, NamedTuple, Protocol, TypeVar, runtime_checkable
 
 import requests
 
@@ -48,8 +49,7 @@ class BackendRole(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class ChatRequest:
+class ChatRequest(NamedTuple):
     """One chat exchange: the rendered prompt plus structured stub inputs."""
 
     role: BackendRole

@@ -16,12 +16,14 @@ by its default: a failed decomposition is retried and then raises
 DecompositionError, and a failed judge or reranker call, like every
 recoverable parse failure, falls back to a documented default and appends
 a warning instead of failing the query. Parsers are deliberately forgiving
-about formatting and strict about semantics.
+about formatting and strict about semantics. Judge replies repeat, so
+parse_verdict is a functools.lru_cache of VERDICT_CACHE_SIZE (256) replies.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from string import Template
@@ -41,6 +43,9 @@ _LEVEL_WORD = re.compile(r"\b(low|mid|high)\b", re.IGNORECASE)
 _VERDICT_WORD = re.compile(
     r"(?:\b(not|never|\w+n't)\s+(?:\w+\s+){0,2})?\b(irrelevant|relevant)\b", re.IGNORECASE
 )
+_INTENT_SEPARATOR = re.compile(r"[,\n;]")
+_ITEM_NUMBER = re.compile(r"^\d+\s*[.):\-]\s*")
+VERDICT_CACHE_SIZE = 256
 
 
 class ParseError(EngineError):
@@ -110,7 +115,7 @@ class PromptLibrary:
                 text = path.read_text(encoding="utf-8")
             self._templates[role] = _split_template(path, text, role)
 
-    def render(self, role: BackendRole, **fields: str) -> str:
+    def render(self, role: BackendRole, fields: Mapping[str, str]) -> str:
         """The template with each slot filled; a missing field raises KeyError."""
         pieces, slots = self._templates[role]
         parts = pieces.copy()
@@ -121,8 +126,7 @@ class PromptLibrary:
 
 def parse_decomposition(text: str) -> tuple[str, str]:
     """Exactly two nonempty, distinct sub-queries from numbered lines."""
-    parts = [m.group(2).strip() for m in _NUMBERED_LINE.finditer(text)]
-    parts = [p for p in parts if p]
+    parts = [part for _, part in _NUMBERED_LINE.findall(text)]
     if len(parts) != 2:
         raise ParseError(f"expected 2 numbered sub-queries, found {len(parts)}")
     if parts[0] == parts[1]:
@@ -133,11 +137,10 @@ def parse_decomposition(text: str) -> tuple[str, str]:
 def parse_level(text: str) -> SemanticLevel | None:
     """First occurrence of low/mid/high as a word, case-insensitive."""
     match = _LEVEL_WORD.search(text)
-    if match is None:
-        return None
-    return SemanticLevel(match.group(1).lower())
+    return None if match is None else SemanticLevel(match.group(1).lower())
 
 
+@lru_cache(maxsize=VERDICT_CACHE_SIZE)
 def parse_verdict(text: str) -> bool | None:
     """Whether the first "relevant" or "irrelevant" is a keep; None when none appears.
 
@@ -165,19 +168,17 @@ def parse_intents(text: str, catalog: Sequence[str]) -> set[str]:
     """Catalog intents named in the response; anything else is dropped."""
     canonical = {name.lower(): name for name in catalog}
     intents: set[str] = set()
-    for raw in re.split(r"[,\n;]", text):
+    for raw in _INTENT_SEPARATOR.split(text):
         cleaned = raw.strip().strip("-*").strip().strip(".\"'`").strip()
-        cleaned = re.sub(r"^\d+\s*[.):\-]\s*", "", cleaned)
+        cleaned = _ITEM_NUMBER.sub("", cleaned)
         name = canonical.get(cleaned.lower())
         if name is not None:
             intents.add(name)
     return intents
 
 
-def _numbered(texts: Sequence[str], empty: str = "(none)") -> str:
-    if not texts:
-        return empty
-    return "\n".join(f"{i}. {t}" for i, t in enumerate(texts, start=1))
+def _numbered(texts: Sequence[str]) -> str:
+    return "\n".join(f"{i}. {t}" for i, t in enumerate(texts, start=1)) or "(none)"
 
 
 class RoleRunner:
@@ -206,7 +207,7 @@ class RoleRunner:
 
     def _call(self, role: BackendRole, fields: dict[str, str], payload: Mapping[str, Any]) -> str:
         """Record the request, then send it: a call that raises still counts."""
-        request = ChatRequest(role, self.prompts.render(role, **fields), payload)
+        request = ChatRequest(role, self.prompts.render(role, fields), payload)
         self.log.record(request)
         return self.backend.chat(request)
 

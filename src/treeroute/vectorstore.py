@@ -55,7 +55,8 @@ query skips the fold and returns the same scores bit for bit, and
 store._memo.cache_info() counts hits and misses. The cache wraps a
 module-level function over the index and passages, never a bound method,
 so it holds no reference back to the store and a dropped store is freed
-at once, without waiting for the cycle collector.
+at once, without waiting for the cycle collector. A hit is a ScoredPassage,
+a typing.NamedTuple equal to the tuple (passage, score, source).
 """
 
 from __future__ import annotations
@@ -96,8 +97,7 @@ class Passage:
             raise ValueError(f"passage {self.id}: text must be nonempty")
 
 
-@dataclass(frozen=True)
-class ScoredPassage:
+class ScoredPassage(NamedTuple):
     """A passage with a relevance score and the score's provenance."""
 
     passage: Passage
@@ -140,8 +140,7 @@ def _nonzeros(
     column_chunks: list[np.ndarray] = []
     value_chunks: list[np.ndarray] = []
     starts = range(0, len(passages), BUILD_BLOCK_ROWS)
-    for start, block in zip(starts, blocks, strict=True):
-        chunk = passages[start : start + BUILD_BLOCK_ROWS]
+    for start, chunk, block in zip(starts, _blocks(passages), blocks, strict=True):
         block = np.asarray(block, dtype=np.float64)
         if block.shape != (len(chunk), dimension):
             raise ValueError(
@@ -378,8 +377,8 @@ def _scan(
     kept = pooled >= np.partition(pooled, last)[last]
     pool, pooled = pool[kept], pooled[kept]
     order = np.lexsort((pool, -pooled))[:k]
-    hits = zip(map(passages.__getitem__, pool[order].tolist()), pooled[order].tolist())
-    return tuple(ScoredPassage(passage, score) for passage, score in hits)
+    ranked = map(passages.__getitem__, pool[order].tolist())
+    return tuple(map(ScoredPassage, ranked, pooled[order].tolist()))
 
 
 def build_index(passages: Iterable[Passage], provider: EmbeddingProvider) -> VectorStore:

@@ -332,6 +332,17 @@ def test_chat_request_validation():
         RemoteChatBackend("http://x", "m", without_judge)
 
 
+def test_chat_request_is_an_immutable_tuple_of_its_fields():
+    payload = {"sim": 0.4}
+    by_position = ChatRequest(BackendRole.JUDGE, "prompt", payload)
+    by_keyword = ChatRequest(payload=payload, prompt="prompt", role=BackendRole.JUDGE)
+    assert by_position == by_keyword == (BackendRole.JUDGE, "prompt", payload)
+    assert ChatRequest._fields == ("role", "prompt", "payload")
+    for name in ChatRequest._fields:
+        with pytest.raises(AttributeError):
+            setattr(by_position, name, None)
+
+
 def test_remote_chat_concurrent_calls(chat_server):
     backend = _remote(chat_server, max_in_flight=2)
     with ThreadPoolExecutor(max_workers=6) as pool:

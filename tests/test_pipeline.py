@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+from collections import Counter
 from collections.abc import Mapping
 
 import numpy as np
@@ -17,7 +18,7 @@ from conftest import (
 )
 
 from treeroute import pipeline, rerank, routing, vectorstore
-from treeroute.backends import BackendRole, StubChatBackend, stub_decompose
+from treeroute.backends import BackendRole, StubChatBackend, estimate_tokens, stub_decompose
 from treeroute.dataset import QueryRecord
 from treeroute.errors import BackendError
 from treeroute.pipeline import (
@@ -31,6 +32,7 @@ from treeroute.pipeline import (
     write_traces,
 )
 from treeroute.pruning import GateOutcome, PruneResult, quantitative_gate
+from treeroute.roles import PromptLibrary, RoleRunner
 from treeroute.tree import expand
 from treeroute.vectorstore import Passage, ScoredPassage, VectorStore
 
@@ -167,6 +169,56 @@ def test_ledger_matches_backend_call_count(engine):
         for record in (SIMPLE, HYBRID, TREE_MID)
     ]
     assert engine.backend.calls == sum(t.ledger.total_calls for t in traces) > 0
+
+
+def _record_judge_fields(monkeypatch) -> list[dict[str, str]]:
+    """The judge template's fields of every RoleRunner.judge call, in call order."""
+    fields = []
+    judge = RoleRunner.judge
+
+    def recording_judge(self, sub_query, passage, sim):
+        fields.append({"query": self.query, "sub_query": sub_query, "passage": passage.text})
+        return judge(self, sub_query, passage, sim)
+
+    monkeypatch.setattr(RoleRunner, "judge", recording_judge)
+    return fields
+
+
+def _sent_matches_ledgers(requests, traces, judge_fields) -> None:
+    """The requests a backend saw are what the traces' ledgers count."""
+    sent = Counter(r.role.value for r in requests)
+    assert sent == sum((Counter(t.ledger.calls_by_role) for t in traces), Counter())
+    assert sum(estimate_tokens(r.prompt) for r in requests) == sum(
+        t.ledger.prompt_tokens for t in traces
+    )
+    judged = [r.prompt for r in requests if r.role is BackendRole.JUDGE]
+    rendered = [PromptLibrary().render(BackendRole.JUDGE, f) for f in judge_fields]
+    assert Counter(judged) == Counter(rendered)
+
+
+@pytest.mark.parametrize(
+    "mode, force_depth",
+    [(mode, None) for mode in ExecutionMode] + [(ExecutionMode.ADAPTIVE, d) for d in range(4)],
+)
+def test_each_ledger_counts_what_its_query_sent(monkeypatch, mode, force_depth):
+    judge_fields = _record_judge_fields(monkeypatch)
+    engine = make_engine()
+    for record in (SIMPLE, HYBRID, TREE_MID):
+        engine.backend = RecordingBackend()
+        judge_fields.clear()
+        trace = process_query(engine, record, mode=mode, force_depth=force_depth)
+        assert trace.error is None
+        _sent_matches_ledgers(engine.backend.requests, [trace], judge_fields)
+
+
+def test_ledgers_count_what_two_clients_sent(monkeypatch):
+    judge_fields = _record_judge_fields(monkeypatch)
+    engine = make_engine()
+    engine.backend = RecordingBackend()
+    traces = _within(60, lambda: run_workload(engine, build_workload(24), jobs=2))
+    assert {t.depth for t in traces} == {0, 1, 2, 3}
+    assert len(judge_fields) > 0
+    _sent_matches_ledgers(engine.backend.requests, traces, judge_fields)
 
 
 def test_level_assessor_prompt_states_the_tree_route(engine):

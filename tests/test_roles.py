@@ -64,7 +64,7 @@ class _FailingBackend:
 
 def test_prompt_library_loads_all_roles_from_package_data():
     prompts = PromptLibrary()
-    rendered = prompts.render(BackendRole.DECOMPOSER, query="split me")
+    rendered = prompts.render(BackendRole.DECOMPOSER, {"query": "split me"})
     assert "split me" in rendered
     assert "$query" not in rendered
 
@@ -75,7 +75,7 @@ def test_prompt_library_custom_directory(tmp_path):
             f"{role.value} custom template", encoding="utf-8"
         )
     prompts = PromptLibrary(tmp_path)
-    assert prompts.render(BackendRole.JUDGE) == "judge custom template"
+    assert prompts.render(BackendRole.JUDGE, {}) == "judge custom template"
 
 
 def test_prompt_library_missing_file(tmp_path):
@@ -108,7 +108,7 @@ def test_stray_dollar_in_a_prompt_template_fails_at_build(tmp_path):
     judge.write_text(template + "Budget: $$5 max\n", encoding="utf-8")
     build_engine(config, [])
     prompts = PromptLibrary(tmp_path)
-    rendered = prompts.render(BackendRole.JUDGE, query="q", sub_query="s", passage="p")
+    rendered = prompts.render(BackendRole.JUDGE, {"query": "q", "sub_query": "s", "passage": "p"})
     assert rendered.endswith("Budget: $5 max\n")
     judge.write_text(template + "Budget: $5 max\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="judge.txt line"):
@@ -151,11 +151,11 @@ SHIPPED = PromptLibrary()
 @given(st.sampled_from(list(BackendRole)), st.data())
 def test_render_equals_substitute_on_the_shipped_templates(role, data):
     fields = {name: data.draw(RENDER_VALUES, label=name) for name in sorted(ROLE_FIELDS[role])}
-    assert SHIPPED.render(role, **fields) == Template(_package_template(role)).substitute(**fields)
-    assert SHIPPED.render(role, **fields, unused="$x") == SHIPPED.render(role, **fields)
+    assert SHIPPED.render(role, fields) == Template(_package_template(role)).substitute(**fields)
+    assert SHIPPED.render(role, {**fields, "unused": "$x"}) == SHIPPED.render(role, fields)
     for name in fields:
         with pytest.raises(KeyError):
-            SHIPPED.render(role, **{k: v for k, v in fields.items() if k != name})
+            SHIPPED.render(role, {k: v for k, v in fields.items() if k != name})
 
 
 # Judge fields, "$$", and two atoms load rejects: a stray "$" and an unknown field.
@@ -186,12 +186,12 @@ def test_render_equals_substitute_on_generated_templates(text, fields):
                 Template(text).substitute(**fields)
             return
     expected = Template(text).substitute(**fields)
-    assert prompts.render(BackendRole.JUDGE, **fields) == expected
-    assert prompts.render(BackendRole.JUDGE, **fields, unused="$x") == expected
+    assert prompts.render(BackendRole.JUDGE, fields) == expected
+    assert prompts.render(BackendRole.JUDGE, {**fields, "unused": "$x"}) == expected
     used = {m.group("named") or m.group("braced") for m in Template.pattern.finditer(text)}
     for name in used - {None}:
         with pytest.raises(KeyError):
-            prompts.render(BackendRole.JUDGE, **{k: v for k, v in fields.items() if k != name})
+            prompts.render(BackendRole.JUDGE, {k: v for k, v in fields.items() if k != name})
 
 
 def test_parse_decomposition_accepts_common_numbering():
@@ -243,6 +243,30 @@ def test_parse_verdict():
     assert parse_verdict("isn't relevant") is False
     assert parse_verdict("Never relevant") is False
     assert parse_verdict("The passage is not irrelevant") is True
+
+
+def _mixed_case(word: str):
+    mask = st.lists(st.booleans(), min_size=len(word), max_size=len(word))
+    return mask.map(lambda upper: "".join(c.upper() if u else c for c, u in zip(word, upper)))
+
+
+_VERDICT_REPLY_WORDS = st.one_of(
+    st.sampled_from(
+        ["relevant", "irrelevant", "not", "never", "isn't", "don't", "really", "at", "all"]
+        + ["the", "passage", "is", "notrelevant", "relevantly"]
+    ).flatmap(_mixed_case),
+    st.text(alphabet=list("ab n't.,!\n"), max_size=6),
+)
+
+
+@given(st.lists(_VERDICT_REPLY_WORDS, max_size=10), st.sampled_from([" ", "  ", "\n", ", "]))
+@example(["Not", "at", "all", "RELEVANT"], " ")
+@example(["relevant", "not", "IRRELEVANT"], ", ")
+def test_memoized_parse_verdict_equals_the_uncached_parse(words, separator):
+    reply = separator.join(words)
+    assert parse_verdict(reply) == parse_verdict.__wrapped__(reply)
+    assert parse_verdict(reply) == parse_verdict.__wrapped__(reply)  # now a cache hit
+    assert parse_verdict.cache_info().maxsize == roles.VERDICT_CACHE_SIZE <= 1024
 
 
 def test_parse_scores():

@@ -234,6 +234,18 @@ def test_scored_passage_defaults():
     assert sp.source == "cosine"
 
 
+def test_scored_passage_is_an_immutable_tuple_of_its_fields():
+    passage = Passage(id="p", text="t")
+    by_position = ScoredPassage(passage, 0.5)
+    by_keyword = ScoredPassage(score=0.5, passage=passage)
+    assert by_position == by_keyword == (passage, 0.5, "cosine")
+    assert ScoredPassage(passage, 0.5, "rerank") == ScoredPassage(passage, 0.5, source="rerank")
+    assert ScoredPassage._fields == ("passage", "score", "source")
+    for name in ScoredPassage._fields:
+        with pytest.raises(AttributeError):
+            setattr(by_position, name, None)
+
+
 class _ShortVectorProvider:
     """Returns one-element vectors for a block holding one text, which would broadcast."""
 
