@@ -16,14 +16,12 @@ by its default: a failed decomposition is retried and then raises
 DecompositionError, and a failed judge or reranker call, like every
 recoverable parse failure, falls back to a documented default and appends
 a warning instead of failing the query. Parsers are deliberately forgiving
-about formatting and strict about semantics. Judge replies repeat, so
-parse_verdict is a functools.lru_cache of VERDICT_CACHE_SIZE (256) replies.
+about formatting and strict about semantics.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from string import Template
@@ -45,7 +43,6 @@ _VERDICT_WORD = re.compile(
 )
 _INTENT_SEPARATOR = re.compile(r"[,\n;]")
 _ITEM_NUMBER = re.compile(r"^\d+\s*[.):\-]\s*")
-VERDICT_CACHE_SIZE = 256
 
 
 class ParseError(EngineError):
@@ -137,10 +134,11 @@ def parse_decomposition(text: str) -> tuple[str, str]:
 def parse_level(text: str) -> SemanticLevel | None:
     """First occurrence of low/mid/high as a word, case-insensitive."""
     match = _LEVEL_WORD.search(text)
-    return None if match is None else SemanticLevel(match.group(1).lower())
+    if match is None:
+        return None
+    return SemanticLevel(match.group(1).lower())
 
 
-@lru_cache(maxsize=VERDICT_CACHE_SIZE)
 def parse_verdict(text: str) -> bool | None:
     """Whether the first "relevant" or "irrelevant" is a keep; None when none appears.
 
@@ -178,7 +176,9 @@ def parse_intents(text: str, catalog: Sequence[str]) -> set[str]:
 
 
 def _numbered(texts: Sequence[str]) -> str:
-    return "\n".join(f"{i}. {t}" for i, t in enumerate(texts, start=1)) or "(none)"
+    if not texts:
+        return "(none)"
+    return "\n".join(f"{i}. {t}" for i, t in enumerate(texts, start=1))
 
 
 class RoleRunner:

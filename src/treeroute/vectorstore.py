@@ -140,7 +140,8 @@ def _nonzeros(
     column_chunks: list[np.ndarray] = []
     value_chunks: list[np.ndarray] = []
     starts = range(0, len(passages), BUILD_BLOCK_ROWS)
-    for start, chunk, block in zip(starts, _blocks(passages), blocks, strict=True):
+    for start, block in zip(starts, blocks, strict=True):
+        chunk = passages[start : start + BUILD_BLOCK_ROWS]
         block = np.asarray(block, dtype=np.float64)
         if block.shape != (len(chunk), dimension):
             raise ValueError(

@@ -245,30 +245,6 @@ def test_parse_verdict():
     assert parse_verdict("The passage is not irrelevant") is True
 
 
-def _mixed_case(word: str):
-    mask = st.lists(st.booleans(), min_size=len(word), max_size=len(word))
-    return mask.map(lambda upper: "".join(c.upper() if u else c for c, u in zip(word, upper)))
-
-
-_VERDICT_REPLY_WORDS = st.one_of(
-    st.sampled_from(
-        ["relevant", "irrelevant", "not", "never", "isn't", "don't", "really", "at", "all"]
-        + ["the", "passage", "is", "notrelevant", "relevantly"]
-    ).flatmap(_mixed_case),
-    st.text(alphabet=list("ab n't.,!\n"), max_size=6),
-)
-
-
-@given(st.lists(_VERDICT_REPLY_WORDS, max_size=10), st.sampled_from([" ", "  ", "\n", ", "]))
-@example(["Not", "at", "all", "RELEVANT"], " ")
-@example(["relevant", "not", "IRRELEVANT"], ", ")
-def test_memoized_parse_verdict_equals_the_uncached_parse(words, separator):
-    reply = separator.join(words)
-    assert parse_verdict(reply) == parse_verdict.__wrapped__(reply)
-    assert parse_verdict(reply) == parse_verdict.__wrapped__(reply)  # now a cache hit
-    assert parse_verdict.cache_info().maxsize == roles.VERDICT_CACHE_SIZE <= 1024
-
-
 def test_parse_scores():
     parsed = parse_scores("1. 0.9\n2. 0.25\n3. 1e-1", count=3)
     assert parsed == [0.9, 0.25, 0.1]

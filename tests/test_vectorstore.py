@@ -230,14 +230,10 @@ def test_scores_clamped_to_cosine_range():
 
 
 def test_scored_passage_defaults():
-    sp = ScoredPassage(passage=Passage(id="p", text="t"), score=0.5)
-    assert sp.source == "cosine"
-
-
-def test_scored_passage_is_an_immutable_tuple_of_its_fields():
     passage = Passage(id="p", text="t")
     by_position = ScoredPassage(passage, 0.5)
     by_keyword = ScoredPassage(score=0.5, passage=passage)
+    assert by_keyword.source == "cosine"
     assert by_position == by_keyword == (passage, 0.5, "cosine")
     assert ScoredPassage(passage, 0.5, "rerank") == ScoredPassage(passage, 0.5, source="rerank")
     assert ScoredPassage._fields == ("passage", "score", "source")
