@@ -3,12 +3,14 @@
 Every model interaction in the engine is a single chat exchange tagged
 with one of five roles. A request is the role, the rendered prompt (what
 a remote model sees) and a small structured payload (what the stub keys
-its transform on). The remote backend speaks a chat-completion style
-HTTP protocol and owns everything else a remote model is sent: the model
-name, a temperature per role and an output token budget per role. The
-stub backend answers each role with a deterministic transform of the
-payload so full runs work offline and reproduce exactly. It still
-answers in plain text, so response parsing is exercised on every path.
+its transform on). The remote backend sends a chat-completions request
+and owns everything else a remote model is sent: the model name, a
+temperature per role and an output token budget per role. It reads one
+reply shape, choices[0].message.content as a string; any other reply is
+a BackendError, sent once and not retried. The stub backend answers each
+role with a deterministic transform of the payload so full runs work
+offline and reproduce exactly. It still answers in plain text, so
+response parsing is exercised on every path.
 
 Every call goes through RoleRunner._call, which records it on the
 query's CallLog before sending it, so a call that raises still counts.
@@ -265,34 +267,17 @@ class RemoteChatBackend:
             "temperature": self.temperatures[request.role],
             "max_tokens": MAX_OUTPUT_TOKENS[request.role],
         }
-        parse = partial(self._extract_text, request.role)
+        parse = partial(_reply_text, request.role.value)
         with self._slots:
             return post_json(self.endpoint, body, self.timeout_s, request.role.value, parse)
 
-    @staticmethod
-    def _extract_text(role: BackendRole, data: object) -> str:
-        text = _response_text(data)
-        if text is None:
-            raise BackendError(role.value, "unrecognized response shape")
-        return text
 
-
-def _response_text(data: object) -> str | None:
-    if not isinstance(data, dict):
-        return None
-    choices = data.get("choices")
-    if isinstance(choices, list) and choices and isinstance(choices[0], dict):
-        first = choices[0]
-        message = first.get("message")
-        if isinstance(message, dict) and isinstance(message.get("content"), str):
-            return message["content"]
-        if isinstance(first.get("text"), str):
-            return first["text"]
-    message = data.get("message")
-    if isinstance(message, dict) and isinstance(message.get("content"), str):
-        return message["content"]
-    for key in ("response", "text"):
-        if isinstance(data.get(key), str):
-            return data[key]
-    return None
-
+def _reply_text(role: str, data: object) -> str:
+    """A chat-completions reply's choices[0].message.content; any other reply is an error."""
+    try:
+        text = data["choices"][0]["message"]["content"]
+    except (TypeError, LookupError):
+        text = None
+    if not isinstance(text, str):
+        raise BackendError(role, "unrecognized response shape")
+    return text

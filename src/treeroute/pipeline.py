@@ -37,7 +37,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
-from .backends import ChatBackend, RemoteChatBackend, StubChatBackend, estimate_tokens
+from .backends import ChatBackend, RemoteChatBackend, StubChatBackend
 from .config import EngineConfig
 from .dataset import QueryRecord, read_json_lines
 from .embeddings import EmbeddingProvider, HashedBagEmbedder, RemoteEmbedder
@@ -56,7 +56,6 @@ __all__ = [
     "ExecutionMode",
     "QueryTrace",
     "build_engine",
-    "estimate_tokens",
     "process_query",
     "read_traces",
     "run_workload",

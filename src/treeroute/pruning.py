@@ -96,7 +96,8 @@ def prune(
     cannot flood the evidence pool. embedding_of is the store that holds
     the candidates, or a table of their embeddings, read into a store over
     the candidates' distinct passages in id order; an embedding whose
-    dimension differs from the query's raises ValueError.
+    dimension differs from the query's, or that holds a non-finite value,
+    raises ValueError.
     """
     if not candidates:
         return PruneResult(survivors=[], judge_calls=0)

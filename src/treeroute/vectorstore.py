@@ -14,17 +14,18 @@ build_index reads the provider's rows block by block: one embed_many call
 per BUILD_BLOCK_ROWS passages, whose read-only float64 block of
 len(texts) x dimension is scanned whole for its nonzeros and then
 dropped. A dense matrix given to VectorStore is read in the same blocks,
-so the build never holds a dense matrix.
+so the build never holds a dense matrix. A non-finite value fails the
+build with a ValueError naming its passage, so every stored row is finite.
 
 Search, the pruning gate and dedup compute similarities with one ordered
 fold, the only one in the engine (the gate reads a plain table of
 embeddings into a store of its own first): for each nonzero coordinate j
 of the query, in ascending order, add row r's entry in column j times
 q[j] to r's sum, starting from zero. Only stored entries are read; a
-skipped one would add a product of zero (the vectors are finite), and
-adding a zero never changes a sum that starts at +0.0. So the bits of a
-similarity depend only on the two vectors, never on the BLAS build, the
-thread split or a passage's row.
+skipped one would add a product of zero (stored rows and provider queries
+are finite), and adding a zero never changes a sum that starts at +0.0.
+So the bits of a similarity depend only on the two vectors, never on the
+BLAS build, the thread split or a passage's row.
 
 Search folds the query's columns over every row: all at once when the
 stored entries under them number at most the row count (a hashed-bag
@@ -155,8 +156,13 @@ def _nonzeros(
         in_row, columns = np.divmod(flat, dimension)
         counts = np.bincount(in_row, minlength=len(chunk))
         row_ptr[start + 1 : start + len(chunk) + 1] = row_ptr[start] + np.cumsum(counts)
+        values = filled[flat]
+        finite = np.isfinite(values)
+        if not finite.all():
+            passage = chunk[in_row[np.argmin(finite)]]
+            raise ValueError(f"passage {passage.id}: embedding holds a non-finite value")
         column_chunks.append(columns.astype(column_type))
-        value_chunks.append(filled[flat])
+        value_chunks.append(values)
     return row_ptr, np.concatenate(column_chunks or [np.empty(0, column_type)]), value_chunks
 
 
@@ -197,7 +203,7 @@ class VectorStore:
     row per passage, read in order and in blocks of BUILD_BLOCK_ROWS rows:
     a dense n x d array, read in slices, or an iterable of such blocks
     (the last may be shorter) given with their dimension. No dense copy is
-    kept.
+    kept. A non-finite value raises ValueError naming its passage.
     """
 
     def __init__(
@@ -383,7 +389,7 @@ def _scan(
 
 
 def build_index(passages: Iterable[Passage], provider: EmbeddingProvider) -> VectorStore:
-    """Embed and index passages; rejects duplicate ids by name.
+    """Embed and index passages; rejects duplicate ids and non-finite rows by name.
 
     Passages are sorted by id before embedding so the resulting store is
     identical regardless of input order. Each passage is embedded once, in

@@ -204,6 +204,16 @@ _ROLE_REPLIES = {
 }
 
 
+# Replies to requests the client never sends: a completions body, and
+# bodies of other chat APIs.
+_OTHER_SHAPES = {
+    "completion": {"choices": [{"text": "Relevant"}]},
+    "bare": {"response": "Relevant"},
+    "message": {"message": {"content": "Relevant"}},
+    "text": {"text": "Relevant"},
+}
+
+
 def _role_of(body: dict) -> BackendRole:
     return _ROLE_BY_FIRST_WORD[body["messages"][0]["content"].split()[0]]
 
@@ -232,12 +242,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
             payload = {"choices": [{"message": {"content": "Relevant"}}]}
         elif cls.shape == "roles":
             payload = {"choices": [{"message": {"content": _ROLE_REPLIES[_role_of(body)]}}]}
-        elif cls.shape == "completion":
-            payload = {"choices": [{"text": "Relevant"}]}
-        elif cls.shape == "bare":
-            payload = {"response": "Relevant"}
         else:
-            payload = {"mystery": 1}
+            payload = _OTHER_SHAPES.get(cls.shape, {"mystery": 1})
         data = json.dumps(payload).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -260,6 +266,7 @@ def chat_server():
     _ChatHandler.bodies = []
     yield f"http://127.0.0.1:{server.server_port}/chat"
     server.shutdown()
+    server.server_close()
 
 
 def _remote(endpoint, model="m", **kwargs):
@@ -278,11 +285,12 @@ def test_remote_chat_happy_path(chat_server):
     assert "payload" not in body
 
 
-def test_remote_chat_alternate_shapes(chat_server):
-    backend = _remote(chat_server)
-    for shape in ("completion", "bare"):
-        _ChatHandler.shape = shape
-        assert backend.chat(_request()) == "Relevant"
+@pytest.mark.parametrize("shape", sorted(_OTHER_SHAPES))
+def test_remote_chat_rejects_other_shapes_without_retry(chat_server, shape):
+    _ChatHandler.shape = shape
+    with pytest.raises(BackendError, match="judge: unrecognized response shape"):
+        _remote(chat_server).chat(_request())
+    assert len(_ChatHandler.bodies) == 1
 
 
 def test_remote_chat_retries_once(chat_server):

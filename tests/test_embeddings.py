@@ -286,6 +286,7 @@ def embed_server():
     _EmbedHandler.bad_element = {}
     yield f"http://127.0.0.1:{server.server_port}/embed"
     server.shutdown()
+    server.server_close()
 
 
 def _remote(endpoint):
@@ -420,6 +421,31 @@ def test_a_bad_remote_block_fails_the_build(embed_server, shape, message):
         build_index(_remote_passages(40), _remote(embed_server))
     # The first block fails and is not sent again.
     assert _EmbedHandler.requests_seen == 1
+
+
+def test_an_endpoint_serving_token_counts_returns_the_local_bits(monkeypatch):
+    """The hashed bag's integer count rows, sent as JSON through the remote
+    parser, come back with embed_many's bits: an integer sum of squares is
+    exact in any order, so np.linalg.norm and the bag's own norm agree."""
+    local = HashedBagEmbedder()
+    rng = np.random.default_rng(1)
+    vocabulary = [f"w{i}" for i in range(400)]
+    texts = [p.text for p in make_engine().store.passages] + [
+        " ".join(rng.choice(vocabulary[: rng.integers(1, 400)], size=rng.integers(1, 600)))
+        for _ in range(64)
+    ]
+
+    def counts(text):
+        coordinates = [local._coordinate(token) for token in tokenize(text) or ("",)]
+        return np.bincount(coordinates, minlength=local.dimension).tolist()
+
+    def serve_counts(endpoint, body, timeout_s, role, parse):
+        rows = [{"index": i, "embedding": counts(text)} for i, text in enumerate(body["input"])]
+        return parse(json.loads(json.dumps({"data": rows})))
+
+    monkeypatch.setattr(embeddings, "post_json", serve_counts)
+    remote = RemoteEmbedder("http://unused", model="m", dimension=local.dimension)
+    assert remote.embed_many(texts).tobytes() == local.embed_many(texts).tobytes()
 
 
 def test_remote_requires_endpoint():

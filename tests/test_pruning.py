@@ -275,17 +275,20 @@ def test_a_table_gates_as_a_store_over_the_same_rows():
 def test_table_gate_on_nan_and_negative_zero_rows():
     query = np.array([1.0, 0.0])
     table = {
-        "nan": np.array([math.nan, 1.0]),
         "neg": np.array([-0.0, 1.0]),
         "pos": np.array([0.5, math.sqrt(0.75)]),
     }
     candidates = [ScoredPassage(passage=Passage(id=pid, text=pid), score=0.5) for pid in table]
-    # A NaN similarity fails both comparisons and is judged; -0.0 folds
-    # from +0.0 to +0.0, so it is judged as 0.0 when lo is 0.
+    # -0.0 folds from +0.0 to +0.0, so it is judged as 0.0 when lo is 0.
     loose = _gate(query, candidates, GateThresholds(hi=0.5, lo=0.0), table)
-    assert loose == (["nan", "neg", "pos"], 2, [("nan", "nan"), ("neg", "0.0")])
+    assert loose == (["neg", "pos"], 1, [("neg", "0.0")])
     default = _gate(query, candidates, GateThresholds(), table)
-    assert default == (["nan", "pos"], 2, [("nan", "nan"), ("pos", "0.5")])
+    assert default == (["pos"], 1, [("pos", "0.5")])
+    # A NaN row fails the store the table is read into.
+    table["nan"] = np.array([math.nan, 1.0])
+    candidates.append(ScoredPassage(passage=Passage(id="nan", text="nan"), score=0.5))
+    with pytest.raises(ValueError, match="passage nan: embedding holds a non-finite value"):
+        _gate(query, candidates, GateThresholds(hi=0.5, lo=0.0), table)
 
 
 def _loop_prune(original_embedding, candidates, thresholds, judge, *, embedding_of):
@@ -334,15 +337,32 @@ def _gate_cases(draw):
 @given(_gate_cases(), st.booleans())
 def test_vector_gate_matches_the_per_candidate_loop(case, through_store):
     thresholds, sims, verdicts, order = case
+    # The scalar gate classifies each value as the vector gate does.
+    for sim in sims:
+        expected = (
+            GateOutcome.RETAIN
+            if sim >= thresholds.hi
+            else GateOutcome.DISCARD if sim < thresholds.lo else GateOutcome.BORDERLINE
+        )
+        assert quantitative_gate(sim, thresholds) is expected
     # One coordinate against a query of [1.0], so each similarity is its value.
     passages = tuple(Passage(id=f"p{i:02d}", text=f"text {i}") for i in range(len(sims)))
     rows = np.array(sims, dtype=np.float64).reshape(len(sims), 1)
-    if through_store:
-        embedding_of = VectorStore(passages, rows)
-    else:
-        embedding_of = {p.id: row for p, row in zip(passages, rows)}
+    table = {p.id: row for p, row in zip(passages, rows)}
     # The store holds rows in id order; the candidates come in any order.
     candidates = [ScoredPassage(passage=passages[i], score=0.5) for i in order]
+    query = np.array([1.0])
+    nan_rows = [i for i, sim in enumerate(sims) if math.isnan(sim)]
+    if nan_rows:
+        # A NaN row fails the store's build and the table gate alike, naming
+        # the first NaN passage in id order.
+        message = f"passage p{nan_rows[0]:02d}: embedding holds a non-finite value"
+        with pytest.raises(ValueError, match=message):
+            VectorStore(passages, rows)
+        with pytest.raises(ValueError, match=message):
+            prune(query, candidates, thresholds, lambda passage, sim: True, embedding_of=table)
+        return
+    embedding_of = VectorStore(passages, rows) if through_store else table
 
     def judging(calls):
         def judge(passage, sim):
@@ -353,7 +373,6 @@ def test_vector_gate_matches_the_per_candidate_loop(case, through_store):
         return judge
 
     calls, expected_calls = [], []
-    query = np.array([1.0])
     result = prune(query, candidates, thresholds, judging(calls), embedding_of=embedding_of)
     survivors, judge_calls = _loop_prune(
         query, candidates, thresholds, judging(expected_calls), embedding_of=embedding_of
@@ -361,11 +380,3 @@ def test_vector_gate_matches_the_per_candidate_loop(case, through_store):
     assert result.survivors == survivors
     assert result.judge_calls == judge_calls
     assert calls == expected_calls
-    # The scalar gate classifies each value as the vector gate does.
-    for sim in sims:
-        expected = (
-            GateOutcome.RETAIN
-            if sim >= thresholds.hi
-            else GateOutcome.DISCARD if sim < thresholds.lo else GateOutcome.BORDERLINE
-        )
-        assert quantitative_gate(sim, thresholds) is expected

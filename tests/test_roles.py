@@ -431,7 +431,7 @@ def _recording_remote(monkeypatch, config: EngineConfig, replies: dict[BackendRo
 
     def fake_post_json(endpoint, body, timeout_s, role, parse):
         bodies.append(body)
-        return parse({"response": replies[BackendRole(role)]})
+        return parse({"choices": [{"message": {"content": replies[BackendRole(role)]}}]})
 
     monkeypatch.setattr(backends, "post_json", fake_post_json)
     return RemoteChatBackend("http://unused", "m", config.temperatures()), bodies

@@ -262,6 +262,38 @@ def test_build_rejects_a_wrong_embedding_shape_by_passage_id():
         build_index(passages, _ShortVectorProvider())
 
 
+class _InfProvider:
+    """Unit rows, except that a text reading "bad" gets inf in its last column."""
+
+    dimension = 4
+
+    def embed(self, text: str) -> np.ndarray:
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts) -> np.ndarray:
+        block = np.full((len(texts), 4), 0.5)
+        block[[text == "bad" for text in texts], 3] = np.inf
+        return block
+
+
+def test_build_rejects_a_non_finite_row_by_passage_id():
+    # Forty passages fill a block of 32 and part of a second; the bad one
+    # is in the second block.
+    texts = {f"p{i:02d}": "bad" if i == 35 else f"text {i}" for i in range(40)}
+    with pytest.raises(ValueError, match="passage p35: embedding holds a non-finite value"):
+        build_index(_passages(texts), _InfProvider())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 31, 32, 39])
+def test_a_dense_matrix_with_a_non_finite_value_names_its_passage(value, row):
+    passages = [Passage(id=f"p{i:02d}", text=f"text {i}") for i in range(40)]
+    matrix = np.full((40, 3), 0.5)
+    matrix[row, 1] = value
+    with pytest.raises(ValueError, match=f"passage p{row:02d}: embedding holds a non-finite"):
+        VectorStore(passages, matrix)
+
+
 def test_built_matrix_is_readonly_float64_rows_of_the_provider(monkeypatch):
     # Six passages fill one block of four and part of a second.
     monkeypatch.setattr(vectorstore, "BUILD_BLOCK_ROWS", 4)
