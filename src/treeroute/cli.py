@@ -1,12 +1,12 @@
 """Command line interface.
 
-Subcommands: index (build and describe the corpus), route (explain one
-routing decision), run (process a workload into a trace file), eval
-(score a trace file against gold labels), pareto (dominance analysis over
-report files). Every failure exits nonzero after printing a single-line
-JSON error record to stderr. Flag values override config file keys, which
-override defaults; backend endpoint and model may also come from
-TREEROUTE_* environment variables.
+Subcommands: index (build and describe the corpus), route (process one
+query over the corpus, as run does, and print its plan), run (process a
+workload into a trace file), eval (score a trace file against gold labels),
+pareto (dominance analysis over report files). Every failure exits nonzero
+after printing a single-line JSON error record to stderr. Flag values
+override config file keys, which override defaults; backend endpoint and
+model may also come from TREEROUTE_* environment variables.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import EngineConfig, env_overrides
-from .dataset import build_kb, derive_catalog, ingest, load_catalog
+from .dataset import QueryRecord, build_kb, derive_catalog, ingest, load_catalog
 from .errors import EngineError
 from .metrics import (
     DepthBucket,
@@ -35,14 +35,13 @@ from .metrics import (
 from .pipeline import (
     ExecutionMode,
     build_engine,
+    process_query,
     read_traces,
     run_manifest,
     run_workload,
     write_traces,
 )
-from .roles import RoleRunner
-from .routing import decide
-from .signals import compute_qci, extract_signals, tokenize
+from .routing import DEPTH_BY_LEVEL
 from .vectorstore import Passage
 
 
@@ -63,8 +62,10 @@ def _build_parser() -> _Parser:
     p_index.add_argument("dataset", help="workload file (JSON lines)")
     p_index.add_argument("--catalog", help="intent catalog file (JSON lines)")
 
-    p_route = sub.add_parser("route", help="explain the routing decision for one query")
+    p_route = sub.add_parser("route", help="process one query and print its plan")
+    p_route.add_argument("dataset", help="workload file (JSON lines)")
     p_route.add_argument("query", help="query text")
+    p_route.add_argument("--catalog", help="intent catalog file (JSON lines)")
 
     p_run = sub.add_parser("run", help="process a workload into a trace file")
     p_run.add_argument("dataset", help="workload file (JSON lines)")
@@ -94,7 +95,6 @@ def _build_parser() -> _Parser:
     # Each subcommand declares only the flags it reads.
     for p in (p_index, p_route, p_run):
         p.add_argument("--config", help="path to a config file")
-    for p in (p_index, p_run):
         p.add_argument("--seed", type=int, help="override run.seed")
     for p in (p_index, p_run, p_eval, p_pareto):
         p.add_argument("--out", help="output file path")
@@ -159,27 +159,23 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    # No corpus: the level assessor sees no snippets, where run shows it the
-    # query's top qtc.assessor_snippets hits, so with a remote backend the
-    # level, and then the depth, may differ from run's.
-    engine = build_engine(_load_config(args.config), [])
-    routing = engine.routing
-    roles = RoleRunner(
-        engine.backend, engine.prompts, query=args.query, fallback_level=routing.fallback_level
-    )
-    signals = extract_signals(tokenize(args.query), engine.lexicons)
-    qci = compute_qci(signals, engine.weights)
-    decision = decide(signals, qci, [], roles.assess_level, routing)
+    config = _load_config(args.config, seed=args.seed)
+    _, _, passages = _load_corpus(args)
+    engine = build_engine(config, passages)
+    trace = process_query(engine, QueryRecord(id="route", text=args.query, intents=frozenset()))
+    if trace.error:
+        raise EngineError(trace.error)
+    level_by_depth = {depth: level.value for level, depth in DEPTH_BY_LEVEL.items()}
     _emit(
         {
             "query": args.query,
-            "mode": decision.mode.value,
-            "depth": decision.depth,
-            "qci": qci,
-            "level": decision.level.value if decision.level else None,
-            "signals": signals.as_dict(),
-            "tau_simple": routing.tau_simple,
-            "warnings": roles.warnings,
+            "mode": trace.mode,
+            "depth": trace.depth,
+            "qci": trace.qci,
+            "level": level_by_depth[trace.depth] if trace.mode == "tree" else None,
+            "signals": trace.signals,
+            "tau_simple": engine.routing.tau_simple,
+            "warnings": trace.warnings,
         }
     )
     return 0
@@ -291,8 +287,8 @@ def _load_point(path: str, accuracy_axes: list[str] | None, cost_axes: list[str]
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read report {path}: {exc}")
-    point = data.get("pareto_point", data)
     try:
+        point = data.get("pareto_point", data)
         label = point.get("label") or Path(path).stem
         accuracy = {k: float(v) for k, v in point["accuracy_axes"].items()}
         cost = {k: float(v) for k, v in point["cost_axes"].items()}

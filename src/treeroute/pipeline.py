@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import partial
@@ -337,22 +337,20 @@ def run_workload(
 ) -> list[QueryTrace]:
     """Process a batch as `jobs` concurrent clients; traces are in id order.
 
-    jobs defaults to run.jobs; at jobs <= 1 the queries run in turn on the
-    calling thread. Otherwise min(jobs, len(records)) client threads each
-    take the next query in id order when they finish one and write its
-    trace into that query's slot, so the output does not depend on the job
-    count. The calling thread waits once per client. An error that is not
-    an EngineError (process_query turns those into failed traces) stops its
-    client and is raised here after the other clients have run the rest.
+    jobs defaults to run.jobs and must be at least 1. min(jobs, len(records))
+    client threads, one at jobs=1, each take the next query in id order when
+    they finish one and write its trace into that query's slot, so the output
+    does not depend on the job count. An error that is not an EngineError
+    (process_query turns those into failed traces), or an interrupt of the
+    caller, closes the shared positions, so every client stops after its
+    current query; then the error is raised here.
     """
     if jobs is None:
         jobs = engine.config.run_jobs
     ordered = sorted(records, key=attrgetter("id"))
     worker = partial(process_query, engine, mode=mode, force_depth=force_depth)
-    if jobs <= 1:
-        return [worker(record) for record in ordered]
     traces: list[QueryTrace | None] = [None] * len(ordered)
-    positions = iter(range(len(ordered)))
+    positions = (position for position in range(len(ordered)))  # close() ends it
     taking = threading.Lock()
 
     def client() -> None:
@@ -364,8 +362,13 @@ def run_workload(
             traces[position] = worker(ordered[position])
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for finished in [pool.submit(client) for _ in range(min(jobs, len(ordered)))]:
-            finished.result()
+        try:
+            clients = [pool.submit(client) for _ in range(min(jobs, len(ordered)))]
+            for finished in wait(clients, return_when=FIRST_EXCEPTION).done:
+                finished.result()
+        finally:
+            with taking:
+                positions.close()
     return traces
 
 

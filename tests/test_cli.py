@@ -3,13 +3,15 @@ from __future__ import annotations
 import json
 
 import pytest
-from conftest import TEMPLATES, RecordingBackend, assessor_snippets, build_workload, make_engine
+from conftest import TEMPLATES, RecordingBackend, assessor_snippets, build_workload
 
 from treeroute import cli
 from treeroute.cli import main
+from treeroute.backends import BackendRole
 from treeroute.config import EngineConfig
 from treeroute.dataset import QueryRecord
-from treeroute.pipeline import build_engine, process_query, read_traces
+from treeroute.errors import BackendError
+from treeroute.pipeline import build_engine, read_traces
 
 
 def _write_workload(path, records):
@@ -36,8 +38,8 @@ def _last_json(out: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def test_route_simple_query(capsys):
-    code, out, err = _run_cli(capsys, ["route", "cancel my card"])
+def test_route_simple_query(capsys, workload_file):
+    code, out, err = _run_cli(capsys, ["route", str(workload_file), "cancel my card"])
     assert code == 0 and err == ""
     data = _last_json(out)
     assert data["mode"] == "simple"
@@ -47,9 +49,9 @@ def test_route_simple_query(capsys):
     assert data["signals"]["length"] == pytest.approx(0.12, abs=1e-12)
 
 
-def test_route_tree_query_reports_level(capsys):
+def test_route_tree_query_reports_level(capsys, workload_file):
     code, out, _ = _run_cli(
-        capsys, ["route", "compare savings rates and open the new account"]
+        capsys, ["route", str(workload_file), "compare savings rates and open the new account"]
     )
     assert code == 0
     data = _last_json(out)
@@ -58,38 +60,70 @@ def test_route_tree_query_reports_level(capsys):
     assert data["depth"] == 2
 
 
-def test_route_shows_the_level_assessor_no_corpus(capsys, monkeypatch):
-    # route builds its engine over no corpus, so the assessor sees no
-    # snippets; run shows it the query's top search hits.
-    text = "compare savings rates and open the new account"
+def _recording_engines(monkeypatch, backend_class=RecordingBackend):
+    """Make cli build every engine with a fresh backend_class; returns the backends."""
     backends = []
 
-    def recording_engine(config, passages):
+    def build(config, passages):
         engine = build_engine(config, passages)
-        engine.backend = RecordingBackend()
+        engine.backend = backend_class()
         backends.append(engine.backend)
         return engine
 
-    monkeypatch.setattr(cli, "build_engine", recording_engine)
-    code, out, _ = _run_cli(capsys, ["route", text])
+    monkeypatch.setattr(cli, "build_engine", build)
+    return backends
+
+
+def test_route_shows_the_level_assessor_what_run_shows(
+    capsys, monkeypatch, tmp_path, workload_file
+):
+    # route processes its query over run's corpus, so the assessor is shown
+    # the same top search hits.
+    text = build_workload(16)[6].text
+    backends = _recording_engines(monkeypatch)
+    code, out, _ = _run_cli(capsys, ["route", str(workload_file), text])
     assert code == 0 and _last_json(out)["mode"] == "tree"
-    assert assessor_snippets(backends[0]) == "(none)"
-    engine = make_engine()
-    engine.backend = RecordingBackend()
-    trace = process_query(engine, QueryRecord(id="q", text=text, intents=frozenset()))
-    assert trace.mode == "tree"
-    snippets = assessor_snippets(engine.backend).splitlines()
+    code, _, _ = _run_cli(capsys, ["run", str(workload_file), "--out", str(tmp_path / "t.jsonl")])
+    assert code == 0
+    route_prompts, run_prompts = (
+        [
+            r.prompt
+            for r in backend.requests
+            if r.role is BackendRole.LEVEL_ASSESSOR and f"Request: {text}\n" in r.prompt
+        ]
+        for backend in backends
+    )
+    assert len(route_prompts) == 1 and route_prompts == run_prompts
+    snippets = assessor_snippets(backends[0]).splitlines()
     assert [line[:3] for line in snippets] == ["1. ", "2. ", "3. "]
 
 
-def test_route_respects_config_file(capsys, tmp_path):
+class _FailingAssessorBackend(RecordingBackend):
+    def chat(self, request):
+        if request.role is BackendRole.LEVEL_ASSESSOR:
+            raise BackendError(request.role.value, "injected failure")
+        return super().chat(request)
+
+
+def test_route_level_assessor_failure_is_engine_error(capsys, monkeypatch, workload_file):
+    _recording_engines(monkeypatch, _FailingAssessorBackend)
+    text = "compare savings rates and open the new account"
+    code, out, err = _run_cli(capsys, ["route", str(workload_file), text])
+    assert code == 1 and out == ""
+    assert err.strip().count("\n") == 0
+    error = json.loads(err.strip())
+    assert error["command"] == "route"
+    assert "level assessment failed" in error["error"] and "injected failure" in error["error"]
+
+
+def test_route_respects_config_file(capsys, tmp_path, workload_file):
     config = EngineConfig()
     config.apply({"qtc.tau_simple": "0.5"})
     config_path = tmp_path / "engine.ini"
     config_path.write_text(config.to_text(), encoding="utf-8")
     code, out, _ = _run_cli(
         capsys,
-        ["route", "what is my account balance", "--config", str(config_path)],
+        ["route", str(workload_file), "what is my account balance", "--config", str(config_path)],
     )
     assert code == 0
     data = _last_json(out)
@@ -97,10 +131,12 @@ def test_route_respects_config_file(capsys, tmp_path):
     assert data["tau_simple"] == 0.5
 
 
-def test_route_config_file_with_invalid_utf8_is_engine_error(capsys, tmp_path):
+def test_route_config_file_with_invalid_utf8_is_engine_error(capsys, tmp_path, workload_file):
     config_path = tmp_path / "latin1.ini"
     config_path.write_bytes("[qtc]\n# café\ntau_simple = 0.5\n".encode("latin-1"))
-    code, out, err = _run_cli(capsys, ["route", "cancel my card", "--config", str(config_path)])
+    code, out, err = _run_cli(
+        capsys, ["route", str(workload_file), "cancel my card", "--config", str(config_path)]
+    )
     assert code == 1 and out == ""
     assert err.strip().count("\n") == 0
     error = json.loads(err.strip())
@@ -114,19 +150,28 @@ def test_route_reports_what_the_pipeline_traces(capsys, tmp_path, overrides):
     config.apply(overrides)
     config_path = tmp_path / "engine.ini"
     config_path.write_text(config.to_text(), encoding="utf-8")
-    engine = make_engine(config)
+    records = [
+        QueryRecord(id=f"t{i}", text=text, intents=frozenset(intents))
+        for i, (text, intents) in enumerate(TEMPLATES)
+    ]
+    workload = _write_workload(tmp_path / "templates.jsonl", records)
+    traces_path = tmp_path / "traces.jsonl"
+    argv = ["--config", str(config_path)]
+    assert _run_cli(capsys, ["run", str(workload), "--out", str(traces_path), *argv])[0] == 0
+    traces = read_traces(traces_path)
+    assert [t.query_id for t in traces] == [r.id for r in records]
     modes = set()
-    for text, intents in TEMPLATES:
-        code, out, _ = _run_cli(capsys, ["route", text, "--config", str(config_path)])
+    for record, trace in zip(records, traces):
+        code, out, _ = _run_cli(capsys, ["route", str(workload), record.text, *argv])
         assert code == 0
         data = _last_json(out)
-        trace = process_query(engine, QueryRecord(id="q", text=text, intents=frozenset(intents)))
         assert (data["mode"], data["depth"], data["qci"], data["signals"]) == (
             trace.mode,
             trace.depth,
             trace.qci,
             trace.signals,
-        ), text
+        ), record.text
+        assert (data["level"] is None) == (trace.mode != "tree")
         assert data["tau_simple"] == config.qtc_tau_simple
         modes.add(data["mode"])
     # At tau_simple 0.5 every template without a tree marker routes simple.
@@ -247,7 +292,7 @@ def test_deterministic_flags_are_usage_errors(capsys, workload_file, flag):
 
 _POSITIONALS = {
     "index": ["queries.jsonl"],
-    "route": ["cancel my card"],
+    "route": ["queries.jsonl", "cancel my card"],
     "eval": ["traces.jsonl", "queries.jsonl"],
     "pareto": ["report.json"],
 }
@@ -257,7 +302,6 @@ _POSITIONALS = {
     ("command", "flag"),
     [
         ("index", "--jobs"),
-        ("route", "--seed"),
         ("route", "--jobs"),
         ("route", "--out"),
         ("eval", "--config"),
@@ -562,6 +606,13 @@ def test_pareto_unreadable_report_is_usage_error(capsys, tmp_path):
 def test_pareto_report_without_a_point_is_usage_error(capsys, tmp_path):
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"label": "x", "overall": {"micro_f1": 0.5}}), encoding="utf-8")
+    assert _pareto_error(capsys, [str(report)]) == f"report {report} has no usable pareto point"
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"x"', "3", "null"])
+def test_pareto_report_that_is_not_an_object_is_usage_error(capsys, tmp_path, content):
+    report = tmp_path / "report.json"
+    report.write_text(content, encoding="utf-8")
     assert _pareto_error(capsys, [str(report)]) == f"report {report} has no usable pareto point"
 
 

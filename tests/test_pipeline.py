@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from collections.abc import Mapping
 
@@ -594,6 +597,73 @@ def test_error_outside_engine_errors_escapes_run_workload(jobs):
     engine.backend = _CrashingBackend()
     with pytest.raises(RuntimeError, match="backend bug"):
         _within(60, lambda: run_workload(engine, build_workload(8), jobs=jobs))
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_an_error_stops_every_client_after_its_current_query(monkeypatch, engine, jobs):
+    workload = build_workload(200)
+    started = []
+
+    def process_query(engine, record, mode, force_depth):
+        started.append(record.id)
+        if record.id == workload[5].id:
+            raise RuntimeError("stand-in bug")
+        time.sleep(0.01)
+
+    monkeypatch.setattr(pipeline, "process_query", process_query)
+    with pytest.raises(RuntimeError, match="stand-in bug"):
+        _within(60, lambda: run_workload(engine, workload, jobs=jobs))
+    # The five queries before the failing one, itself, and at most one more
+    # for each other client: the query it was running when the error came.
+    assert len(started) < 6 + jobs
+
+
+# Run in a child process, so that the interrupt reaches no test runner.
+_INTERRUPTED_RUN = """
+import signal, sys, threading, time
+from treeroute import pipeline
+from treeroute.config import EngineConfig
+from treeroute.dataset import QueryRecord
+
+def process_query(engine, record, mode, force_depth):
+    time.sleep(0.01)
+
+pipeline.process_query = process_query
+records = [QueryRecord(id=f"q{i:04d}", text="cancel my card", intents=frozenset()) for i in range(400)]
+engine = pipeline.build_engine(EngineConfig(), [])
+threading.Timer(0.2, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT)).start()
+started = time.perf_counter()
+try:
+    pipeline.run_workload(engine, records, jobs=int(sys.argv[1]))
+except KeyboardInterrupt:
+    print("interrupted", time.perf_counter() - started)
+else:
+    print("finished", time.perf_counter() - started)
+"""
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_interrupt_stops_every_client_after_its_current_query(jobs):
+    # 400 queries of 10 ms take 4 s at one client; the interrupt comes at 0.2 s.
+    source = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = {**os.environ, "PYTHONPATH": source}
+    result = subprocess.run(
+        [sys.executable, "-c", _INTERRUPTED_RUN, str(jobs)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    outcome, seconds = result.stdout.split()
+    assert outcome == "interrupted" and float(seconds) < 1.0
+
+
+def test_zero_jobs_is_rejected_before_any_query_runs(engine):
+    engine.backend = CountingBackend()
+    with pytest.raises(ValueError):
+        run_workload(engine, build_workload(8), jobs=0)
+    assert engine.backend.calls == 0
 
 
 def test_identical_runs_serialize_identically(tmp_path):
