@@ -11,7 +11,6 @@ dominance analysis.
 
 from .backends import (
     BackendRole,
-    CallLog,
     ChatRequest,
     CostModel,
     RemoteChatBackend,
@@ -36,7 +35,6 @@ from .errors import (
     DatasetError,
     DecompositionError,
     EngineError,
-    RoutingError,
 )
 from .metrics import (
     DepthBucket,

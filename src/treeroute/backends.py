@@ -1,4 +1,4 @@
-"""Chat model backends and call accounting.
+"""Chat model backends, the prompt token estimate and the latency cost model.
 
 Every model interaction in the engine is a single chat exchange tagged
 with one of five roles. A request is the role, the rendered prompt (what
@@ -12,8 +12,8 @@ role with a deterministic transform of the payload so full runs work
 offline and reproduce exactly. It still answers in plain text, so
 response parsing is exercised on every path.
 
-Every call goes through RoleRunner._call, which records it on the
-query's CallLog before sending it, so a call that raises still counts.
+Every call goes through RoleRunner._call, which counts it and its prompt
+tokens for the query before sending it, so a call that raises still counts.
 ChatRequest is a typing.NamedTuple equal to the tuple (role, prompt, payload).
 """
 
@@ -62,39 +62,6 @@ class ChatRequest(NamedTuple):
 @runtime_checkable
 class ChatBackend(Protocol):
     def chat(self, request: ChatRequest) -> str: ...
-
-
-class CallLog:
-    """Thread-safe per-role call counter with a prompt token estimate."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts = {role: 0 for role in BackendRole}
-        self._prompt_tokens = 0
-
-    def record(self, request: ChatRequest) -> None:
-        tokens = estimate_tokens(request.prompt)
-        with self._lock:
-            self._counts[request.role] += 1
-            self._prompt_tokens += tokens
-
-    @property
-    def total_calls(self) -> int:
-        with self._lock:
-            return sum(self._counts.values())
-
-    @property
-    def prompt_tokens(self) -> int:
-        with self._lock:
-            return self._prompt_tokens
-
-    def count(self, role: BackendRole) -> int:
-        with self._lock:
-            return self._counts[role]
-
-    def counts_by_role(self) -> dict[str, int]:
-        with self._lock:
-            return {role.value: n for role, n in self._counts.items()}
 
 
 @dataclass(frozen=True)

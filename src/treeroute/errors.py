@@ -28,9 +28,5 @@ class BackendError(EngineError):
         self.role = role
 
 
-class RoutingError(EngineError):
-    """Routing could not complete because the level assessor failed."""
-
-
 class DecompositionError(EngineError):
     """A node could not be split into two usable sub-queries."""

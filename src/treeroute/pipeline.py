@@ -17,8 +17,9 @@ same four steps:
 4. classify the intents from the final evidence.
 
 Every processed query yields one trace with its routing fields, evidence,
-predictions, and an exact per-role cost ledger; a backend failure yields
-a failed trace, never a crashed batch.
+predictions, and an exact per-role cost ledger; a BackendError that no
+role default covers (level assessor, classifier) yields a failed trace,
+never a crashed batch.
 
 A trace's latency is always CostModel.latency_ms (the latency.* keys) of
 its retrievals and LLM calls, never measured time, so identical runs
@@ -71,7 +72,7 @@ class ExecutionMode(Enum):
 
 @dataclass
 class CostLedger:
-    """Per-query cost summary derived from the call log."""
+    """Per-query cost summary: the role runner's call counts and prompt tokens."""
 
     calls_by_role: dict[str, int]
     total_calls: int
@@ -304,11 +305,12 @@ def process_query(
     # The plan search is an extra retrieval of routed and depth-0 queries;
     # a forced tree counts it as its root node.
     retrievals = node_count + int(searched and (routed or depth == 0))
+    total_calls = sum(roles.calls.values())
     ledger = CostLedger(
-        calls_by_role=roles.log.counts_by_role(),
-        total_calls=roles.log.total_calls,
-        prompt_tokens=roles.log.prompt_tokens,
-        latency_ms=engine.cost_model.latency_ms(retrievals, roles.log.total_calls),
+        calls_by_role={role.value: n for role, n in roles.calls.items()},
+        total_calls=total_calls,
+        prompt_tokens=roles.prompt_tokens,
+        latency_ms=engine.cost_model.latency_ms(retrievals, total_calls),
     )
     return QueryTrace(
         query_id=record.id,

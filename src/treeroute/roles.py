@@ -9,14 +9,16 @@ call is a rendered prompt plus the payload the stub answers from; what
 else a remote model is sent (model, temperature, output budget) belongs
 to the remote backend.
 
-A RoleRunner serves one query: it holds that query's text, owns its
-CallLog, records each request on it before sending it, and collects the
+A RoleRunner serves one query on one thread: it holds that query's text,
+counts each call and its prompt tokens before sending it, and collects the
 query's warnings. It is the one place a role call is retried or replaced
 by its default: a failed decomposition is retried and then raises
 DecompositionError, and a failed judge or reranker call, like every
 recoverable parse failure, falls back to a documented default and appends
-a warning instead of failing the query. Parsers are deliberately forgiving
-about formatting and strict about semantics.
+a warning instead of failing the query. A failed level-assessor or
+classifier call raises its BackendError, which fails the query's trace.
+Parsers are deliberately forgiving about formatting and strict about
+semantics.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from pathlib import Path
 from string import Template
 from typing import Any, Mapping, Sequence
 
-from .backends import BackendRole, CallLog, ChatBackend, ChatRequest
+from .backends import BackendRole, ChatBackend, ChatRequest, estimate_tokens
 from .errors import BackendError, ConfigError, DecompositionError, EngineError
-from .routing import RouteMode, RoutingRule, SemanticLevel
+from .routing import RoutingRule, SemanticLevel
 from .vectorstore import Passage, ScoredPassage
 
 _NUMBERED_LINE = re.compile(r"^\s*(\d+)\s*[.):\-]\s*(.*\S)\s*$", re.MULTILINE)
@@ -52,7 +54,7 @@ class ParseError(EngineError):
 # The placeholders each role's template may use.
 ROLE_FIELDS: Mapping[BackendRole, frozenset[str]] = {
     BackendRole.DECOMPOSER: frozenset({"query"}),
-    BackendRole.LEVEL_ASSESSOR: frozenset({"query", "snippets", "mode"}),
+    BackendRole.LEVEL_ASSESSOR: frozenset({"query", "snippets"}),
     BackendRole.JUDGE: frozenset({"query", "sub_query", "passage"}),
     BackendRole.RERANKER: frozenset({"query", "candidates"}),
     BackendRole.INTENT_CLASSIFIER: frozenset({"query", "evidence", "catalog"}),
@@ -184,8 +186,9 @@ def _numbered(texts: Sequence[str]) -> str:
 class RoleRunner:
     """Runs the five role contracts for one query.
 
-    Build one runner per query: every call it makes is counted on
-    self.log, and every fallback it takes is appended to self.warnings.
+    Build one runner per query: every call it makes is counted in
+    self.calls and self.prompt_tokens, and every fallback it takes is
+    appended to self.warnings.
     """
 
     def __init__(
@@ -202,14 +205,16 @@ class RoleRunner:
         self.query = query
         self.fallback_level = fallback_level
         self.decompose_retries = decompose_retries
-        self.log = CallLog()
+        self.calls = dict.fromkeys(BackendRole, 0)
+        self.prompt_tokens = 0
         self.warnings: list[str] = []
 
     def _call(self, role: BackendRole, fields: dict[str, str], payload: Mapping[str, Any]) -> str:
-        """Record the request, then send it: a call that raises still counts."""
-        request = ChatRequest(role, self.prompts.render(role, fields), payload)
-        self.log.record(request)
-        return self.backend.chat(request)
+        """Count the call, then send it: a call that raises still counts."""
+        prompt = self.prompts.render(role, fields)
+        self.calls[role] += 1
+        self.prompt_tokens += estimate_tokens(prompt)
+        return self.backend.chat(ChatRequest(role, prompt, payload))
 
     def decompose(self, node_text: str) -> tuple[str, str]:
         """Two sub-queries; a failed call or parse is retried, then raises."""
@@ -228,14 +233,10 @@ class RoleRunner:
         ) from last_error
 
     def assess_level(self, snippets: Sequence[str], qci: float) -> SemanticLevel:
-        """Semantic level of a tree-route query; unparsed text gives the fallback.
-
-        Only tree-route queries are assessed, so the prompt's $mode is always
-        "tree".
-        """
+        """Semantic level of a tree-route query; unparsed text gives the fallback."""
         response = self._call(
             BackendRole.LEVEL_ASSESSOR,
-            {"query": self.query, "snippets": _numbered(snippets), "mode": RouteMode.TREE.value},
+            {"query": self.query, "snippets": _numbered(snippets)},
             {"qci": qci},
         )
         level = parse_level(response)

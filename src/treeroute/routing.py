@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .errors import RoutingError
 # compute_qci and extract_signals go unused here: perfbench's tracer wraps them in this module.
 from .signals import SignalVector, compute_qci, extract_signals  # noqa: F401
 
@@ -97,13 +96,11 @@ def decide(
 
     The signals and index are the ones the plan step already computed.
     The level assessor is consulted exactly once and only for tree-route
-    queries; simple and hybrid queries never touch a backend here.
+    queries; simple and hybrid queries never touch a backend here. An
+    exception from the assessor propagates unchanged.
     """
     mode = route(signals, qci, rule.tau_simple)
     level: SemanticLevel | None = None
     if mode is RouteMode.TREE:
-        try:
-            level = assessor(context_snippets, qci)
-        except Exception as exc:
-            raise RoutingError(f"level assessment failed: {exc}") from exc
+        level = assessor(context_snippets, qci)
     return RoutingDecision(mode=mode, level=level, depth=assign_depth(mode, level))

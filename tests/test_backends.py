@@ -11,7 +11,6 @@ from conftest import build_workload, make_engine
 from treeroute.backends import (
     MAX_OUTPUT_TOKENS,
     BackendRole,
-    CallLog,
     ChatBackend,
     ChatRequest,
     RemoteChatBackend,
@@ -23,6 +22,7 @@ from treeroute.backends import (
 from treeroute.errors import BackendError
 from treeroute.pipeline import process_query
 from treeroute.roles import RoleRunner
+from treeroute.vectorstore import Passage, ScoredPassage
 
 # A distinct temperature per role: 0.0, 0.1, 0.2 (judge), 0.3, 0.4.
 _TEMPERATURES = {role: i / 10 for i, role in enumerate(BackendRole)}
@@ -41,33 +41,31 @@ def test_estimate_tokens_floor_division():
     assert estimate_tokens("a" * 401) == 100
 
 
-def test_call_log_counts_and_tokens():
-    log = CallLog()
-    log.record(_request(BackendRole.DECOMPOSER, content="a" * 8))
-    log.record(_request(BackendRole.DECOMPOSER, content="a" * 9))
-    log.record(_request(BackendRole.RERANKER, content="a" * 4))
-    assert log.count(BackendRole.DECOMPOSER) == 2
-    assert log.count(BackendRole.JUDGE) == 0
-    assert log.total_calls == 3
-    # Tokens are floored per request: 2 + 2 + 1.
-    assert log.prompt_tokens == 5
-    assert log.counts_by_role() == {
-        "decomposer": 2,
-        "level_assessor": 0,
-        "judge": 0,
-        "reranker": 1,
-        "intent_classifier": 0,
+def test_runner_counts_calls_and_prompt_tokens():
+    class Recording:
+        def __init__(self):
+            self.prompts = []
+
+        def chat(self, request):
+            self.prompts.append(request.prompt)
+            return "Relevant"
+
+    backend = Recording()
+    runner = RoleRunner(backend, query="hello world")
+    passage = Passage(id="p1", text="some passage text")
+    runner.judge("sub one", passage, 0.5)
+    runner.judge("sub two", passage, 0.5)
+    runner.rerank([ScoredPassage(passage, 0.5)])
+    assert runner.calls == {
+        BackendRole.DECOMPOSER: 0,
+        BackendRole.LEVEL_ASSESSOR: 0,
+        BackendRole.JUDGE: 2,
+        BackendRole.RERANKER: 1,
+        BackendRole.INTENT_CLASSIFIER: 0,
     }
-
-
-def test_call_log_is_thread_safe():
-    log = CallLog()
-    request = _request(content="a" * 40)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        for _ in range(200):
-            pool.submit(log.record, request)
-    assert log.total_calls == 200
-    assert log.prompt_tokens == 200 * 10
+    # Tokens are floored per prompt, then summed.
+    assert len(backend.prompts) == 3
+    assert runner.prompt_tokens == sum(len(prompt) // 4 for prompt in backend.prompts) > 0
 
 
 def test_role_call_records_before_dispatch():
@@ -79,7 +77,8 @@ def test_role_call_records_before_dispatch():
     with pytest.raises(BackendError):
         runner.classify([], ["cancel_card"])
     # Failed transport still counts as an issued call.
-    assert runner.log.total_calls == 1
+    assert sum(runner.calls.values()) == 1
+    assert runner.calls[BackendRole.INTENT_CLASSIFIER] == 1
 
 
 def test_stub_decompose_prefers_conjunction_split():

@@ -113,7 +113,7 @@ def test_route_level_assessor_failure_is_engine_error(capsys, monkeypatch, workl
     assert err.strip().count("\n") == 0
     error = json.loads(err.strip())
     assert error["command"] == "route"
-    assert "level assessment failed" in error["error"] and "injected failure" in error["error"]
+    assert error["error"] == "route: level_assessor: injected failure"
 
 
 def test_route_respects_config_file(capsys, tmp_path, workload_file):

@@ -8,6 +8,7 @@ import threading
 import time
 from collections import Counter
 from collections.abc import Mapping
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -382,15 +383,19 @@ def test_parallel_traces_each_record_their_own_cost_model():
 
 
 class _RoleFailingBackend:
-    """Delegates to the stub except for one role, which always fails."""
+    """Delegates to the stub except for one role, which always fails.
 
-    def __init__(self, failing_role: BackendRole):
+    The failure is a BackendError, or the given error when there is one.
+    """
+
+    def __init__(self, failing_role: BackendRole, error: Exception | None = None):
         self.failing_role = failing_role
+        self.error = error
         self.inner = StubChatBackend()
 
     def chat(self, request):
         if request.role is self.failing_role:
-            raise BackendError(request.role.value, "injected failure")
+            raise self.error or BackendError(request.role.value, "injected failure")
         return self.inner.chat(request)
 
 
@@ -582,19 +587,49 @@ def test_clients_run_every_query_exactly_once():
     assert engine.backend.calls == sum(t.ledger.total_calls for t in traces) > 0
 
 
-class _CrashingBackend:
-    """A backend with a bug: every call raises an error that is no EngineError."""
-
-    def chat(self, request):
-        raise RuntimeError("backend bug")
+# What a BackendError from each role does to a query that made the call:
+# "warning" degrades the trace with that warning, "error" fails it.
+_ROLE_FAILURE_OUTCOMES = {
+    BackendRole.DECOMPOSER: (
+        "warning",
+        "node n: decomposition failed after 1 retry: decomposer: injected failure",
+    ),
+    BackendRole.LEVEL_ASSESSOR: ("error", "level_assessor: injected failure"),
+    BackendRole.JUDGE: ("warning", "judge call failed, retaining passage: judge: injected failure"),
+    BackendRole.RERANKER: (
+        "warning",
+        "reranker failed, falling back to retrieval scores: reranker: injected failure",
+    ),
+    BackendRole.INTENT_CLASSIFIER: ("error", "intent_classifier: injected failure"),
+}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_error_outside_engine_errors_escapes_run_workload(jobs):
-    # process_query turns only an EngineError into a failed trace, so any
-    # other error stops the batch, at one client or several.
+@pytest.mark.parametrize("role", list(BackendRole), ids=attrgetter("value"))
+def test_a_backend_error_from_each_role_has_its_documented_outcome(role, jobs):
     engine = make_engine()
-    engine.backend = _CrashingBackend()
+    engine.backend = _RoleFailingBackend(role)
+    traces = _within(60, lambda: run_workload(engine, build_workload(8), jobs=jobs))
+    kind, message = _ROLE_FAILURE_OUTCOMES[role]
+    assert any(t.ledger.calls_by_role[role.value] > 0 for t in traces)
+    for trace in traces:
+        if trace.ledger.calls_by_role[role.value] == 0:
+            assert trace.error is None and trace.warnings == [], trace.query_id
+        elif kind == "error":
+            assert trace.error == f"{trace.query_id}: {message}"
+            assert trace.predicted_intents == []
+        else:
+            assert trace.error is None, trace.query_id
+            assert message in trace.warnings, trace.query_id
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("role", list(BackendRole), ids=attrgetter("value"))
+def test_error_outside_engine_errors_escapes_run_workload(role, jobs):
+    # process_query turns only an EngineError into a failed trace, so any
+    # other error, from any role, stops the batch, at one client or several.
+    engine = make_engine()
+    engine.backend = _RoleFailingBackend(role, RuntimeError("backend bug"))
     with pytest.raises(RuntimeError, match="backend bug"):
         _within(60, lambda: run_workload(engine, build_workload(8), jobs=jobs))
 

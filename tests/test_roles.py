@@ -115,6 +115,17 @@ def test_stray_dollar_in_a_prompt_template_fails_at_build(tmp_path):
         build_engine(config, [])
 
 
+def test_level_assessor_template_with_mode_fails_at_build(tmp_path):
+    # Only tree-route queries are assessed, so the shipped template states
+    # the route literally and $mode is not a placeholder.
+    _copy_package_prompts(tmp_path)
+    assert "Initial routing: tree\n" in _package_template(BackendRole.LEVEL_ASSESSOR)
+    (tmp_path / "level_assessor.txt").write_text("Initial routing: $mode\n$query", encoding="utf-8")
+    config = EngineConfig(backend_prompt_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match=r"level_assessor\.txt line 1: unknown placeholder \$mode"):
+        build_engine(config, [])
+
+
 def test_undecodable_prompt_template_fails_at_build(tmp_path):
     _copy_package_prompts(tmp_path)
     judge = tmp_path / "judge.txt"
@@ -319,8 +330,8 @@ def test_runner_decompose_via_stub():
     runner = RoleRunner(StubChatBackend(), query="q")
     first, second = runner.decompose("freeze my card and order a replacement")
     assert (first, second) == ("freeze my card", "order a replacement")
-    assert runner.log.count(BackendRole.DECOMPOSER) == 1
-    assert runner.log.prompt_tokens > 0
+    assert runner.calls[BackendRole.DECOMPOSER] == 1
+    assert runner.prompt_tokens > 0
 
 
 def test_runner_decompose_propagates_parse_error():
@@ -328,14 +339,14 @@ def test_runner_decompose_propagates_parse_error():
     with pytest.raises(DecompositionError, match="after 1 retry") as raised:
         runner.decompose("anything at all")
     assert isinstance(raised.value.__cause__, ParseError)
-    assert runner.log.count(BackendRole.DECOMPOSER) == 2
+    assert runner.calls[BackendRole.DECOMPOSER] == 2
 
 
 def test_runner_assess_level_happy_path():
     runner = RoleRunner(StubChatBackend(), query="q")
     level = runner.assess_level(["s1"], qci=0.7)
     assert level is SemanticLevel.HIGH
-    assert runner.log.count(BackendRole.LEVEL_ASSESSOR) == 1
+    assert runner.calls[BackendRole.LEVEL_ASSESSOR] == 1
 
 
 def test_runner_assess_level_falls_back_with_warning():
@@ -355,7 +366,7 @@ def test_runner_judge_verdicts():
     runner = RoleRunner(StubChatBackend(), query="q")
     assert runner.judge("sq", PASSAGE, sim=0.6) is True
     assert runner.judge("sq", PASSAGE, sim=0.4) is False
-    assert runner.log.count(BackendRole.JUDGE) == 2
+    assert runner.calls[BackendRole.JUDGE] == 2
 
 
 def test_runner_judge_retains_on_parse_failure():
@@ -369,7 +380,7 @@ def test_runner_judge_retains_on_transport_failure():
     assert runner.judge("sq", PASSAGE, 0.4) is True
     assert runner.warnings and "failed" in runner.warnings[0]
     # The attempted call is still on the ledger.
-    assert runner.log.count(BackendRole.JUDGE) == 1
+    assert runner.calls[BackendRole.JUDGE] == 1
 
 
 def test_runner_rerank_round_trips_scores():
@@ -377,7 +388,7 @@ def test_runner_rerank_round_trips_scores():
     candidates = [_sp("a", "text a", 0.31), _sp("b", "text b", 0.72)]
     scores = runner.rerank(candidates)
     assert scores == [0.31, 0.72]
-    assert runner.log.count(BackendRole.RERANKER) == 1
+    assert runner.calls[BackendRole.RERANKER] == 1
 
 
 def test_runner_rerank_fills_missing_with_half():
@@ -400,7 +411,7 @@ def test_runner_rerank_failure_falls_back_to_retrieval_scores():
     runner = RoleRunner(_FailingBackend(), query="q")
     scores = runner.rerank([_sp("a", "ta", 0.83), _sp("b", "tb", -0.2)])
     assert scores == [0.83, -0.2]
-    assert runner.log.count(BackendRole.RERANKER) == 1
+    assert runner.calls[BackendRole.RERANKER] == 1
     assert len(runner.warnings) == 1
     assert "falling back to retrieval scores" in runner.warnings[0]
     assert "transport down" in runner.warnings[0]
@@ -415,7 +426,7 @@ def test_runner_classify_unions_evidence_labels():
     catalog = ["cancel_card", "freeze_card", "open_savings"]
     intents = runner.classify(evidence, catalog)
     assert intents == {"cancel_card", "freeze_card"}
-    assert runner.log.count(BackendRole.INTENT_CLASSIFIER) == 1
+    assert runner.calls[BackendRole.INTENT_CLASSIFIER] == 1
 
 
 def test_runner_classify_warns_on_empty():

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from treeroute.errors import RoutingError
 from treeroute.routing import (
     DEPTH_BY_LEVEL,
     MAX_DEPTH,
@@ -140,17 +139,15 @@ def test_decide_routes_on_the_given_index():
     assert decide(signals, 0.5, [], None, RoutingRule(tau_simple=0.6)).mode is RouteMode.SIMPLE
 
 
-def test_decide_wraps_missing_assessor():
-    with pytest.raises(RoutingError):
-        _decide("compare rates and fees", [], None)
+def test_decide_lets_the_assessor_exception_through_unchanged():
+    failure = RuntimeError("assessor exploded")
 
-
-def test_decide_wraps_assessor_failures():
     def broken(snippets, qci):
-        raise RuntimeError("assessor exploded")
+        raise failure
 
-    with pytest.raises(RoutingError, match="assessor exploded"):
+    with pytest.raises(RuntimeError) as raised:
         _decide("compare rates and fees", [], broken)
+    assert raised.value is failure
 
 
 def test_decision_is_immutable_record():

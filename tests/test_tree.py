@@ -163,7 +163,7 @@ def _assert_unsplit_leaf(tree, node_id):
 def test_decompose_retries_once_then_succeeds():
     runner = _runner(_ScriptedDecomposer("garbled"))
     tree = _expand(1, decomposer=runner.decompose)
-    assert runner.log.count(BackendRole.DECOMPOSER) == 2
+    assert runner.calls[BackendRole.DECOMPOSER] == 2
     assert tree.nodes["n.0"].text == "compare savings rates"
     assert tree.nodes["n.1"].text == "open the better account"
     assert tree.warnings == []
@@ -172,7 +172,7 @@ def test_decompose_retries_once_then_succeeds():
 def test_decompose_gives_up_after_retry():
     runner = _runner(_ScriptedDecomposer(BackendError("decomposer", "down"), "garbled"))
     tree = _expand(1, decomposer=runner.decompose)
-    assert runner.log.count(BackendRole.DECOMPOSER) == 2
+    assert runner.calls[BackendRole.DECOMPOSER] == 2
     _assert_unsplit_leaf(tree, ROOT_NODE_ID)
     assert tree.leaf_count == 1
     assert tree.warnings == [
@@ -183,7 +183,7 @@ def test_decompose_gives_up_after_retry():
 def test_decompose_zero_retries():
     runner = _runner(_ScriptedDecomposer("garbled"), decompose_retries=0)
     tree = _expand(1, decomposer=runner.decompose)
-    assert runner.log.count(BackendRole.DECOMPOSER) == 1
+    assert runner.calls[BackendRole.DECOMPOSER] == 1
     _assert_unsplit_leaf(tree, ROOT_NODE_ID)
     assert tree.leaf_count == 1
 
@@ -196,7 +196,7 @@ def test_decompose_rejects_empty_text():
     _assert_unsplit_leaf(tree, ROOT_NODE_ID)
     assert tree.leaf_count == 1
     assert tree.warnings == ["node n: cannot decompose an empty query"]
-    assert runner.log.total_calls == 0
+    assert sum(runner.calls.values()) == 0
 
 
 def test_decompose_does_not_swallow_unrelated_errors():
