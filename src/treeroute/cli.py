@@ -128,6 +128,12 @@ def _load_corpus(args: argparse.Namespace):
     return result, catalog, passages
 
 
+def _catalog_source(args: argparse.Namespace) -> str:
+    """The catalog path given, or "derived" for one built from the workload's
+    own labelled queries, whose scores are not held out."""
+    return args.catalog or "derived"
+
+
 def _corpus_hash(passages: Sequence[Passage]) -> str:
     digest = hashlib.sha256()
     for passage in sorted(passages, key=lambda p: p.id):
@@ -151,6 +157,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         "dimension": config.store_dimension,
         "config_hash": config.config_hash(),
         "corpus_hash": _corpus_hash(passages),
+        "catalog": _catalog_source(args),
     }
     out = Path(args.out or "index_manifest.json")
     out.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -192,6 +199,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out or "traces.jsonl")
     write_traces(out, traces)
     manifest = run_manifest(config, mode, len(traces), started, finished)
+    manifest["catalog"] = _catalog_source(args)
     manifest_path = Path(str(out) + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     n = len(traces)
@@ -207,6 +215,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "mean_depth": (sum(t.depth for t in traces) / n) if n else 0.0,
             "mean_total_calls": (sum(t.ledger.total_calls for t in traces) / n) if n else 0.0,
             "config_hash": config.config_hash(),
+            "catalog": manifest["catalog"],
         }
     )
     return 0

@@ -2,20 +2,23 @@
 
 Two providers implement the same contract: embed(text) maps one text to a
 read-only unit-norm float64 vector of a fixed dimension, and
-embed_many(texts) maps a block of texts to a read-only float64 array of
-len(texts) x dimension whose row i has the bits of embed(texts[i]). A
-query takes embed; build_index takes embed_many, one block of
-vectorstore.BUILD_BLOCK_ROWS passages at a time. The engine compares
-vectors only through the vector store's fold.
+embed_many(texts) maps a block of texts to its rows in one of two shapes:
+a read-only float64 array of len(texts) x dimension, or a Nonzeros, the
+block's nonzero entries in row-major order. Either way row i has the bits
+of embed(texts[i]). A query takes embed; build_index takes embed_many, one
+block of vectorstore.BUILD_BLOCK_ROWS passages at a time. The engine
+compares vectors only through the vector store's fold.
 
 The hashed bag-of-tokens provider is fully deterministic and needs no
-network; its vector is a pure function of the text. It memoizes each
-token's coordinate in a bounded table of TOKEN_TABLE_SIZE entries
-(token -> int, never a vector), so a token seen before skips its SHA-256;
-the vector store memoizes repeated searches. The remote provider calls an
-HTTP embedding endpoint with one request shape, a list input: embed is
-embed_many of a one-text list. Every vector returned by a provider is
-L2-normalized, which the vector store relies on.
+network; its vector is a pure function of the text. Its embed_many returns
+a Nonzeros, a handful of entries per row, so a build never fills a dense
+block. It memoizes each token's coordinate in a bounded table of
+TOKEN_TABLE_SIZE entries (token -> int, never a vector), so a token seen
+before skips its SHA-256; the vector store memoizes repeated searches. The
+remote provider calls an HTTP embedding endpoint with one request shape, a
+list input: embed is embed_many of a one-text list, and embed_many returns
+a dense block. Every vector returned by a provider is L2-normalized, which
+the vector store relies on.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import hashlib
 import math
 from functools import lru_cache, partial
 from itertools import chain
-from typing import Protocol, Sequence, runtime_checkable
+from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -38,15 +41,27 @@ DEFAULT_DIMENSION = 768
 TOKEN_TABLE_SIZE = 65_536
 
 
+class Nonzeros(NamedTuple):
+    """A block's nonzero entries in row-major order, columns ascending within a row."""
+
+    rows: np.ndarray  # each entry's row within the block
+    columns: np.ndarray
+    values: np.ndarray  # float64
+
+
 @runtime_checkable
 class EmbeddingProvider(Protocol):
-    """Anything that can turn text into a unit-norm vector, one text or a block."""
+    """Anything that can turn text into a unit-norm vector, one text or a block.
+
+    embed_many returns a dense len(texts) x dimension block or the block's
+    Nonzeros; row i has the bits of embed(texts[i]) either way.
+    """
 
     dimension: int
 
     def embed(self, text: str) -> np.ndarray: ...
 
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray: ...
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray | Nonzeros: ...
 
 
 class HashedBagEmbedder:
@@ -82,21 +97,20 @@ class HashedBagEmbedder:
         vector.setflags(write=False)
         return vector
 
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+    def embed_many(self, texts: Sequence[str]) -> Nonzeros:
         bags = [tokenize(text) or ("",) for text in texts]
         keys = np.fromiter(map(self._coordinate, chain.from_iterable(bags)), dtype=np.intp)
         keys += np.repeat(np.arange(len(bags)) * self.dimension, [len(bag) for bag in bags])
-        # Float weights count straight into the float64 block, with no
-        # integer block beside it; with no weights at all (no texts),
-        # bincount returns integers.
-        size = len(bags) * self.dimension
-        counts = np.bincount(keys, weights=np.ones(len(keys)), minlength=size)
-        block = counts.astype(np.float64, copy=False).reshape(len(bags), self.dimension)
+        # Sorted distinct keys are the block's nonzeros in row-major order.
+        keys, counts = np.unique(keys, return_counts=True)
+        rows, columns = np.divmod(keys, self.dimension)
         # Each row's sum of squares is an exact integer, as in embed, so
-        # each row gets embed's bits.
-        block /= np.sqrt(np.einsum("ij,ij->i", block, block))[:, None]
-        block.setflags(write=False)
-        return block
+        # each value gets embed's bits.
+        norms = np.sqrt(np.bincount(rows, weights=counts * counts))
+        nonzeros = Nonzeros(rows, columns, counts / norms[rows])
+        for array in nonzeros:
+            array.setflags(write=False)
+        return nonzeros
 
 
 def _token_coordinate(seed: int, dimension: int, token: str) -> int:

@@ -83,9 +83,18 @@ def tokenize(text: str) -> tuple[str, ...]:
     """Lowercase, split on whitespace, strip non-alphanumeric edges.
 
     Fragments that are empty after trimming are dropped, so punctuation-only
-    fragments never produce tokens.
+    fragments never produce tokens. When every whitespace-split piece is
+    alphanumeric, the pieces are the tokens, and the regex is skipped. That
+    is exact because, for every code point, str.isspace() agrees with the
+    regex's \\s and str.isalnum() with its [^\\W_] (tests/test_signals.py
+    checks all of them under the running Python): the regex's runs are the
+    pieces, and an alphanumeric piece has nothing to trim.
     """
-    return tuple(_TOKEN.findall(text.lower()))
+    lowered = text.lower()
+    pieces = lowered.split()
+    if all(map(str.isalnum, pieces)):
+        return tuple(pieces)
+    return tuple(_TOKEN.findall(lowered))
 
 
 def extract_signals(

@@ -5,17 +5,22 @@ in ascending passage id order, each value once as a float64, grouped by
 column: for col_ptr[j] <= k < col_ptr[j + 1], values[k] is the entry of
 row rows[k] in column j, rows ascending. For row_ptr[r] <= e <
 row_ptr[r + 1], row r holds values[by_row[e]] in column columns[e],
-columns ascending. An entry counts as nonzero when any of its bits is set,
-so a stored -0.0 keeps its sign. A hashed-bag passage has a handful of
-nonzeros out of 768; a dense row of 768 costs 2.25 times its dense bytes
-(per entry a float64, two int32 and a uint16).
+columns ascending. In a dense block an entry counts as nonzero when any of
+its bits is set, so a stored -0.0 keeps its sign. A hashed-bag passage has
+a handful of nonzeros out of 768; a dense row of 768 costs 2.25 times its
+dense bytes (per entry a float64, two int32 and a uint16).
 
 build_index reads the provider's rows block by block: one embed_many call
-per BUILD_BLOCK_ROWS passages, whose read-only float64 block of
-len(texts) x dimension is scanned whole for its nonzeros and then
-dropped. A dense matrix given to VectorStore is read in the same blocks,
-so the build never holds a dense matrix. A non-finite value fails the
-build with a ValueError naming its passage, so every stored row is finite.
+per BUILD_BLOCK_ROWS passages. The call returns the block's Nonzeros, as
+the hashed bag does, or a float64 block of len(texts) x dimension, which
+is scanned whole for its nonzeros and then dropped; every block's
+nonzeros then go through one accumulation loop. A dense matrix given to
+VectorStore is read in the same blocks, so the build never holds a dense
+matrix. A Nonzeros with a row or column out of range, arrays of unequal
+length or keys (row * dimension + column) that do not strictly ascend
+fails the build with a ValueError naming its block's passages. A
+non-finite value fails it with a ValueError naming its passage, so every
+stored row is finite.
 
 Search, the pruning gate and dedup compute similarities with one ordered
 fold, the only one in the engine (the gate reads a plain table of
@@ -68,18 +73,19 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingProvider
+from .embeddings import EmbeddingProvider, Nonzeros
 
 DEFAULT_SEARCH_K = 32
 SEARCH_CACHE_SIZE = 1024
 # Passages embedded by one embed_many call (one request for a remote
-# provider) and read as one dense block during a build (196 KB at
+# provider) and read as one block during a build (a dense one is 196 KB at
 # dimension 768); each block's nonzeros become one chunk, so the build
 # holds a few arrays per block, never a dense matrix or arrays per row. In
 # a sweep of 16-128 on kb50k-standard-j2 (seed 1, 4 runs each, medians, a
-# shared 2-core x86_64 host), 32 gave the lowest peak RSS (86.7 MB; 86.9
-# at 64, 88.3 at 128, 87.7 at 16) and set up in 0.322 s (0.313 s at 64,
-# 0.318 s at 128, 0.361 s at 16).
+# shared 2-core x86_64 host), measured when the hashed bag still returned
+# dense blocks, 32 gave the lowest peak RSS (86.7 MB; 86.9 at 64, 88.3 at
+# 128, 87.7 at 16) and set up in 0.322 s (0.313 s at 64, 0.318 s at 128,
+# 0.361 s at 16).
 BUILD_BLOCK_ROWS = 32
 
 
@@ -131,8 +137,32 @@ def _fold(bins: np.ndarray, products: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(bins, weights=products, minlength=n).astype(np.float64, copy=False)
 
 
+def _dense_nonzeros(block: np.ndarray) -> Nonzeros:
+    """A dense block's entries with any bit set, so a -0.0 reads back with its sign."""
+    filled = block.ravel()
+    flat = np.flatnonzero(filled.view(np.uint64) != 0)
+    rows, columns = np.divmod(flat, block.shape[1])
+    return Nonzeros(rows, columns, filled[flat])
+
+
+def _malformed(block: Nonzeros, count: int, dimension: int) -> str:
+    """What makes block no Nonzeros of count rows and dimension columns, or ""."""
+    rows, columns, values = block
+    if not rows.shape == columns.shape == values.shape == (len(rows),):
+        return "nonzeros arrays have unequal lengths"
+    if rows.dtype.kind not in "iu" or columns.dtype.kind not in "iu":
+        return "nonzeros rows and columns are not integers"
+    try:
+        keys = np.ravel_multi_index((rows, columns), (count, dimension))
+    except ValueError:
+        return f"nonzeros hold a row outside [0, {count}) or a column outside [0, {dimension})"
+    if not (keys[1:] > keys[:-1]).all():
+        return "nonzeros are not in strictly ascending row-major order"
+    return ""
+
+
 def _nonzeros(
-    passages: Sequence[Passage], blocks: Iterable[np.ndarray], dimension: int
+    passages: Sequence[Passage], blocks: Iterable[np.ndarray | Nonzeros], dimension: int
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """The rows' nonzero entries in row-major order: row_ptr, their columns
     in the smallest uint, and their values as one chunk per block of rows."""
@@ -143,20 +173,22 @@ def _nonzeros(
     starts = range(0, len(passages), BUILD_BLOCK_ROWS)
     for start, block in zip(starts, blocks, strict=True):
         chunk = passages[start : start + BUILD_BLOCK_ROWS]
-        block = np.asarray(block, dtype=np.float64)
-        if block.shape != (len(chunk), dimension):
-            raise ValueError(
-                f"passages {chunk[0].id}..{chunk[-1].id}: embeddings have shape "
-                f"{block.shape}, expected {(len(chunk), dimension)}"
-            )
-        filled = block.ravel()
-        # Row-major order: by row, then by ascending column. An entry with
-        # any bit set is kept, so a -0.0 reads back with its sign.
-        flat = np.flatnonzero(filled.view(np.uint64) != 0)
-        in_row, columns = np.divmod(flat, dimension)
+        if isinstance(block, Nonzeros):
+            block = Nonzeros(*map(np.asarray, block))
+        else:
+            block = np.asarray(block, dtype=np.float64)
+            if block.shape != (len(chunk), dimension):
+                raise ValueError(
+                    f"passages {chunk[0].id}..{chunk[-1].id}: embeddings have shape "
+                    f"{block.shape}, expected {(len(chunk), dimension)}"
+                )
+            block = _dense_nonzeros(block)
+        problem = _malformed(block, len(chunk), dimension)
+        if problem:
+            raise ValueError(f"passages {chunk[0].id}..{chunk[-1].id}: {problem}")
+        in_row, columns, values = block
         counts = np.bincount(in_row, minlength=len(chunk))
         row_ptr[start + 1 : start + len(chunk) + 1] = row_ptr[start] + np.cumsum(counts)
-        values = filled[flat]
         finite = np.isfinite(values)
         if not finite.all():
             passage = chunk[in_row[np.argmin(finite)]]
@@ -172,10 +204,12 @@ def _blocks(rows: Sequence) -> Iterator:
     return (rows[start : start + BUILD_BLOCK_ROWS] for start in starts)
 
 
-def _pack(passages: Sequence[Passage], blocks: Iterable[np.ndarray], dimension: int) -> _Index:
+def _pack(
+    passages: Sequence[Passage], blocks: Iterable[np.ndarray | Nonzeros], dimension: int
+) -> _Index:
     """Read blocks of BUILD_BLOCK_ROWS rows, one row per passage, into the sparse layout."""
-    # Each dense block and its temporaries are freed before the next block
-    # is read, and all of them before any index array is made.
+    # Each block and its temporaries are freed before the next block is
+    # read, and all of them before any index array is made.
     row_ptr, columns, value_chunks = _nonzeros(passages, blocks, dimension)
     col_ptr = np.zeros(dimension + 1, dtype=np.int64)
     np.cumsum(np.bincount(columns, minlength=dimension), out=col_ptr[1:])
@@ -202,8 +236,9 @@ class VectorStore:
     leaves them: search breaks score ties by row index. matrix holds one
     row per passage, read in order and in blocks of BUILD_BLOCK_ROWS rows:
     a dense n x d array, read in slices, or an iterable of such blocks
-    (the last may be shorter) given with their dimension. No dense copy is
-    kept. A non-finite value raises ValueError naming its passage.
+    (the last may be shorter), each dense or a Nonzeros, given with their
+    dimension. No dense copy is kept. A non-finite value raises ValueError
+    naming its passage.
     """
 
     def __init__(

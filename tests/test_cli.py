@@ -214,6 +214,37 @@ def test_index_reads_the_catalog(capsys, tmp_path, workload_file):
     assert (data["intent_count"], data["passages"]) == (2, 2)
 
 
+def _recorded_catalogs(capsys, tmp_path, workload_file, flags) -> list:
+    """The catalog that index and run record, in index's manifest and JSON
+    line and in run's JSON line and manifest."""
+    manifest_path, traces_path = tmp_path / "m.json", tmp_path / "traces.jsonl"
+    code, index_out, _ = _run_cli(
+        capsys, ["index", str(workload_file), "--out", str(manifest_path), *flags]
+    )
+    assert code == 0
+    code, run_out, _ = _run_cli(
+        capsys, ["run", str(workload_file), "--out", str(traces_path), *flags]
+    )
+    assert code == 0
+    run_manifest = json.loads((tmp_path / "traces.jsonl.manifest.json").read_text())
+    return [
+        json.loads(manifest_path.read_text())["catalog"],
+        _last_json(index_out)["catalog"],
+        _last_json(run_out)["catalog"],
+        run_manifest["catalog"],
+    ]
+
+
+def test_index_and_run_record_a_derived_catalog(capsys, tmp_path, workload_file):
+    assert _recorded_catalogs(capsys, tmp_path, workload_file, []) == ["derived"] * 4
+
+
+def test_index_and_run_record_the_catalog_path(capsys, tmp_path, workload_file):
+    catalog = str(_write_catalog(tmp_path / "catalog.jsonl", "cancel_card"))
+    flags = ["--catalog", catalog]
+    assert _recorded_catalogs(capsys, tmp_path, workload_file, flags) == [catalog] * 4
+
+
 def test_index_seed_changes_config_hash(capsys, tmp_path, workload_file):
     out_path = tmp_path / "manifest.json"
     _, out_a, _ = _run_cli(capsys, ["index", str(workload_file), "--out", str(out_path)])

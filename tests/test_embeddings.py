@@ -20,6 +20,7 @@ from treeroute.embeddings import (
     DEFAULT_DIMENSION,
     EmbeddingProvider,
     HashedBagEmbedder,
+    Nonzeros,
     RemoteEmbedder,
 )
 from treeroute.errors import BackendError
@@ -158,6 +159,13 @@ def test_dropped_embedder_is_freed_without_gc():
             gc.enable()
 
 
+def _densify(nonzeros, count: int, dimension: int) -> np.ndarray:
+    """The count x dimension block that holds nonzeros and zeros elsewhere."""
+    block = np.zeros((count, dimension))
+    block[nonzeros.rows, nonzeros.columns] = nonzeros.values
+    return block
+
+
 # Empty, punctuation-only and repeated-token texts among ordinary ones.
 _block_texts = st.one_of(
     st.sampled_from(_TABLE_TEXTS + ["...", "?!", "card card card card", "a a b"]),
@@ -177,13 +185,18 @@ _block_texts = st.one_of(
 )
 def test_embed_many_rows_have_the_bits_of_embed(texts, dimension, seed):
     embedder = HashedBagEmbedder(dimension=dimension, seed=seed)
-    block = embedder.embed_many(texts)
-    assert block.shape == (len(texts), dimension)
-    assert block.dtype == np.float64
-    assert not block.flags.writeable
+    rows, columns, values = nonzeros = embedder.embed_many(texts)
+    assert isinstance(nonzeros, Nonzeros)
+    assert values.dtype == np.float64
+    assert len(rows) == len(columns) == len(values)
+    assert not any(array.flags.writeable for array in nonzeros)
+    # Row-major order with columns ascending within a row: the keys ascend strictly.
+    keys = rows * dimension + columns
+    assert (np.diff(keys) > 0).all()
+    assert ((0 <= columns) & (columns < dimension)).all()
     # A fresh embedder, so embed fills its own token table.
     single = HashedBagEmbedder(dimension=dimension, seed=seed)
-    for row, text in zip(block, texts):
+    for row, text in zip(_densify(nonzeros, len(texts), dimension), texts):
         assert row.tobytes() == single.embed(text).tobytes()
 
 
@@ -425,8 +438,9 @@ def test_a_bad_remote_block_fails_the_build(embed_server, shape, message):
 
 def test_an_endpoint_serving_token_counts_returns_the_local_bits(monkeypatch):
     """The hashed bag's integer count rows, sent as JSON through the remote
-    parser, come back with embed_many's bits: an integer sum of squares is
-    exact in any order, so np.linalg.norm and the bag's own norm agree."""
+    parser, come back with the bits of embed_many's nonzeros, densified: an
+    integer sum of squares is exact in any order, so np.linalg.norm and the
+    bag's own norm agree."""
     local = HashedBagEmbedder()
     rng = np.random.default_rng(1)
     vocabulary = [f"w{i}" for i in range(400)]
@@ -445,7 +459,8 @@ def test_an_endpoint_serving_token_counts_returns_the_local_bits(monkeypatch):
 
     monkeypatch.setattr(embeddings, "post_json", serve_counts)
     remote = RemoteEmbedder("http://unused", model="m", dimension=local.dimension)
-    assert remote.embed_many(texts).tobytes() == local.embed_many(texts).tobytes()
+    dense = _densify(local.embed_many(texts), len(texts), local.dimension)
+    assert remote.embed_many(texts).tobytes() == dense.tobytes()
 
 
 def test_remote_requires_endpoint():

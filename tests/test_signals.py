@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -74,6 +76,17 @@ TOKENIZE_ALPHABET = list(
 @given(st.one_of(st.text(), st.text(alphabet=TOKENIZE_ALPHABET)))
 def test_tokenize_equals_split_and_trim(text):
     assert tokenize(text) == _split_and_trim(text)
+
+
+def test_str_predicates_match_the_token_regex_on_every_code_point():
+    """tokenize's split fast path is exact only if str.isspace() is the
+    regex's \\s and str.isalnum() its [^\\W_], code point by code point,
+    under this Python's Unicode tables."""
+    space, alnum = re.compile(r"\s"), re.compile(r"[^\W_]")
+    for code in range(sys.maxunicode + 1):
+        c = chr(code)
+        assert c.isspace() == (space.fullmatch(c) is not None), hex(code)
+        assert c.isalnum() == (alnum.fullmatch(c) is not None), hex(code)
 
 
 def test_signal_counts_are_binary_per_category():

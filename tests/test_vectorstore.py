@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treeroute import vectorstore
-from treeroute.embeddings import HashedBagEmbedder
+from treeroute.embeddings import HashedBagEmbedder, Nonzeros
 from treeroute.vectorstore import (
     DEFAULT_SEARCH_K,
     Passage,
@@ -292,6 +292,101 @@ def test_a_dense_matrix_with_a_non_finite_value_names_its_passage(value, row):
     matrix[row, 1] = value
     with pytest.raises(ValueError, match=f"passage p{row:02d}: embedding holds a non-finite"):
         VectorStore(passages, matrix)
+
+
+# Token-free, punctuation-only and repeated-token texts among ordinary ones
+# (a passage's text is never empty).
+_bag_texts = st.one_of(
+    st.sampled_from([" ", "\t", "...", "?!", "card card card card", "a a b", "café crème"]),
+    st.lists(st.sampled_from(["card", "rate", "café", "!", "日本", "x-ray"]), min_size=1, max_size=8)
+    .map(" ".join),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    texts=st.one_of(
+        st.lists(_bag_texts, min_size=1, max_size=1),
+        st.lists(_bag_texts, min_size=33, max_size=33),
+        st.lists(_bag_texts, min_size=40, max_size=40),
+    ),
+    dimension=st.sampled_from([1, 7, 768]),
+    seed=st.integers(0, 3),
+)
+def test_a_hashed_bag_build_equals_the_dense_reference_build(texts, dimension, seed):
+    """build_index reads the bag's nonzeros; VectorStore over the stacked
+    embed rows scans a dense matrix. Every index array has the same bytes."""
+    embedder = HashedBagEmbedder(dimension=dimension, seed=seed)
+    passages = [Passage(id=f"p{i:02d}", text=text) for i, text in enumerate(texts)]
+    built = build_index(passages, embedder)
+    reference = VectorStore(passages, np.stack([embedder.embed(p.text) for p in passages]))
+    for name, array, expected in zip(built._index._fields, built._index, reference._index):
+        assert array.dtype == expected.dtype, name
+        assert array.tobytes() == expected.tobytes(), name
+
+
+def _rows_of_two(count: int) -> Nonzeros:
+    """count rows of dimension 4, each 0.6 in column 0 and 0.8 in column 2."""
+    return Nonzeros(
+        np.repeat(np.arange(count), 2), np.tile([0, 2], count), np.tile([0.6, 0.8], count)
+    )
+
+
+def _defect(nonzeros: Nonzeros, defect: str) -> Nonzeros:
+    rows, columns, values = (array.copy() for array in nonzeros)
+    if defect == "row":
+        rows[-1] = len(rows) // 2
+    elif defect == "column":
+        columns[3] = 4
+    elif defect == "duplicate":
+        columns[3] = 0
+    elif defect == "unsorted":
+        columns[2:4] = [2, 0]
+    elif defect == "lengths":
+        values = values[:-1]
+    elif defect == "nan":
+        values[3] = np.nan
+    return Nonzeros(rows, columns, values)
+
+
+class _NonzerosProvider:
+    """Two entries per row as Nonzeros; the second block of a build has the defect."""
+
+    dimension = 4
+
+    def __init__(self, defect: str):
+        self.defect = defect
+        self.blocks = 0
+
+    def embed(self, text: str) -> np.ndarray:
+        return np.array([0.6, 0.0, 0.8, 0.0])
+
+    def embed_many(self, texts) -> Nonzeros:
+        self.blocks += 1
+        nonzeros = _rows_of_two(len(texts))
+        return _defect(nonzeros, self.defect) if self.blocks == 2 else nonzeros
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("row", r"passages p32\.\.p39: nonzeros hold a row outside \[0, 8\)"),
+        ("column", r"passages p32\.\.p39: nonzeros hold .* a column outside \[0, 4\)"),
+        ("duplicate", r"passages p32\.\.p39: nonzeros are not in strictly ascending"),
+        ("unsorted", r"passages p32\.\.p39: nonzeros are not in strictly ascending"),
+        ("lengths", r"passages p32\.\.p39: nonzeros arrays have unequal lengths"),
+        ("nan", "passage p33: embedding holds a non-finite value"),
+    ],
+)
+def test_a_malformed_nonzeros_block_fails_the_build_by_passage(defect, message):
+    # Forty passages fill a block of 32 and part of a second; the defect is
+    # in the second block.
+    passages = [Passage(id=f"p{i:02d}", text=f"text {i}") for i in range(40)]
+    with pytest.raises(ValueError, match=message):
+        build_index(passages, _NonzerosProvider(defect))
+    # The same provider without a defect builds the dense rows.
+    store = build_index(passages, _NonzerosProvider("none"))
+    assert store.embedding_of("p35").tolist() == [0.6, 0.0, 0.8, 0.0]
 
 
 def test_built_matrix_is_readonly_float64_rows_of_the_provider(monkeypatch):
