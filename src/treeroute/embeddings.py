@@ -42,7 +42,8 @@ TOKEN_TABLE_SIZE = 65_536
 
 
 class Nonzeros(NamedTuple):
-    """A block's nonzero entries in row-major order, columns ascending within a row."""
+    """A block's nonzero entries in row-major order, columns ascending within
+    a row. Every value has a bit set: a +0.0 is no entry, as in a dense block."""
 
     rows: np.ndarray  # each entry's row within the block
     columns: np.ndarray

@@ -9,6 +9,7 @@ complexity index in [0, 1] that drives path routing.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import asdict, dataclass
 
 @dataclass(frozen=True)
@@ -77,24 +78,36 @@ class SignalLexicons:
 # A run of non-whitespace that starts and ends alphanumeric: [^\W_] is
 # exactly the characters str.isalnum() accepts.
 _TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?")
+# ASCII and common typographic punctuation, stripped from a piece's edges
+# without the regex.
+_EDGE_PUNCTUATION = string.punctuation + "«»‘’‚“”„…–—¡¿、。，！？：；"
 
 
 def tokenize(text: str) -> tuple[str, ...]:
     """Lowercase, split on whitespace, strip non-alphanumeric edges.
 
     Fragments that are empty after trimming are dropped, so punctuation-only
-    fragments never produce tokens. When every whitespace-split piece is
-    alphanumeric, the pieces are the tokens, and the regex is skipped. That
-    is exact because, for every code point, str.isspace() agrees with the
-    regex's \\s and str.isalnum() with its [^\\W_] (tests/test_signals.py
-    checks all of them under the running Python): the regex's runs are the
-    pieces, and an alphanumeric piece has nothing to trim.
+    fragments never produce tokens. The result is _TOKEN's matches in the
+    lowercased text, found piece by piece: str.isspace() agrees with the
+    regex's \\s and str.isalnum() with its [^\\W_] on every code point
+    (tests/test_signals.py checks all of them under the running Python), so
+    each str.split() piece holds at most one match, from its first
+    alphanumeric character to its last. An alphanumeric piece is its own
+    match. Any other piece is stripped of _EDGE_PUNCTUATION, none of which
+    is alphanumeric; when both ends of what is left are alphanumeric, that
+    is the match, and only otherwise does the piece go to the regex.
     """
-    lowered = text.lower()
-    pieces = lowered.split()
-    if all(map(str.isalnum, pieces)):
-        return tuple(pieces)
-    return tuple(_TOKEN.findall(lowered))
+    tokens = []
+    for piece in text.lower().split():
+        if not piece.isalnum():
+            piece = piece.strip(_EDGE_PUNCTUATION)
+            if not piece:
+                continue
+            if not (piece[0].isalnum() and piece[-1].isalnum()):
+                tokens += _TOKEN.findall(piece)
+                continue
+        tokens.append(piece)
+    return tuple(tokens)
 
 
 def extract_signals(

@@ -17,7 +17,8 @@ is scanned whole for its nonzeros and then dropped; every block's
 nonzeros then go through one accumulation loop. A dense matrix given to
 VectorStore is read in the same blocks, so the build never holds a dense
 matrix. A Nonzeros with a row or column out of range, arrays of unequal
-length or keys (row * dimension + column) that do not strictly ascend
+length, keys (row * dimension + column) that do not strictly ascend,
+values that do not convert to float64 or a value whose bits are all zero
 fails the build with a ValueError naming its block's passages. A
 non-finite value fails it with a ValueError naming its passage, so every
 stored row is finite.
@@ -145,20 +146,33 @@ def _dense_nonzeros(block: np.ndarray) -> Nonzeros:
     return Nonzeros(rows, columns, filled[flat])
 
 
-def _malformed(block: Nonzeros, count: int, dimension: int) -> str:
-    """What makes block no Nonzeros of count rows and dimension columns, or ""."""
-    rows, columns, values = block
-    if not rows.shape == columns.shape == values.shape == (len(rows),):
-        return "nonzeros arrays have unequal lengths"
+def _checked(block: Nonzeros, count: int, dimension: int) -> Nonzeros:
+    """block with float64 values, or a ValueError if it is no Nonzeros of
+    count rows and dimension columns whose every value has a bit set."""
+    rows, columns = np.asarray(block.rows), np.asarray(block.columns)
+    try:
+        values = np.asarray(block.values, dtype=np.float64)
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"nonzeros values do not convert to float64: {error}") from None
+    if not (rows.ndim == 1 and rows.shape == columns.shape == values.shape):
+        raise ValueError("nonzeros arrays have unequal lengths")
     if rows.dtype.kind not in "iu" or columns.dtype.kind not in "iu":
-        return "nonzeros rows and columns are not integers"
+        raise ValueError("nonzeros rows and columns are not integers")
+    # A uint64 index past the intp range wraps negative, so it reads as out of range.
+    rows, columns = rows.astype(np.intp, copy=False), columns.astype(np.intp, copy=False)
     try:
         keys = np.ravel_multi_index((rows, columns), (count, dimension))
     except ValueError:
-        return f"nonzeros hold a row outside [0, {count}) or a column outside [0, {dimension})"
+        raise ValueError(
+            f"nonzeros hold a row outside [0, {count}) or a column outside [0, {dimension})"
+        ) from None
     if not (keys[1:] > keys[:-1]).all():
-        return "nonzeros are not in strictly ascending row-major order"
-    return ""
+        raise ValueError("nonzeros are not in strictly ascending row-major order")
+    # A dense block drops an entry whose bits are all zero, so a Nonzeros
+    # may not hold one: both shapes of the same rows build the same index.
+    if not values.view(np.uint64).all():
+        raise ValueError("nonzeros hold a value whose bits are all zero")
+    return Nonzeros(rows, columns, values)
 
 
 def _nonzeros(
@@ -174,7 +188,10 @@ def _nonzeros(
     for start, block in zip(starts, blocks, strict=True):
         chunk = passages[start : start + BUILD_BLOCK_ROWS]
         if isinstance(block, Nonzeros):
-            block = Nonzeros(*map(np.asarray, block))
+            try:
+                block = _checked(block, len(chunk), dimension)
+            except ValueError as error:
+                raise ValueError(f"passages {chunk[0].id}..{chunk[-1].id}: {error}") from None
         else:
             block = np.asarray(block, dtype=np.float64)
             if block.shape != (len(chunk), dimension):
@@ -183,9 +200,6 @@ def _nonzeros(
                     f"{block.shape}, expected {(len(chunk), dimension)}"
                 )
             block = _dense_nonzeros(block)
-        problem = _malformed(block, len(chunk), dimension)
-        if problem:
-            raise ValueError(f"passages {chunk[0].id}..{chunk[-1].id}: {problem}")
         in_row, columns, values = block
         counts = np.bincount(in_row, minlength=len(chunk))
         row_ptr[start + 1 : start + len(chunk) + 1] = row_ptr[start] + np.cumsum(counts)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from treeroute import signals
 from treeroute.signals import (
     QciWeights,
     SignalLexicons,
@@ -79,14 +80,29 @@ def test_tokenize_equals_split_and_trim(text):
 
 
 def test_str_predicates_match_the_token_regex_on_every_code_point():
-    """tokenize's split fast path is exact only if str.isspace() is the
-    regex's \\s and str.isalnum() its [^\\W_], code point by code point,
-    under this Python's Unicode tables."""
+    """tokenize finds the token regex's matches piece by piece, which is
+    exact only if str.isspace() is the regex's \\s and str.isalnum() its
+    [^\\W_], code point by code point, under this Python's Unicode tables."""
     space, alnum = re.compile(r"\s"), re.compile(r"[^\W_]")
     for code in range(sys.maxunicode + 1):
         c = chr(code)
         assert c.isspace() == (space.fullmatch(c) is not None), hex(code)
         assert c.isalnum() == (alnum.fullmatch(c) is not None), hex(code)
+
+
+def test_edge_punctuation_is_never_alphanumeric():
+    # Stripping a character that is alphanumeric would cut a token short.
+    assert not any(c.isalnum() for c in signals._EDGE_PUNCTUATION)
+
+
+# Every edge-stripped character among letters, "_", a combining mark and
+# symbols outside the stripped set, which leave a piece to the regex.
+EDGE_ALPHABET = list(signals._EDGE_PUNCTUATION + " \taZ9é_\u0307※¶")
+
+
+@given(st.one_of(st.text(), st.text(alphabet=EDGE_ALPHABET)))
+def test_tokenize_equals_the_token_regex(text):
+    assert tokenize(text) == tuple(signals._TOKEN.findall(text.lower()))
 
 
 def test_signal_counts_are_binary_per_category():

@@ -346,6 +346,16 @@ def _defect(nonzeros: Nonzeros, defect: str) -> Nonzeros:
         values = values[:-1]
     elif defect == "nan":
         values[3] = np.nan
+    elif defect == "zero":
+        values[3] = 0.0
+    elif defect == "text":
+        values = values.astype(object)
+        values[3] = "x"
+    elif defect == "float":
+        rows = rows.astype(np.float64)
+    elif defect == "uint64":
+        rows = rows.astype(np.uint64)
+        rows[-1] = np.iinfo(np.uint64).max
     return Nonzeros(rows, columns, values)
 
 
@@ -376,6 +386,10 @@ class _NonzerosProvider:
         ("unsorted", r"passages p32\.\.p39: nonzeros are not in strictly ascending"),
         ("lengths", r"passages p32\.\.p39: nonzeros arrays have unequal lengths"),
         ("nan", "passage p33: embedding holds a non-finite value"),
+        ("zero", r"passages p32\.\.p39: nonzeros hold a value whose bits are all zero"),
+        ("text", r"passages p32\.\.p39: nonzeros values do not convert to float64"),
+        ("float", r"passages p32\.\.p39: nonzeros rows and columns are not integers"),
+        ("uint64", r"passages p32\.\.p39: nonzeros hold a row outside \[0, 8\)"),
     ],
 )
 def test_a_malformed_nonzeros_block_fails_the_build_by_passage(defect, message):
