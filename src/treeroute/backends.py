@@ -15,15 +15,23 @@ response parsing is exercised on every path.
 Every call goes through RoleRunner._call, which counts it and its prompt
 tokens for the query before sending it, so a call that raises still counts.
 ChatRequest is a typing.NamedTuple equal to the tuple (role, prompt, payload).
+
+A batch's clients take turns (pipeline.run_workload): holding() gives a
+client thread its batch's turn, and waiting() hands the turn on for the
+length of a network wait. Both remote clients wait inside waiting(); a
+custom backend or embedding provider that waits must do the same, or it
+keeps the turn while it waits.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Any, Callable, Mapping, NamedTuple, Protocol, TypeVar, runtime_checkable
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Protocol, TypeVar
+from typing import runtime_checkable
 
 import requests
 
@@ -31,6 +39,39 @@ from .errors import BackendError
 from .signals import SignalLexicons, tokenize
 
 T = TypeVar("T")
+
+
+_held = threading.local()  # .turn: the turn this thread holds, or None
+
+
+@contextmanager
+def holding(turn: threading.Lock) -> Iterator[None]:
+    """Hold turn for the body; a waiting() inside it hands the turn on."""
+    with turn:
+        _held.turn = turn
+        try:
+            yield
+        finally:
+            _held.turn = None
+
+
+@contextmanager
+def waiting() -> Iterator[None]:
+    """Hand this thread's turn on while the body waits, and take it back after.
+
+    Outside holding(), and inside another waiting(), it does nothing.
+    """
+    turn = getattr(_held, "turn", None)
+    if turn is None:
+        yield
+        return
+    _held.turn = None
+    turn.release()
+    try:
+        yield
+    finally:
+        turn.acquire()
+        _held.turn = turn
 
 
 def estimate_tokens(text: str) -> int:
@@ -235,7 +276,9 @@ class RemoteChatBackend:
             "max_tokens": MAX_OUTPUT_TOKENS[request.role],
         }
         parse = partial(_reply_text, request.role.value)
-        with self._slots:
+        # The turn goes before the slot wait, and comes back after the slot
+        # does: a client holding the turn never waits for a slot.
+        with waiting(), self._slots:
             return post_json(self.endpoint, body, self.timeout_s, request.role.value, parse)
 
 

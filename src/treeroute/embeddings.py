@@ -31,7 +31,7 @@ from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .backends import post_json
+from .backends import post_json, waiting
 from .errors import BackendError
 from .signals import tokenize
 
@@ -149,7 +149,8 @@ class RemoteEmbedder:
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         body = {"model": self.model, "input": list(texts)}
         parse = partial(self._to_block, len(texts))
-        return post_json(self.endpoint, body, self.timeout_s, "embedding", parse)
+        with waiting():
+            return post_json(self.endpoint, body, self.timeout_s, "embedding", parse)
 
     def _to_block(self, count: int, data: object) -> np.ndarray:
         """A reply's count embeddings in index order, each checked by _unit."""

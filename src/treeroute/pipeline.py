@@ -21,6 +21,10 @@ predictions, and an exact per-role cost ledger; a BackendError that no
 role default covers (level assessor, classifier) yields a failed trace,
 never a crashed batch.
 
+A batch (run_workload) runs on client threads that take turns: one
+computes at a time and hands the turn on only while it waits on the
+network, so clients overlap their waits, never their computation.
+
 A trace's latency is always CostModel.latency_ms (the latency.* keys) of
 its retrievals and LLM calls, never measured time, so identical runs
 serialize to identical bytes; a run's wall time is in its manifest.
@@ -38,7 +42,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
-from .backends import ChatBackend, RemoteChatBackend, StubChatBackend
+from .backends import ChatBackend, RemoteChatBackend, StubChatBackend, holding
 from .config import EngineConfig
 from .dataset import QueryRecord, read_json_lines
 from .embeddings import EmbeddingProvider, HashedBagEmbedder, RemoteEmbedder
@@ -340,9 +344,13 @@ def run_workload(
     """Process a batch as `jobs` concurrent clients; traces are in id order.
 
     jobs defaults to run.jobs and must be at least 1. min(jobs, len(records))
-    client threads, one at jobs=1, each take the next query in id order when
-    they finish one and write its trace into that query's slot, so the output
-    does not depend on the job count. An error that is not an EngineError
+    client threads, one at jobs=1, take turns: the batch has one turn, and a
+    client takes it once and holds it while it takes the next query in id
+    order and processes it, query after query, until none is left. It hands
+    the turn on only inside backends.waiting(), while it waits on a remote
+    backend, so the stub runs a batch as one client would, and remote waits
+    overlap. Each trace goes into its query's slot, so the output does not
+    depend on the job count. An error that is not an EngineError
     (process_query turns those into failed traces), or an interrupt of the
     caller, closes the shared positions, so every client stops after its
     current query; then the error is raised here.
@@ -353,15 +361,19 @@ def run_workload(
     worker = partial(process_query, engine, mode=mode, force_depth=force_depth)
     traces: list[QueryTrace | None] = [None] * len(ordered)
     positions = (position for position in range(len(ordered)))  # close() ends it
+    # close() takes only `taking`, never the turn, so the caller need not
+    # wait for a client to hand the turn on.
     taking = threading.Lock()
+    turn = threading.Lock()
 
     def client() -> None:
-        while True:
-            with taking:
-                position = next(positions, None)
-            if position is None:
-                return
-            traces[position] = worker(ordered[position])
+        with holding(turn):
+            while True:
+                with taking:
+                    position = next(positions, None)
+                if position is None:
+                    return
+                traces[position] = worker(ordered[position])
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         try:

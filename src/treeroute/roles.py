@@ -23,6 +23,7 @@ semantics.
 
 from __future__ import annotations
 
+import math
 import re
 from importlib import resources
 from pathlib import Path
@@ -155,12 +156,17 @@ def parse_verdict(text: str) -> bool | None:
 
 
 def parse_scores(text: str, count: int) -> list[float | None]:
-    """Per-candidate scores from numbered lines; None where missing."""
-    found: dict[int, float] = {}
+    """Per-candidate scores from numbered lines; None where missing.
+
+    A candidate's first line is its answer. A score past float's range
+    (1e999 reads as inf) is no score, so it takes the missing score's path.
+    """
+    found: dict[int, float | None] = {}
     for number, score in _NUMBERED_SCORE.findall(text):
         index = int(number)
         if 1 <= index <= count and index not in found:
-            found[index] = float(score)
+            value = float(score)
+            found[index] = value if math.isfinite(value) else None
     return [found.get(i) for i in range(1, count + 1)]
 
 

@@ -17,7 +17,9 @@ from treeroute.backends import (
     StubBehavior,
     StubChatBackend,
     estimate_tokens,
+    holding,
     stub_decompose,
+    waiting,
 )
 from treeroute.errors import BackendError
 from treeroute.pipeline import process_query
@@ -319,6 +321,27 @@ def test_remote_chat_unknown_shape(chat_server):
     _ChatHandler.shape = "weird"
     with pytest.raises(BackendError, match="shape"):
         _remote(chat_server).chat(_request())
+
+
+def test_waiting_hands_the_held_turn_on_and_takes_it_back():
+    turn = threading.Lock()
+    with waiting():  # this thread holds no turn: nothing to hand on
+        pass
+    with holding(turn):
+        assert turn.locked()
+        with waiting():
+            assert not turn.locked()
+            with waiting():  # handed on already
+                assert not turn.locked()
+            assert not turn.locked()
+        assert turn.locked()
+        with pytest.raises(BackendError):
+            with waiting():
+                raise BackendError("judge", "failed while waiting")
+        assert turn.locked()
+    assert not turn.locked()
+    with waiting():  # the turn is no longer this thread's
+        assert not turn.locked()
 
 
 def test_remote_chat_validation():

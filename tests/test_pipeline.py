@@ -8,6 +8,7 @@ import threading
 import time
 from collections import Counter
 from collections.abc import Mapping
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from operator import attrgetter
 
 import numpy as np
@@ -22,8 +23,15 @@ from conftest import (
 )
 
 from treeroute import pipeline, rerank, routing, vectorstore
-from treeroute.backends import BackendRole, StubChatBackend, estimate_tokens, stub_decompose
+from treeroute.backends import (
+    BackendRole,
+    RemoteChatBackend,
+    StubChatBackend,
+    estimate_tokens,
+    stub_decompose,
+)
 from treeroute.dataset import QueryRecord
+from treeroute.embeddings import HashedBagEmbedder, RemoteEmbedder
 from treeroute.errors import BackendError
 from treeroute.pipeline import (
     CostLedger,
@@ -692,6 +700,113 @@ def test_an_interrupt_stops_every_client_after_its_current_query(jobs):
     assert result.returncode == 0, result.stderr
     outcome, seconds = result.stdout.split()
     assert outcome == "interrupted" and float(seconds) < 1.0
+
+
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_clients_take_turns_with_the_stub(monkeypatch, engine, jobs):
+    # A query that pauses without waiting on the network keeps the turn, so
+    # no other client starts a query meanwhile.
+    workload = build_workload(40)
+    started, running, peak = [], [0], [0]
+    counting = threading.Lock()
+
+    def process_query(engine, record, mode, force_depth):
+        with counting:
+            started.append(record.id)
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0.001)
+        with counting:
+            running[0] -= 1
+        return record.id
+
+    monkeypatch.setattr(pipeline, "process_query", process_query)
+    traces = _within(60, lambda: run_workload(engine, reversed(workload), jobs=jobs))
+    assert peak == [1]
+    assert started == traces == [r.id for r in workload]
+
+
+class _DelayedHandler(BaseHTTPRequestHandler):
+    """Answers after a fixed delay and records its peak number of requests in flight.
+
+    /chat replies as a chat-completions endpoint; /embed gives each input
+    text its hashed-bag vector for the dimension and seed set below.
+    """
+
+    delay_s = 0.02
+    embedder: HashedBagEmbedder | None = None
+    in_flight = 0
+    peak = 0
+    served = 0
+    lock = threading.Lock()
+
+    def do_POST(self):
+        cls = type(self)
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with cls.lock:
+            cls.in_flight += 1
+            cls.peak = max(cls.peak, cls.in_flight)
+        time.sleep(cls.delay_s)
+        with cls.lock:
+            cls.in_flight -= 1
+            cls.served += 1
+        if self.path == "/embed":
+            rows = [cls.embedder.embed(text).tolist() for text in body["input"]]
+            reply = {"data": [{"index": i, "embedding": row} for i, row in enumerate(rows)]}
+        else:
+            reply = {"choices": [{"message": {"content": "1. 0.5"}}]}
+        data = json.dumps(reply).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def delayed_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _DelayedHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _DelayedHandler.in_flight = _DelayedHandler.peak = _DelayedHandler.served = 0
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+
+
+@pytest.mark.parametrize("max_in_flight, peak", [(4, range(2, 5)), (1, range(1, 2))])
+def test_remote_chat_waits_overlap_and_never_deadlock(delayed_server, max_in_flight, peak):
+    # Four clients hand the turn on while they wait, so their requests
+    # overlap up to max_in_flight; at one slot the batch still finishes.
+    engine = make_engine()
+    engine.backend = RemoteChatBackend(
+        f"{delayed_server}/chat", "m", engine.config.temperatures(), 5000, max_in_flight
+    )
+    workload = build_workload(16)
+    traces = _within(
+        60, lambda: run_workload(engine, workload, mode=ExecutionMode.STANDARD_RAG, jobs=4)
+    )
+    assert [t.query_id for t in traces] == [r.id for r in workload]
+    assert all(t.error is None and t.ledger.total_calls == 2 for t in traces)
+    assert _DelayedHandler.served == 32
+    assert _DelayedHandler.peak in peak
+
+
+def test_remote_query_embeddings_overlap(delayed_server):
+    engine = make_engine()
+    _DelayedHandler.embedder = HashedBagEmbedder(engine.embedder.dimension, engine.embedder.seed)
+    engine.embedder = RemoteEmbedder(f"{delayed_server}/embed", "m", engine.embedder.dimension)
+    workload = build_workload(16)
+    traces = _within(
+        60, lambda: run_workload(engine, workload, mode=ExecutionMode.STANDARD_RAG, jobs=4)
+    )
+    assert all(t.error is None and t.evidence for t in traces)
+    assert _DelayedHandler.served == 16
+    assert _DelayedHandler.peak >= 2
 
 
 def test_zero_jobs_is_rejected_before_any_query_runs(engine):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -270,13 +271,20 @@ def test_parse_scores_first_mention_wins():
     assert parse_scores("1. 0.9\n1. 0.1", count=1) == [0.9]
 
 
+def test_parse_scores_past_float_range_is_no_score():
+    assert parse_scores("1. 1e999\n2. -1e999\n3. 1e308", count=3) == [None, None, 1e308]
+    # The first line stays the answer, so a later finite one does not replace it.
+    assert parse_scores("1. 1e999\n1. 0.9", count=1) == [None]
+
+
 def _parse_scores_by_match(text: str, count: int) -> list[float | None]:
     """The reference for parse_scores: the same rule, one match object at a time."""
-    found: dict[int, float] = {}
+    found: dict[int, float | None] = {}
     for match in roles._NUMBERED_SCORE.finditer(text):
         index = int(match.group(1))
         if 1 <= index <= count and index not in found:
-            found[index] = float(match.group(2))
+            value = float(match.group(2))
+            found[index] = value if math.isfinite(value) else None
     return [found.get(i) for i in range(1, count + 1)]
 
 
@@ -306,6 +314,7 @@ _score_line = st.one_of(
 
 @given(lines=st.lists(_score_line, max_size=16), count=st.integers(0, 10))
 @example(lines=["1. 0.5", "1. 0.9", "11. 0.3", "0. 0.2", "2) -1e-3", "3: +2E+2"], count=3)
+@example(lines=["1. 1e999", "1. 0.9", "2. -2.5e400"], count=2)
 def test_parse_scores_reads_what_one_match_at_a_time_reads(lines, count):
     text = "\n".join(lines)
     assert parse_scores(text, count) == _parse_scores_by_match(text, count)
@@ -405,6 +414,17 @@ def test_runner_rerank_clamps_out_of_range():
     assert runner.rerank(candidates) == [3.5, -0.2]
     assert [c.score for c in global_rescore(candidates, runner.rerank)] == [1.0, 0.0]
     assert runner.warnings == []
+
+
+def test_runner_rerank_score_past_float_range_is_a_missing_score():
+    # 1e999 reads as inf, which rescoring would clamp to 1.0 without a warning.
+    runner = RoleRunner(_FixedBackend("1. 1e999\n2. -1e999\n3. 0.4"), query="q")
+    candidates = [_sp("a", "ta", 0.1), _sp("b", "tb", 0.2), _sp("c", "tc", 0.3)]
+    assert [c.score for c in global_rescore(candidates, runner.rerank)] == [0.5, 0.5, 0.4]
+    assert runner.warnings == [
+        "reranker gave no score for candidate 1, using 0.5",
+        "reranker gave no score for candidate 2, using 0.5",
+    ]
 
 
 def test_runner_rerank_failure_falls_back_to_retrieval_scores():
