@@ -12,13 +12,18 @@ compares vectors only through the vector store's fold.
 The hashed bag-of-tokens provider is fully deterministic and needs no
 network; its vector is a pure function of the text. Its embed_many returns
 a Nonzeros, a handful of entries per row, so a build never fills a dense
-block. It memoizes each token's coordinate in a bounded table of
-TOKEN_TABLE_SIZE entries (token -> int, never a vector), so a token seen
-before skips its SHA-256; the vector store memoizes repeated searches. The
-remote provider calls an HTTP embedding endpoint with one request shape, a
-list input: embed is embed_many of a one-text list, and embed_many returns
-a dense block. Every vector returned by a provider is L2-normalized, which
-the vector store relies on.
+block. Both embed and embed_many read the lowercased text's whitespace
+pieces through one bounded table of TOKEN_TABLE_SIZE entries: piece ->
+the coordinate of its token (signals.piece_token, the rule tokenize
+applies piece by piece), or NO_TOKEN when it has none; never a vector. A
+piece seen before skips both the token rule and its SHA-256. A token is
+its own piece, so the table gives each token its coordinate, and "" the
+empty bag's. The vector store memoizes repeated searches. The remote
+provider calls an HTTP embedding endpoint with one request shape, a list
+input: embed is embed_many of a one-text list, and embed_many sends its
+texts in requests of at most REMOTE_BATCH_TEXTS and returns one dense
+block. Every vector returned by a provider is L2-normalized, which the
+vector store relies on.
 """
 
 from __future__ import annotations
@@ -26,19 +31,24 @@ from __future__ import annotations
 import hashlib
 import math
 from functools import lru_cache, partial
-from itertools import chain
 from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from .backends import post_json, waiting
 from .errors import BackendError
-from .signals import tokenize
+from .signals import piece_token
 
 DEFAULT_DIMENSION = 768
-# Distinct tokens whose coordinate one hashed-bag embedder remembers; read
-# when the embedder is made.
+# Distinct whitespace pieces whose coordinate one hashed-bag embedder
+# remembers; read when the embedder is made.
 TOKEN_TABLE_SIZE = 65_536
+# What the piece table holds for a piece with no token.
+NO_TOKEN = -1
+# The remote wire's batch size: the most texts one embedding request
+# carries. vectorstore.BUILD_BLOCK_ROWS is a multiple of it, so a remote
+# build of n passages sends ceil(n / 32) requests.
+REMOTE_BATCH_TEXTS = 32
 
 
 class Nonzeros(NamedTuple):
@@ -73,7 +83,7 @@ class HashedBagEmbedder:
     L2-normalized. Contributions are non-negative, so cosine similarity
     between any two texts is in [0, 1] and grows with token overlap.
 
-    Worker threads may share one embedder: the token table is a
+    Worker threads may share one embedder: the piece table is a
     functools.lru_cache, which is thread-safe. It wraps a partial over a
     module-level function, not a bound method, so it holds no reference
     back to the embedder.
@@ -85,13 +95,13 @@ class HashedBagEmbedder:
         self.dimension = dimension
         self.seed = seed
         self._coordinate = lru_cache(maxsize=TOKEN_TABLE_SIZE)(
-            partial(_token_coordinate, seed, dimension)
+            partial(_piece_coordinate, seed, dimension)
         )
 
     def embed(self, text: str) -> np.ndarray:
+        coordinates = [c for c in map(self._coordinate, text.lower().split()) if c != NO_TOKEN]
         # An empty token bag still has to produce a unit vector.
-        coordinates = [self._coordinate(token) for token in tokenize(text) or ("",)]
-        counts = np.bincount(coordinates, minlength=self.dimension)
+        counts = np.bincount(coordinates or [self._coordinate("")], minlength=self.dimension)
         # Integer counts give an exact squared norm, so this is the float
         # vector divided by its np.linalg.norm, bit for bit.
         vector = counts / math.sqrt(counts @ counts)
@@ -99,9 +109,22 @@ class HashedBagEmbedder:
         return vector
 
     def embed_many(self, texts: Sequence[str]) -> Nonzeros:
-        bags = [tokenize(text) or ("",) for text in texts]
-        keys = np.fromiter(map(self._coordinate, chain.from_iterable(bags)), dtype=np.intp)
-        keys += np.repeat(np.arange(len(bags)) * self.dimension, [len(bag) for bag in bags])
+        # Each text's pieces are dropped once looked up, so a block never
+        # holds its pieces' strings at once.
+        coordinates: list[int] = []
+        lengths = []
+        for text in texts:
+            pieces = text.lower().split()
+            coordinates += map(self._coordinate, pieces)
+            lengths.append(len(pieces))
+        coordinates = np.array(coordinates, dtype=np.intp)
+        rows = np.repeat(np.arange(len(texts)), lengths)
+        found = coordinates != NO_TOKEN
+        rows = rows[found]
+        # An empty token bag still has to produce a unit vector.
+        empty = np.flatnonzero(np.bincount(rows, minlength=len(texts)) == 0)
+        blank = empty * self.dimension + self._coordinate("")
+        keys = np.concatenate((rows * self.dimension + coordinates[found], blank))
         # Sorted distinct keys are the block's nonzeros in row-major order.
         keys, counts = np.unique(keys, return_counts=True)
         rows, columns = np.divmod(keys, self.dimension)
@@ -112,6 +135,13 @@ class HashedBagEmbedder:
         for array in nonzeros:
             array.setflags(write=False)
         return nonzeros
+
+
+def _piece_coordinate(seed: int, dimension: int, piece: str) -> int:
+    """The coordinate of piece's token, or NO_TOKEN when it has none; the
+    empty bag's "" gets its own coordinate."""
+    token = piece_token(piece) if piece else ""
+    return NO_TOKEN if token is None else _token_coordinate(seed, dimension, token)
 
 
 def _token_coordinate(seed: int, dimension: int, token: str) -> int:
@@ -125,8 +155,10 @@ class RemoteEmbedder:
 
     embed_many sends {"model", "input": [text, ...]} and reads
     {"data": [{"index": i, "embedding": [...]}, ...]}, one entry per text
-    in any order; a wrong count or a missing index fails the whole block.
-    embed sends the same request for a one-text list.
+    in any order; a wrong count or a missing index fails the whole call.
+    embed_many sends REMOTE_BATCH_TEXTS texts a request, in order, and
+    stops at the first failed one; embed sends the request for a one-text
+    list.
     """
 
     def __init__(
@@ -147,6 +179,15 @@ class RemoteEmbedder:
         return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """One request per REMOTE_BATCH_TEXTS texts, sent in order; the first
+        failed request fails the whole call."""
+        starts = range(0, len(texts), REMOTE_BATCH_TEXTS)
+        blocks = [self._request(texts[start : start + REMOTE_BATCH_TEXTS]) for start in starts]
+        block = np.concatenate(blocks or [np.empty((0, self.dimension))])
+        block.setflags(write=False)
+        return block
+
+    def _request(self, texts: Sequence[str]) -> np.ndarray:
         body = {"model": self.model, "input": list(texts)}
         parse = partial(self._to_block, len(texts))
         with waiting():

@@ -83,31 +83,35 @@ _TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?")
 _EDGE_PUNCTUATION = string.punctuation + "«»‘’‚“”„…–—¡¿、。，！？：；"
 
 
-def tokenize(text: str) -> tuple[str, ...]:
-    """Lowercase, split on whitespace, strip non-alphanumeric edges.
+def piece_token(piece: str) -> str | None:
+    """The token in one lowercased whitespace piece, or None when it has none.
 
-    Fragments that are empty after trimming are dropped, so punctuation-only
-    fragments never produce tokens. The result is _TOKEN's matches in the
-    lowercased text, found piece by piece: str.isspace() agrees with the
+    The token is _TOKEN's match in the piece: str.isspace() agrees with the
     regex's \\s and str.isalnum() with its [^\\W_] on every code point
     (tests/test_signals.py checks all of them under the running Python), so
-    each str.split() piece holds at most one match, from its first
-    alphanumeric character to its last. An alphanumeric piece is its own
-    match. Any other piece is stripped of _EDGE_PUNCTUATION, none of which
+    a piece holds at most one match, from its first alphanumeric character
+    to its last. An alphanumeric piece is its own match, and so is every
+    token. Any other piece is stripped of _EDGE_PUNCTUATION, none of which
     is alphanumeric; when both ends of what is left are alphanumeric, that
     is the match, and only otherwise does the piece go to the regex.
     """
-    tokens = []
-    for piece in text.lower().split():
-        if not piece.isalnum():
-            piece = piece.strip(_EDGE_PUNCTUATION)
-            if not piece:
-                continue
-            if not (piece[0].isalnum() and piece[-1].isalnum()):
-                tokens += _TOKEN.findall(piece)
-                continue
-        tokens.append(piece)
-    return tuple(tokens)
+    if piece.isalnum():
+        return piece
+    piece = piece.strip(_EDGE_PUNCTUATION)
+    if piece and piece[0].isalnum() and piece[-1].isalnum():
+        return piece
+    match = _TOKEN.search(piece)
+    return match[0] if match else None
+
+
+def tokenize(text: str) -> tuple[str, ...]:
+    """Lowercase, split on whitespace, take each piece's token (piece_token).
+
+    Pieces with no alphanumeric character give no token, so punctuation-only
+    fragments never produce tokens. The result is _TOKEN's matches in the
+    lowercased text.
+    """
+    return tuple(filter(None, map(piece_token, text.lower().split())))
 
 
 def extract_signals(

@@ -11,17 +11,19 @@ a handful of nonzeros out of 768; a dense row of 768 costs 2.25 times its
 dense bytes (per entry a float64, two int32 and a uint16).
 
 build_index reads the provider's rows block by block: one embed_many call
-per BUILD_BLOCK_ROWS passages. The call returns the block's Nonzeros, as
-the hashed bag does, or a float64 block of len(texts) x dimension, which
-is scanned whole for its nonzeros and then dropped; every block's
-nonzeros then go through one accumulation loop. A dense matrix given to
+per BUILD_BLOCK_ROWS passages (a remote provider splits the call into
+requests of its own size). The call returns the block's Nonzeros, as the
+hashed bag does, or a float64 block of len(texts) x dimension, which is
+scanned whole for its nonzeros and then dropped; every block's nonzeros
+then go through one accumulation loop. A dense matrix given to
 VectorStore is read in the same blocks, so the build never holds a dense
 matrix. A Nonzeros with a row or column out of range, arrays of unequal
 length, keys (row * dimension + column) that do not strictly ascend,
 values that do not convert to float64 or a value whose bits are all zero
-fails the build with a ValueError naming its block's passages. A
-non-finite value fails it with a ValueError naming its passage, so every
-stored row is finite.
+fails the build with a ValueError naming its block's passages. Too few
+blocks fail it naming the passages left without one, and too many saying
+that a block falls past the last passage. A non-finite value fails it
+with a ValueError naming its passage, so every stored row is finite.
 
 Search, the pruning gate and dedup compute similarities with one ordered
 fold, the only one in the engine (the gate reads a plain table of
@@ -70,6 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import zip_longest
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -78,16 +81,21 @@ from .embeddings import EmbeddingProvider, Nonzeros
 
 DEFAULT_SEARCH_K = 32
 SEARCH_CACHE_SIZE = 1024
-# Passages embedded by one embed_many call (one request for a remote
-# provider) and read as one block during a build (a dense one is 196 KB at
-# dimension 768); each block's nonzeros become one chunk, so the build
-# holds a few arrays per block, never a dense matrix or arrays per row. In
-# a sweep of 16-128 on kb50k-standard-j2 (seed 1, 4 runs each, medians, a
-# shared 2-core x86_64 host), measured when the hashed bag still returned
-# dense blocks, 32 gave the lowest peak RSS (86.7 MB; 86.9 at 64, 88.3 at
-# 128, 87.7 at 16) and set up in 0.322 s (0.313 s at 64, 0.318 s at 128,
-# 0.361 s at 16).
-BUILD_BLOCK_ROWS = 32
+# Passages embedded by one embed_many call and read as one block during a
+# build (a dense one is 3 MB at dimension 768; a remote provider sends it
+# as requests of embeddings.REMOTE_BATCH_TEXTS, which divides this size);
+# each block's nonzeros become one chunk, so the build holds a few arrays
+# per block, never a dense matrix or arrays per row. A sweep of
+# perfbench/run.py --workload kb50k-standard-j2 --seed 1 --seconds 5
+# (hashed-bag Nonzeros blocks through the piece table; a shared 2-core
+# x86_64 host, Python 3.11; medians of 4 runs, 10 at 128-512):
+#   rows      32     64    128    256    512   1024   2048
+#   setup_s  0.258  0.269  0.205  0.206  0.191  0.182  0.178
+#   RSS MB   84.8   84.0   84.0   84.1   84.3   84.8   86.3
+# In-process builds of the same corpus took 185-204 ms at 128, 169-172 at
+# 256, 155-158 at 512 and 155-173 at 1024, so 512 is the knee that keeps
+# peak RSS below 32's.
+BUILD_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -185,8 +193,15 @@ def _nonzeros(
     column_chunks: list[np.ndarray] = []
     value_chunks: list[np.ndarray] = []
     starts = range(0, len(passages), BUILD_BLOCK_ROWS)
-    for start, block in zip(starts, blocks, strict=True):
+    for start, block in zip_longest(starts, blocks):
+        if start is None:
+            raise ValueError(
+                f"{len(passages)} passages fill {len(starts)} blocks of {BUILD_BLOCK_ROWS} rows;"
+                " a further block falls past the last passage"
+            )
         chunk = passages[start : start + BUILD_BLOCK_ROWS]
+        if block is None:
+            raise ValueError(f"passages {chunk[0].id}..{passages[-1].id}: no block of embeddings")
         if isinstance(block, Nonzeros):
             try:
                 block = _checked(block, len(chunk), dimension)

@@ -15,7 +15,7 @@ from conftest import build_workload, make_engine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeroute import embeddings, vectorstore
+from treeroute import embeddings, signals, vectorstore
 from treeroute.embeddings import (
     DEFAULT_DIMENSION,
     EmbeddingProvider,
@@ -200,6 +200,39 @@ def test_embed_many_rows_have_the_bits_of_embed(texts, dimension, seed):
         assert row.tobytes() == single.embed(text).tobytes()
 
 
+# Letters of both cases, digits, "_", every edge-stripped character (the
+# typographic quotes among them), apostrophes and mixed whitespace.
+_PIECE_ALPHABET = list(
+    "aZé9" + "_" + signals._EDGE_PUNCTUATION + "'’‘“”" + " \t\n\xa0\u3000"
+)
+_piece_texts = st.one_of(
+    st.text(alphabet=_PIECE_ALPHABET, max_size=40),
+    # No token at all: punctuation and whitespace only.
+    st.text(alphabet=list(signals._EDGE_PUNCTUATION + "_ \t\n\xa0"), max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(_piece_texts, min_size=1, max_size=12),
+    dimension=st.sampled_from([1, 7, 768]),
+    seed=st.integers(0, 3),
+)
+def test_the_piece_table_gives_the_bits_of_whole_text_tokenize(texts, dimension, seed):
+    for text in texts:
+        pieces = [signals.piece_token(piece) for piece in text.lower().split()]
+        tokens = tuple(token for token in pieces if token is not None)
+        assert tokens == tokenize(text) == tuple(signals._TOKEN.findall(text.lower()))
+    embedder = HashedBagEmbedder(dimension=dimension, seed=seed)
+    # Twice, so the second pass reads every piece from the table.
+    for _ in range(2):
+        block = _densify(embedder.embed_many(texts), len(texts), dimension)
+        for row, text in zip(block, texts):
+            expected = _uncached_embed(text, dimension, seed).tobytes()
+            assert embedder.embed(text).tobytes() == expected
+            assert row.tobytes() == expected
+
+
 def test_a_hashed_bag_build_never_calls_embed(monkeypatch):
     def refuse(self, text):
         raise AssertionError(f"embed called on {text!r}")
@@ -235,6 +268,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
     shape = "ordered"  # how a reply is shaped; zero and _NON_FINITE spoil its last row
     dimension = 8
     requests_seen = 0
+    short_request: int | None = None  # the one request that "short" spoils, or every one
     inputs: list = []  # the input of every request, in arrival order
     bad_input: str | None = None  # a text whose vector starts with bad_element
     bad_element: object = {}
@@ -271,7 +305,7 @@ class _EmbedHandler(BaseHTTPRequestHandler):
                 row["embedding"][0] = cls.bad_element
         if cls.shape == "reversed":
             rows.reverse()
-        elif cls.shape == "short":
+        elif cls.shape == "short" and cls.short_request in (None, cls.requests_seen):
             rows.pop()
         elif cls.shape == "zero":
             rows[-1]["embedding"] = [0.0] * cls.dimension
@@ -294,6 +328,7 @@ def embed_server():
     _EmbedHandler.fail_status = 500
     _EmbedHandler.shape = "ordered"
     _EmbedHandler.requests_seen = 0
+    _EmbedHandler.short_request = None
     _EmbedHandler.inputs = []
     _EmbedHandler.bad_input = None
     _EmbedHandler.bad_element = {}
@@ -400,19 +435,27 @@ def _remote_passages(n):
     return [Passage(id=f"p{i:03d}", text="word " * (1 + i % 5) + str(i)) for i in range(n)]
 
 
-@pytest.mark.parametrize("n", [1, 32, 70])
+@pytest.mark.parametrize("n", [1, 32, 70, vectorstore.BUILD_BLOCK_ROWS + 40])
 def test_a_remote_build_sends_one_list_request_per_block(embed_server, n):
+    # A request carries at most 32 texts, whatever the build's block size.
     client = _remote(embed_server)
     passages = _remote_passages(n)
     store = build_index(passages, client)
     texts = [p.text for p in passages]
-    blocks = vectorstore.BUILD_BLOCK_ROWS
-    assert _EmbedHandler.requests_seen == math.ceil(n / blocks)
-    assert _EmbedHandler.inputs == [
-        texts[start : start + blocks] for start in range(0, n, blocks)
-    ]
+    assert _EmbedHandler.requests_seen == math.ceil(n / 32)
+    assert _EmbedHandler.inputs == [texts[start : start + 32] for start in range(0, n, 32)]
     for passage in passages:
         assert store.embedding_of(passage.id).tobytes() == client.embed(passage.text).tobytes()
+
+
+def test_a_short_reply_inside_a_block_fails_the_build_and_sends_no_more(embed_server):
+    # The second request of the first block answers 31 rows for 32 texts.
+    assert vectorstore.BUILD_BLOCK_ROWS >= 3 * 32
+    _EmbedHandler.shape = "short"
+    _EmbedHandler.short_request = 2
+    with pytest.raises(BackendError, match="expected 32 embeddings, got 31"):
+        build_index(_remote_passages(vectorstore.BUILD_BLOCK_ROWS + 40), _remote(embed_server))
+    assert _EmbedHandler.requests_seen == 2
 
 
 def test_a_remote_block_is_read_in_index_order(embed_server):
@@ -428,7 +471,8 @@ def test_a_remote_block_is_read_in_index_order(embed_server):
 @pytest.mark.parametrize(
     "shape, message", [("short", "expected 32 embeddings, got 31"), ("nan", "non-finite")]
 )
-def test_a_bad_remote_block_fails_the_build(embed_server, shape, message):
+def test_a_bad_remote_block_fails_the_build(embed_server, monkeypatch, shape, message):
+    monkeypatch.setattr(vectorstore, "BUILD_BLOCK_ROWS", 32)
     _EmbedHandler.shape = shape
     with pytest.raises(BackendError, match=message):
         build_index(_remote_passages(40), _remote(embed_server))

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -276,9 +277,10 @@ class _InfProvider:
         return block
 
 
-def test_build_rejects_a_non_finite_row_by_passage_id():
+def test_build_rejects_a_non_finite_row_by_passage_id(monkeypatch):
     # Forty passages fill a block of 32 and part of a second; the bad one
     # is in the second block.
+    monkeypatch.setattr(vectorstore, "BUILD_BLOCK_ROWS", 32)
     texts = {f"p{i:02d}": "bad" if i == 35 else f"text {i}" for i in range(40)}
     with pytest.raises(ValueError, match="passage p35: embedding holds a non-finite value"):
         build_index(_passages(texts), _InfProvider())
@@ -286,7 +288,9 @@ def test_build_rejects_a_non_finite_row_by_passage_id():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("row", [0, 31, 32, 39])
-def test_a_dense_matrix_with_a_non_finite_value_names_its_passage(value, row):
+def test_a_dense_matrix_with_a_non_finite_value_names_its_passage(monkeypatch, value, row):
+    # Rows 31 and 32 sit on either side of a block boundary.
+    monkeypatch.setattr(vectorstore, "BUILD_BLOCK_ROWS", 32)
     passages = [Passage(id=f"p{i:02d}", text=f"text {i}") for i in range(40)]
     matrix = np.full((40, 3), 0.5)
     matrix[row, 1] = value
@@ -312,13 +316,16 @@ _bag_texts = st.one_of(
     ),
     dimension=st.sampled_from([1, 7, 768]),
     seed=st.integers(0, 3),
+    block_rows=st.sampled_from([32, vectorstore.BUILD_BLOCK_ROWS]),
 )
-def test_a_hashed_bag_build_equals_the_dense_reference_build(texts, dimension, seed):
+def test_a_hashed_bag_build_equals_the_dense_reference_build(texts, dimension, seed, block_rows):
     """build_index reads the bag's nonzeros; VectorStore over the stacked
     embed rows scans a dense matrix. Every index array has the same bytes."""
     embedder = HashedBagEmbedder(dimension=dimension, seed=seed)
     passages = [Passage(id=f"p{i:02d}", text=text) for i, text in enumerate(texts)]
-    built = build_index(passages, embedder)
+    # Blocks of 32 put 33 or 40 passages in two blocks.
+    with mock.patch.object(vectorstore, "BUILD_BLOCK_ROWS", block_rows):
+        built = build_index(passages, embedder)
     reference = VectorStore(passages, np.stack([embedder.embed(p.text) for p in passages]))
     for name, array, expected in zip(built._index._fields, built._index, reference._index):
         assert array.dtype == expected.dtype, name
@@ -392,15 +399,33 @@ class _NonzerosProvider:
         ("uint64", r"passages p32\.\.p39: nonzeros hold a row outside \[0, 8\)"),
     ],
 )
-def test_a_malformed_nonzeros_block_fails_the_build_by_passage(defect, message):
+def test_a_malformed_nonzeros_block_fails_the_build_by_passage(monkeypatch, defect, message):
     # Forty passages fill a block of 32 and part of a second; the defect is
     # in the second block.
+    monkeypatch.setattr(vectorstore, "BUILD_BLOCK_ROWS", 32)
     passages = [Passage(id=f"p{i:02d}", text=f"text {i}") for i in range(40)]
     with pytest.raises(ValueError, match=message):
         build_index(passages, _NonzerosProvider(defect))
     # The same provider without a defect builds the dense rows.
     store = build_index(passages, _NonzerosProvider("none"))
     assert store.embedding_of("p35").tolist() == [0.6, 0.0, 0.8, 0.0]
+
+
+@pytest.mark.parametrize(
+    "count, blocks, message",
+    [
+        (6, 1, r"passages p04\.\.p05: no block of embeddings"),
+        (6, 0, r"passages p00\.\.p05: no block of embeddings"),
+        (6, 3, "6 passages fill 2 blocks of 4 rows; a further block falls past the last"),
+        (0, 1, "0 passages fill 0 blocks of 4 rows; a further block falls past the last"),
+    ],
+)
+def test_a_wrong_block_count_fails_the_build_by_passage(monkeypatch, count, blocks, message):
+    monkeypatch.setattr(vectorstore, "BUILD_BLOCK_ROWS", 4)
+    passages = [Passage(id=f"p{i:02d}", text=f"text {i}") for i in range(count)]
+    given = [_rows_of_two(4), _rows_of_two(2), _rows_of_two(4)][:blocks]
+    with pytest.raises(ValueError, match=message):
+        VectorStore(passages, given, 4)
 
 
 def test_built_matrix_is_readonly_float64_rows_of_the_provider(monkeypatch):
