@@ -10,7 +10,9 @@ reply shape, choices[0].message.content as a string; any other reply is
 a BackendError, sent once and not retried. The stub backend answers each
 role with a deterministic transform of the payload so full runs work
 offline and reproduce exactly. It still answers in plain text, so
-response parsing is exercised on every path.
+response parsing is exercised on every path. build_engine makes the
+remote backend exactly when backend.endpoint is set, and the stub
+otherwise.
 
 Every call goes through RoleRunner._call, which counts it and its prompt
 tokens for the query before sending it, so a call that raises still counts.
@@ -18,9 +20,10 @@ ChatRequest is a typing.NamedTuple equal to the tuple (role, prompt, payload).
 
 A batch's clients take turns (pipeline.run_workload): holding() gives a
 client thread its batch's turn, and waiting() hands the turn on for the
-length of a network wait. Both remote clients wait inside waiting(); a
-custom backend or embedding provider that waits must do the same, or it
-keeps the turn while it waits.
+length of a network wait. Both remote clients wait inside waiting(), and
+each client thread has at most one request out, so run.jobs bounds the
+requests in flight; a custom backend or embedding provider that waits
+must wait inside waiting() too, or it keeps the turn while it waits.
 """
 
 from __future__ import annotations
@@ -244,7 +247,7 @@ def post_json(
 
 
 class RemoteChatBackend:
-    """HTTP chat client; bounded in-flight requests, one retry per call."""
+    """HTTP chat client; one retry per call."""
 
     def __init__(
         self,
@@ -252,12 +255,9 @@ class RemoteChatBackend:
         model: str,
         temperatures: Mapping[BackendRole, float],
         timeout_ms: int = 30_000,
-        max_in_flight: int = 4,
     ):
         if not endpoint:
             raise ValueError("remote chat backend requires an endpoint")
-        if max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         # A role without a temperature fails here, with a KeyError.
         self.temperatures = {role: temperatures[role] for role in BackendRole}
         for role, temperature in self.temperatures.items():
@@ -266,7 +266,6 @@ class RemoteChatBackend:
         self.endpoint = endpoint
         self.model = model
         self.timeout_s = timeout_ms / 1000.0
-        self._slots = threading.Semaphore(max_in_flight)
 
     def chat(self, request: ChatRequest) -> str:
         body = {
@@ -276,9 +275,7 @@ class RemoteChatBackend:
             "max_tokens": MAX_OUTPUT_TOKENS[request.role],
         }
         parse = partial(_reply_text, request.role.value)
-        # The turn goes before the slot wait, and comes back after the slot
-        # does: a client holding the turn never waits for a slot.
-        with waiting(), self._slots:
+        with waiting():
             return post_json(self.endpoint, body, self.timeout_s, request.role.value, parse)
 
 

@@ -81,7 +81,6 @@ class EngineConfig:
     store_k: int = _opt(DEFAULT_SEARCH_K, "store.k", lo=1)
 
     # Embedding provider
-    embed_backend: str = _opt("stub", "embed.backend", choices=("stub", "remote"))
     embed_endpoint: str = _opt("", "embed.endpoint")
     embed_model: str = _opt("", "embed.model")
 
@@ -100,11 +99,9 @@ class EngineConfig:
     rrl_cap: int = _opt(SelectionRule.cap, "rrl.cap")
 
     # Chat backend
-    backend_kind: str = _opt("stub", "backend.kind", choices=("stub", "remote"))
     backend_endpoint: str = _opt("", "backend.endpoint")
     backend_model: str = _opt("", "backend.model")
     backend_timeout_ms: int = _opt(30_000, "backend.timeout_ms", lo=1)
-    backend_max_in_flight: int = _opt(4, "backend.max_in_flight", lo=1)
     backend_prompt_dir: str = _opt("", "backend.prompt_dir")
     backend_temperature_decomposer: float = _opt(0.3, "backend.temperature.decomposer", lo=0.0)
     backend_temperature_assessor: float = _opt(0.0, "backend.temperature.assessor", lo=0.0)
@@ -189,10 +186,6 @@ class EngineConfig:
                 raise ConfigError(f"{key}: must be <= {hi}, got {value}")
             if choices and value not in choices:
                 raise ConfigError(f"{key}: must be one of {', '.join(choices)}, got {value!r}")
-        if self.embed_backend == "remote" and not self.embed_endpoint:
-            raise ConfigError("embed.endpoint: required when embed.backend is remote")
-        if self.backend_kind == "remote" and not self.backend_endpoint:
-            raise ConfigError("backend.endpoint: required when backend.kind is remote")
         # Rules that relate several keys (apm.lo <= apm.hi) belong to the part built from them.
         try:
             self.weights()

@@ -2,28 +2,29 @@
 
 Two providers implement the same contract: embed(text) maps one text to a
 read-only unit-norm float64 vector of a fixed dimension, and
-embed_many(texts) maps a block of texts to its rows in one of two shapes:
-a read-only float64 array of len(texts) x dimension, or a Nonzeros, the
-block's nonzero entries in row-major order. Either way row i has the bits
-of embed(texts[i]). A query takes embed; build_index takes embed_many, one
-block of vectorstore.BUILD_BLOCK_ROWS passages at a time. The engine
-compares vectors only through the vector store's fold.
+embed_many(texts) maps a block of texts to a Nonzeros, the block's nonzero
+entries in row-major order, whose row i has the bits of embed(texts[i]).
+A query takes embed; build_index takes embed_many, one block of
+vectorstore.BUILD_BLOCK_ROWS passages at a time. The engine compares
+vectors only through the vector store's fold.
 
 The hashed bag-of-tokens provider is fully deterministic and needs no
-network; its vector is a pure function of the text. Its embed_many returns
-a Nonzeros, a handful of entries per row, so a build never fills a dense
-block. Both embed and embed_many read the lowercased text's whitespace
-pieces through one bounded table of TOKEN_TABLE_SIZE entries: piece ->
-the coordinate of its token (signals.piece_token, the rule tokenize
-applies piece by piece), or NO_TOKEN when it has none; never a vector. A
-piece seen before skips both the token rule and its SHA-256. A token is
-its own piece, so the table gives each token its coordinate, and "" the
-empty bag's. The vector store memoizes repeated searches. The remote
-provider calls an HTTP embedding endpoint with one request shape, a list
-input: embed is embed_many of a one-text list, and embed_many sends its
-texts in requests of at most REMOTE_BATCH_TEXTS and returns one dense
-block. Every vector returned by a provider is L2-normalized, which the
-vector store relies on.
+network; its vector is a pure function of the text. Its embed_many builds
+the Nonzeros directly, a handful of entries per row, so a build never
+fills a dense block. Both embed and embed_many read the lowercased text's
+whitespace pieces through one bounded table of TOKEN_TABLE_SIZE entries:
+piece -> the coordinate of its token (signals.piece_token, the rule
+tokenize applies piece by piece), or NO_TOKEN when it has none; never a
+vector. A piece seen before skips both the token rule and its SHA-256. A
+token is its own piece, so the table gives each token its coordinate, and
+"" the empty bag's. The vector store memoizes repeated searches.
+
+The remote provider, which build_engine makes exactly when embed.endpoint
+is set, calls an HTTP embedding endpoint with one request shape, a list
+input: embed is the request for a one-text list, and embed_many sends its
+texts in requests of at most REMOTE_BATCH_TEXTS and converts their rows
+with dense_nonzeros, the one dense -> Nonzeros conversion. Every vector
+returned by a provider is L2-normalized, which the vector store relies on.
 """
 
 from __future__ import annotations
@@ -60,19 +61,28 @@ class Nonzeros(NamedTuple):
     values: np.ndarray  # float64
 
 
+def dense_nonzeros(block: np.ndarray) -> Nonzeros:
+    """A dense 2-D block's entries with any bit set, as float64, so a -0.0
+    reads back with its sign."""
+    filled = np.asarray(block, dtype=np.float64).ravel()
+    flat = np.flatnonzero(filled.view(np.uint64) != 0)
+    rows, columns = np.divmod(flat, block.shape[1])
+    return Nonzeros(rows, columns, filled[flat])
+
+
 @runtime_checkable
 class EmbeddingProvider(Protocol):
     """Anything that can turn text into a unit-norm vector, one text or a block.
 
-    embed_many returns a dense len(texts) x dimension block or the block's
-    Nonzeros; row i has the bits of embed(texts[i]) either way.
+    embed_many returns the block's Nonzeros; row i has the bits of
+    embed(texts[i]).
     """
 
     dimension: int
 
     def embed(self, text: str) -> np.ndarray: ...
 
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray | Nonzeros: ...
+    def embed_many(self, texts: Sequence[str]) -> Nonzeros: ...
 
 
 class HashedBagEmbedder:
@@ -158,7 +168,7 @@ class RemoteEmbedder:
     in any order; a wrong count or a missing index fails the whole call.
     embed_many sends REMOTE_BATCH_TEXTS texts a request, in order, and
     stops at the first failed one; embed sends the request for a one-text
-    list.
+    list and returns its row.
     """
 
     def __init__(
@@ -176,16 +186,14 @@ class RemoteEmbedder:
         self.timeout_s = timeout_ms / 1000.0
 
     def embed(self, text: str) -> np.ndarray:
-        return self.embed_many([text])[0]
+        return self._request([text])[0]
 
-    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+    def embed_many(self, texts: Sequence[str]) -> Nonzeros:
         """One request per REMOTE_BATCH_TEXTS texts, sent in order; the first
         failed request fails the whole call."""
         starts = range(0, len(texts), REMOTE_BATCH_TEXTS)
         blocks = [self._request(texts[start : start + REMOTE_BATCH_TEXTS]) for start in starts]
-        block = np.concatenate(blocks or [np.empty((0, self.dimension))])
-        block.setflags(write=False)
-        return block
+        return dense_nonzeros(np.concatenate(blocks or [np.empty((0, self.dimension))]))
 
     def _request(self, texts: Sequence[str]) -> np.ndarray:
         body = {"model": self.model, "input": list(texts)}

@@ -83,9 +83,6 @@ class CostLedger:
     prompt_tokens: int
     latency_ms: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "CostLedger":
         return cls(
@@ -170,7 +167,7 @@ def build_engine(
 ) -> Engine:
     """Validate config, build the index, and wire up the backends."""
     config.validate()
-    if config.embed_backend == "remote":
+    if config.embed_endpoint:
         embedder: EmbeddingProvider = RemoteEmbedder(
             config.embed_endpoint,
             config.embed_model,
@@ -180,13 +177,12 @@ def build_engine(
     else:
         embedder = HashedBagEmbedder(config.store_dimension, config.run_seed)
     store = build_index(passages, embedder)
-    if config.backend_kind == "remote":
+    if config.backend_endpoint:
         backend: ChatBackend = RemoteChatBackend(
             config.backend_endpoint,
             config.backend_model,
             config.temperatures(),
             config.backend_timeout_ms,
-            config.backend_max_in_flight,
         )
     else:
         backend = StubChatBackend(config.stub_behavior())

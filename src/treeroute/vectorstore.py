@@ -12,18 +12,17 @@ dense bytes (per entry a float64, two int32 and a uint16).
 
 build_index reads the provider's rows block by block: one embed_many call
 per BUILD_BLOCK_ROWS passages (a remote provider splits the call into
-requests of its own size). The call returns the block's Nonzeros, as the
-hashed bag does, or a float64 block of len(texts) x dimension, which is
-scanned whole for its nonzeros and then dropped; every block's nonzeros
-then go through one accumulation loop. A dense matrix given to
-VectorStore is read in the same blocks, so the build never holds a dense
-matrix. A Nonzeros with a row or column out of range, arrays of unequal
-length, keys (row * dimension + column) that do not strictly ascend,
-values that do not convert to float64 or a value whose bits are all zero
-fails the build with a ValueError naming its block's passages. Too few
-blocks fail it naming the passages left without one, and too many saying
-that a block falls past the last passage. A non-finite value fails it
-with a ValueError naming its passage, so every stored row is finite.
+requests of its own size), which returns the block's Nonzeros. A dense
+matrix given to VectorStore is read in the same blocks, each through
+embeddings.dense_nonzeros, so the build never holds a dense matrix, and
+every block goes through the same checks. A block that is no Nonzeros, a
+row or column out of range, arrays of unequal length, keys (row *
+dimension + column) that do not strictly ascend, values that do not
+convert to float64 or a value whose bits are all zero fails the build
+with a ValueError naming its block's passages. Too few blocks fail it
+naming the passages left without one, and too many saying that a block
+falls past the last passage. A non-finite value fails it with a
+ValueError naming its passage, so every stored row is finite.
 
 Search, the pruning gate and dedup compute similarities with one ordered
 fold, the only one in the engine (the gate reads a plain table of
@@ -77,13 +76,13 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingProvider, Nonzeros
+from .embeddings import EmbeddingProvider, Nonzeros, dense_nonzeros
 
 DEFAULT_SEARCH_K = 32
 SEARCH_CACHE_SIZE = 1024
 # Passages embedded by one embed_many call and read as one block during a
-# build (a dense one is 3 MB at dimension 768; a remote provider sends it
-# as requests of embeddings.REMOTE_BATCH_TEXTS, which divides this size);
+# build (a remote provider sends it as requests of
+# embeddings.REMOTE_BATCH_TEXTS, which divides this size);
 # each block's nonzeros become one chunk, so the build holds a few arrays
 # per block, never a dense matrix or arrays per row. A sweep of
 # perfbench/run.py --workload kb50k-standard-j2 --seed 1 --seconds 5
@@ -146,17 +145,11 @@ def _fold(bins: np.ndarray, products: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(bins, weights=products, minlength=n).astype(np.float64, copy=False)
 
 
-def _dense_nonzeros(block: np.ndarray) -> Nonzeros:
-    """A dense block's entries with any bit set, so a -0.0 reads back with its sign."""
-    filled = block.ravel()
-    flat = np.flatnonzero(filled.view(np.uint64) != 0)
-    rows, columns = np.divmod(flat, block.shape[1])
-    return Nonzeros(rows, columns, filled[flat])
-
-
 def _checked(block: Nonzeros, count: int, dimension: int) -> Nonzeros:
     """block with float64 values, or a ValueError if it is no Nonzeros of
     count rows and dimension columns whose every value has a bit set."""
+    if not isinstance(block, Nonzeros):
+        raise ValueError(f"embeddings are {type(block).__name__}, not Nonzeros")
     rows, columns = np.asarray(block.rows), np.asarray(block.columns)
     try:
         values = np.asarray(block.values, dtype=np.float64)
@@ -176,15 +169,15 @@ def _checked(block: Nonzeros, count: int, dimension: int) -> Nonzeros:
         ) from None
     if not (keys[1:] > keys[:-1]).all():
         raise ValueError("nonzeros are not in strictly ascending row-major order")
-    # A dense block drops an entry whose bits are all zero, so a Nonzeros
-    # may not hold one: both shapes of the same rows build the same index.
+    # dense_nonzeros drops an entry whose bits are all zero, so a Nonzeros
+    # may not hold one: the same rows build the same index either way.
     if not values.view(np.uint64).all():
         raise ValueError("nonzeros hold a value whose bits are all zero")
     return Nonzeros(rows, columns, values)
 
 
 def _nonzeros(
-    passages: Sequence[Passage], blocks: Iterable[np.ndarray | Nonzeros], dimension: int
+    passages: Sequence[Passage], blocks: Iterable[Nonzeros], dimension: int
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """The rows' nonzero entries in row-major order: row_ptr, their columns
     in the smallest uint, and their values as one chunk per block of rows."""
@@ -202,20 +195,10 @@ def _nonzeros(
         chunk = passages[start : start + BUILD_BLOCK_ROWS]
         if block is None:
             raise ValueError(f"passages {chunk[0].id}..{passages[-1].id}: no block of embeddings")
-        if isinstance(block, Nonzeros):
-            try:
-                block = _checked(block, len(chunk), dimension)
-            except ValueError as error:
-                raise ValueError(f"passages {chunk[0].id}..{chunk[-1].id}: {error}") from None
-        else:
-            block = np.asarray(block, dtype=np.float64)
-            if block.shape != (len(chunk), dimension):
-                raise ValueError(
-                    f"passages {chunk[0].id}..{chunk[-1].id}: embeddings have shape "
-                    f"{block.shape}, expected {(len(chunk), dimension)}"
-                )
-            block = _dense_nonzeros(block)
-        in_row, columns, values = block
+        try:
+            in_row, columns, values = _checked(block, len(chunk), dimension)
+        except ValueError as error:
+            raise ValueError(f"passages {chunk[0].id}..{chunk[-1].id}: {error}") from None
         counts = np.bincount(in_row, minlength=len(chunk))
         row_ptr[start + 1 : start + len(chunk) + 1] = row_ptr[start] + np.cumsum(counts)
         finite = np.isfinite(values)
@@ -234,7 +217,7 @@ def _blocks(rows: Sequence) -> Iterator:
 
 
 def _pack(
-    passages: Sequence[Passage], blocks: Iterable[np.ndarray | Nonzeros], dimension: int
+    passages: Sequence[Passage], blocks: Iterable[Nonzeros], dimension: int
 ) -> _Index:
     """Read blocks of BUILD_BLOCK_ROWS rows, one row per passage, into the sparse layout."""
     # Each block and its temporaries are freed before the next block is
@@ -264,16 +247,16 @@ class VectorStore:
     Passages must be in strictly ascending id order, as build_index()
     leaves them: search breaks score ties by row index. matrix holds one
     row per passage, read in order and in blocks of BUILD_BLOCK_ROWS rows:
-    a dense n x d array, read in slices, or an iterable of such blocks
-    (the last may be shorter), each dense or a Nonzeros, given with their
-    dimension. No dense copy is kept. A non-finite value raises ValueError
-    naming its passage.
+    a dense n x d array, read in slices through dense_nonzeros, or an
+    iterable of such blocks' Nonzeros (the last may be shorter), given with
+    their dimension. No dense copy is kept. A non-finite value raises
+    ValueError naming its passage.
     """
 
     def __init__(
         self,
         passages: Sequence[Passage],
-        matrix: np.ndarray | Iterable[np.ndarray],
+        matrix: np.ndarray | Iterable[Nonzeros],
         dimension: int | None = None,
     ):
         self._passages = tuple(passages)
@@ -288,7 +271,7 @@ class VectorStore:
                     f"matrix has shape {matrix.shape}, passages need {len(self._passages)} rows"
                 )
             dimension = matrix.shape[1]
-            blocks = _blocks(matrix)
+            blocks = map(dense_nonzeros, _blocks(matrix))
         else:
             blocks = matrix
         self._index = _pack(self._passages, blocks, dimension)

@@ -347,8 +347,6 @@ def test_waiting_hands_the_held_turn_on_and_takes_it_back():
 def test_remote_chat_validation():
     with pytest.raises(ValueError):
         _remote("")
-    with pytest.raises(ValueError):
-        _remote("http://x", max_in_flight=0)
 
 
 def test_chat_request_validation():
@@ -374,7 +372,7 @@ def test_chat_request_is_an_immutable_tuple_of_its_fields():
 
 
 def test_remote_chat_concurrent_calls(chat_server):
-    backend = _remote(chat_server, max_in_flight=2)
+    backend = _remote(chat_server)
     with ThreadPoolExecutor(max_workers=6) as pool:
         answers = list(pool.map(lambda _: backend.chat(_request()), range(12)))
     assert answers == ["Relevant"] * 12
@@ -383,9 +381,7 @@ def test_remote_chat_concurrent_calls(chat_server):
 
 def test_config_reaches_every_remote_request(chat_server):
     _ChatHandler.shape = "roles"
-    engine = make_engine(
-        backend_kind="remote", backend_endpoint=chat_server, apm_judge_temperature=0.7
-    )
+    engine = make_engine(backend_endpoint=chat_server, apm_judge_temperature=0.7)
     assert engine.config.backend_model == ""
     trace = process_query(engine, build_workload(8)[5])
     assert trace.error is None and trace.depth >= 1

@@ -299,7 +299,16 @@ def test_run_retrieves_from_the_catalog(capsys, tmp_path, workload_file):
     assert predicted == {"cancel_card"}
 
 
-@pytest.mark.parametrize("key", ["run.deterministic", "rrl.floor_strict"])
+@pytest.mark.parametrize(
+    "key",
+    [
+        "run.deterministic",
+        "rrl.floor_strict",
+        "backend.kind",
+        "embed.backend",
+        "backend.max_in_flight",
+    ],
+)
 def test_config_file_with_a_removed_key_fails_as_an_unknown_key(
     capsys, tmp_path, workload_file, key
 ):

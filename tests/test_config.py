@@ -63,7 +63,6 @@ def test_apply_coerces_types():
             "store.k": "16",
             "apm.lo": "0.2",
             "rrl.near_dup_threshold": " 0.9 ",
-            "backend.kind": "stub",
         }
     )
     assert config.store_k == 16
@@ -87,8 +86,6 @@ def test_apply_bad_values_name_the_key():
         ({"qtc.tau_simple": "1.5"}, "tau_simple"),
         ({"qtc.fallback_level": "extreme"}, "fallback_level"),
         ({"store.dimension": "0"}, "store.dimension"),
-        ({"embed.backend": "quantum"}, "embed.backend"),
-        ({"backend.kind": "remote"}, "backend.endpoint"),
         ({"tor.retry_decompose": "-1"}, "tor.retry_decompose"),
         ({"run.jobs": "0"}, "run.jobs"),
         ({"latency.base_ms": "-1"}, "latency.base_ms"),
@@ -129,7 +126,7 @@ def test_every_float_key_and_declared_bound_is_covered():
     cases = list(_out_of_bounds())
     float_keys = {key for key, value in cases if isinstance(value, float) and math.isnan(value)}
     assert len(float_keys) == 21
-    assert {"qtc.tau_simple", "run.jobs", "qtc.fallback_level", "backend.kind"} <= {
+    assert {"qtc.tau_simple", "run.jobs", "qtc.fallback_level"} <= {
         key for key, _ in cases
     }
 
@@ -176,10 +173,9 @@ def test_validate_messages(overrides, message):
 
 def test_remote_backend_with_endpoint_validates():
     config = EngineConfig()
-    config.apply(
-        {"backend.kind": "remote", "backend.endpoint": "http://example.test/chat"}
-    )
+    config.apply({"backend.endpoint": "http://example.test/chat"})
     config.validate()
+
 
 
 def test_from_text_rejects_garbage():
@@ -194,7 +190,7 @@ def test_readme_example_config_loads():
     config = EngineConfig.from_text(blocks[0])
     config.validate()
     assert config.qtc_tau_simple == 0.10
-    assert (config.apm_hi, config.apm_lo, config.backend_kind) == (0.70, 0.35, "stub")
+    assert (config.apm_hi, config.apm_lo, config.backend_timeout_ms) == (0.70, 0.35, 10_000)
 
 
 def test_from_file(tmp_path):
@@ -280,7 +276,7 @@ def test_default_config_text_is_pinned():
     # Defaults live on each section's class; moving one must not move the hash.
     text = EngineConfig().to_text()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "7ffc8b4c92cb325cef7a479f2f7e98fb317816c58018c9f3c1cf222ef74d1309"
+        "7721aaa6dd4f8ef72ce39e58b819e6473a5f2990d80cc25fe2c4fce1eb62ec32"
     )
 
 

@@ -15,7 +15,9 @@ from conftest import build_workload, make_engine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeroute import embeddings, signals, vectorstore
+from treeroute import cli, embeddings, signals, vectorstore
+from treeroute.backends import RemoteChatBackend, StubChatBackend
+from treeroute.config import ENV_KEYS
 from treeroute.embeddings import (
     DEFAULT_DIMENSION,
     EmbeddingProvider,
@@ -353,7 +355,8 @@ def test_remote_embed_is_one_request_for_a_one_text_list(embed_server):
     vector = client.embed("hello")
     assert _EmbedHandler.inputs == [["hello"]]
     assert not vector.flags.writeable
-    assert vector.tobytes() == client.embed_many(["hello"])[0].tobytes()
+    row = _densify(client.embed_many(["hello"]), 1, client.dimension)[0]
+    assert vector.tobytes() == row.tobytes()
 
 
 def test_remote_retries_transport_failure_once(embed_server):
@@ -415,13 +418,41 @@ def test_remote_non_number_element_is_retried_then_a_backend_error(embed_server,
 
 
 def test_non_number_query_embedding_fails_its_trace_not_the_batch(embed_server):
-    engine = make_engine(embed_backend="remote", embed_endpoint=embed_server, store_dimension=8)
+    engine = make_engine(embed_endpoint=embed_server, store_dimension=8)
     good, bad = build_workload(2)
     _EmbedHandler.bad_input = bad.text
     traces = run_workload(engine, [good, bad])
     assert [t.query_id for t in traces] == [good.id, bad.id]
     assert traces[0].error is None
     assert "non-number" in traces[1].error
+
+
+@pytest.mark.parametrize("embed, chat", [(False, False), (True, False), (False, True), (True, True)])
+def test_a_client_is_remote_exactly_when_its_endpoint_is_set(embed_server, embed, chat):
+    # build_engine sends no chat request, so the chat endpoint is never called.
+    engine = make_engine(
+        embed_endpoint=embed_server if embed else "",
+        backend_endpoint="http://127.0.0.1:1/chat" if chat else "",
+        store_dimension=8,
+    )
+    assert type(engine.embedder) is (RemoteEmbedder if embed else HashedBagEmbedder)
+    assert type(engine.backend) is (RemoteChatBackend if chat else StubChatBackend)
+    assert (_EmbedHandler.requests_seen > 0) == embed
+
+
+def test_the_embed_endpoint_variable_alone_selects_the_remote_embedder(
+    embed_server, monkeypatch, tmp_path
+):
+    for name in ENV_KEYS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("TREEROUTE_EMBED_ENDPOINT", embed_server)
+    path = tmp_path / "engine.ini"
+    path.write_text("[store]\ndimension = 8\n", encoding="utf-8")
+    engine = make_engine(cli._load_config(str(path)))
+    assert type(engine.embedder) is RemoteEmbedder
+    assert engine.embedder.endpoint == embed_server
+    assert type(engine.backend) is StubChatBackend
+    assert _EmbedHandler.requests_seen > 0
 
 
 def test_remote_rejects_wrong_dimension(embed_server):
@@ -462,8 +493,7 @@ def test_a_remote_block_is_read_in_index_order(embed_server):
     _EmbedHandler.shape = "reversed"
     client = _remote(embed_server)
     texts = ["a", "bb", "ccc"]
-    block = client.embed_many(texts)
-    assert not block.flags.writeable
+    block = _densify(client.embed_many(texts), len(texts), client.dimension)
     for row, text in zip(block, texts):
         assert row.tobytes() == client.embed(text).tobytes()
 
@@ -482,9 +512,9 @@ def test_a_bad_remote_block_fails_the_build(embed_server, monkeypatch, shape, me
 
 def test_an_endpoint_serving_token_counts_returns_the_local_bits(monkeypatch):
     """The hashed bag's integer count rows, sent as JSON through the remote
-    parser, come back with the bits of embed_many's nonzeros, densified: an
-    integer sum of squares is exact in any order, so np.linalg.norm and the
-    bag's own norm agree."""
+    parser, come back as embed_many's nonzeros bit for bit, and the two
+    build the same index: an integer sum of squares is exact in any order,
+    so np.linalg.norm and the bag's own norm agree."""
     local = HashedBagEmbedder()
     rng = np.random.default_rng(1)
     vocabulary = [f"w{i}" for i in range(400)]
@@ -503,8 +533,14 @@ def test_an_endpoint_serving_token_counts_returns_the_local_bits(monkeypatch):
 
     monkeypatch.setattr(embeddings, "post_json", serve_counts)
     remote = RemoteEmbedder("http://unused", model="m", dimension=local.dimension)
-    dense = _densify(local.embed_many(texts), len(texts), local.dimension)
-    assert remote.embed_many(texts).tobytes() == dense.tobytes()
+    for got, expected in zip(remote.embed_many(texts), local.embed_many(texts)):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+    passages = [Passage(id=f"p{i:03d}", text=text) for i, text in enumerate(texts)]
+    built = (build_index(passages, provider)._index for provider in (remote, local))
+    for got, expected in zip(*built):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_remote_requires_endpoint():

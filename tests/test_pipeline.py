@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -25,7 +26,6 @@ from conftest import (
 from treeroute import pipeline, rerank, routing, vectorstore
 from treeroute.backends import (
     BackendRole,
-    RemoteChatBackend,
     StubChatBackend,
     estimate_tokens,
     stub_decompose,
@@ -778,20 +778,40 @@ def delayed_server():
     thread.join(timeout=10)
 
 
-@pytest.mark.parametrize("max_in_flight, peak", [(4, range(2, 5)), (1, range(1, 2))])
-def test_remote_chat_waits_overlap_and_never_deadlock(delayed_server, max_in_flight, peak):
-    # Four clients hand the turn on while they wait, so their requests
-    # overlap up to max_in_flight; at one slot the batch still finishes.
-    engine = make_engine()
-    engine.backend = RemoteChatBackend(
-        f"{delayed_server}/chat", "m", engine.config.temperatures(), 5000, max_in_flight
+# Run in a child process: a deadlocked run_workload leaves pool threads
+# that no test runner could join at exit, and the child's timeout fails the
+# test instead.
+_REMOTE_CHAT_RUN = """
+import json, sys
+from conftest import build_workload, make_engine
+from treeroute.pipeline import ExecutionMode, run_workload
+
+engine = make_engine(backend_endpoint=sys.argv[1] + "/chat", backend_timeout_ms=5000)
+workload = build_workload(16)
+traces = run_workload(engine, workload, mode=ExecutionMode.STANDARD_RAG, jobs=int(sys.argv[2]))
+print(json.dumps({
+    "in_order": [t.query_id for t in traces] == [r.id for r in workload],
+    "clean": all(t.error is None and t.ledger.total_calls == 2 for t in traces),
+}))
+"""
+
+
+@pytest.mark.parametrize("jobs, peak", [(4, range(2, 5)), (1, range(1, 2))])
+def test_remote_chat_waits_overlap_and_never_deadlock(delayed_server, jobs, peak):
+    # Each client hands the turn on while it waits and has one request out,
+    # so the requests overlap up to jobs; the server stays in this process.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    source = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((source, tests))}
+    result = subprocess.run(
+        [sys.executable, "-c", _REMOTE_CHAT_RUN, delayed_server, str(jobs)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
     )
-    workload = build_workload(16)
-    traces = _within(
-        60, lambda: run_workload(engine, workload, mode=ExecutionMode.STANDARD_RAG, jobs=4)
-    )
-    assert [t.query_id for t in traces] == [r.id for r in workload]
-    assert all(t.error is None and t.ledger.total_calls == 2 for t in traces)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"in_order": True, "clean": True}
     assert _DelayedHandler.served == 32
     assert _DelayedHandler.peak in peak
 
@@ -1004,4 +1024,4 @@ def test_cost_ledger_round_trip():
     ledger = CostLedger(
         calls_by_role={"judge": 2}, total_calls=2, prompt_tokens=50, latency_ms=3.5
     )
-    assert CostLedger.from_dict(ledger.as_dict()) == ledger
+    assert CostLedger.from_dict(dataclasses.asdict(ledger)) == ledger

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treeroute import vectorstore
-from treeroute.embeddings import HashedBagEmbedder, Nonzeros
+from treeroute.embeddings import HashedBagEmbedder, Nonzeros, dense_nonzeros
 from treeroute.vectorstore import (
     DEFAULT_SEARCH_K,
     Passage,
@@ -243,24 +243,24 @@ def test_scored_passage_defaults():
             setattr(by_position, name, None)
 
 
-class _ShortVectorProvider:
-    """Returns one-element vectors for a block holding one text, which would broadcast."""
+class _DenseBlockProvider:
+    """Returns its blocks as dense arrays of unit rows, not as their Nonzeros."""
 
     dimension = 4
 
     def embed(self, text: str) -> np.ndarray:
-        if text == "short":
-            return np.ones(1)
         return np.full(4, 0.5)
 
     def embed_many(self, texts) -> np.ndarray:
-        return np.ones((len(texts), 1)) if "short" in texts else np.full((len(texts), 4), 0.5)
+        return np.full((len(texts), 4), 0.5)
 
 
-def test_build_rejects_a_wrong_embedding_shape_by_passage_id():
-    passages = [Passage(id="ok", text="fine"), Passage(id="bad", text="short")]
-    with pytest.raises(ValueError, match="bad.*shape"):
-        build_index(passages, _ShortVectorProvider())
+def test_build_rejects_a_dense_block_by_its_passages(monkeypatch):
+    monkeypatch.setattr(vectorstore, "BUILD_BLOCK_ROWS", 32)
+    passages = [Passage(id=f"p{i:02d}", text=f"text {i}") for i in range(40)]
+    with pytest.raises(ValueError) as info:
+        build_index(passages, _DenseBlockProvider())
+    assert str(info.value) == "passages p00..p31: embeddings are ndarray, not Nonzeros"
 
 
 class _InfProvider:
@@ -269,12 +269,10 @@ class _InfProvider:
     dimension = 4
 
     def embed(self, text: str) -> np.ndarray:
-        return self.embed_many([text])[0]
+        return np.array([0.5, 0.5, 0.5, np.inf if text == "bad" else 0.5])
 
-    def embed_many(self, texts) -> np.ndarray:
-        block = np.full((len(texts), 4), 0.5)
-        block[[text == "bad" for text in texts], 3] = np.inf
-        return block
+    def embed_many(self, texts) -> Nonzeros:
+        return dense_nonzeros(np.array([self.embed(text) for text in texts]))
 
 
 def test_build_rejects_a_non_finite_row_by_passage_id(monkeypatch):
@@ -599,8 +597,8 @@ class _DenseProvider:
         seed = int.from_bytes(text.encode("utf-8"), "big") % (2**32)
         return _unit_rows(np.random.default_rng(seed), 1, self.dimension)[0]
 
-    def embed_many(self, texts) -> np.ndarray:
-        return np.array([self.embed(text) for text in texts]).reshape(len(texts), self.dimension)
+    def embed_many(self, texts) -> Nonzeros:
+        return dense_nonzeros(np.array([self.embed(text) for text in texts]))
 
 
 def test_a_passage_score_does_not_depend_on_its_row():
