@@ -19,11 +19,13 @@ tokens for the query before sending it, so a call that raises still counts.
 ChatRequest is a typing.NamedTuple equal to the tuple (role, prompt, payload).
 
 A batch's clients take turns (pipeline.run_workload): holding() gives a
-client thread its batch's turn, and waiting() hands the turn on for the
-length of a network wait. Both remote clients wait inside waiting(), and
-each client thread has at most one request out, so run.jobs bounds the
-requests in flight; a custom backend or embedding provider that waits
-must wait inside waiting() too, or it keeps the turn while it waits.
+client thread its batch's turn, the batch's only lock, and waiting()
+hands the turn on for the length of a network wait. A client leaves
+holding(), and so hands the turn on, once the batch's list of errors
+holds one. Both remote clients wait inside waiting(), and each client
+thread has at most one request out, so run.jobs bounds the requests in
+flight; a custom backend or embedding provider that waits must wait
+inside waiting() too, or it keeps the turn while it waits.
 """
 
 from __future__ import annotations

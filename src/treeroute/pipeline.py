@@ -21,9 +21,9 @@ predictions, and an exact per-role cost ledger; a BackendError that no
 role default covers (level assessor, classifier) yields a failed trace,
 never a crashed batch.
 
-A batch (run_workload) runs on client threads that take turns: one
-computes at a time and hands the turn on only while it waits on the
-network, so clients overlap their waits, never their computation.
+A batch (run_workload) runs on daemon client threads that take turns:
+one computes at a time and hands the turn on only while it waits on the
+network; each stops before its next query once the batch has an error.
 
 A trace's latency is always CostModel.latency_ms (the latency.* keys) of
 its retrievals and LLM calls, never measured time, so identical runs
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import partial
@@ -334,51 +333,53 @@ def run_workload(
     engine: Engine,
     records: Sequence[QueryRecord],
     mode: ExecutionMode = ExecutionMode.ADAPTIVE,
-    jobs: int | None = None,
     force_depth: int | None = None,
 ) -> list[QueryTrace]:
-    """Process a batch as `jobs` concurrent clients; traces are in id order.
+    """Process a batch as run.jobs concurrent clients; traces are in id order.
 
-    jobs defaults to run.jobs and must be at least 1. min(jobs, len(records))
-    client threads, one at jobs=1, take turns: the batch has one turn, and a
-    client takes it once and holds it while it takes the next query in id
-    order and processes it, query after query, until none is left. It hands
-    the turn on only inside backends.waiting(), while it waits on a remote
-    backend, so the stub runs a batch as one client would, and remote waits
+    run.jobs must be at least 1. min(run.jobs, len(records)) daemon client
+    threads take turns: a client holds the batch's one turn while it takes
+    the next query in id order and processes it, until none is left, and
+    hands it on only inside backends.waiting(), while it waits on a remote
+    backend. So the stub runs a batch as one client would, and remote waits
     overlap. Each trace goes into its query's slot, so the output does not
     depend on the job count. An error that is not an EngineError
     (process_query turns those into failed traces), or an interrupt of the
-    caller, closes the shared positions, so every client stops after its
-    current query; then the error is raised here.
+    caller, goes on the batch's list of errors, which each client checks
+    before each query; the caller waits for the clients, then raises the first.
     """
-    if jobs is None:
-        jobs = engine.config.run_jobs
+    jobs = engine.config.run_jobs
+    if jobs < 1:
+        raise ValueError(f"run.jobs must be at least 1, got {jobs}")
     ordered = sorted(records, key=attrgetter("id"))
     worker = partial(process_query, engine, mode=mode, force_depth=force_depth)
     traces: list[QueryTrace | None] = [None] * len(ordered)
-    positions = (position for position in range(len(ordered)))  # close() ends it
-    # close() takes only `taking`, never the turn, so the caller need not
-    # wait for a client to hand the turn on.
-    taking = threading.Lock()
+    positions = iter(range(len(ordered)))  # advanced only by the turn's holder
+    errors: list[BaseException] = []
     turn = threading.Lock()
 
     def client() -> None:
         with holding(turn):
-            while True:
-                with taking:
-                    position = next(positions, None)
-                if position is None:
+            for position in positions:
+                if errors:
                     return
-                traces[position] = worker(ordered[position])
+                try:
+                    traces[position] = worker(ordered[position])
+                except BaseException as error:  # the caller raises it
+                    errors.append(error)
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        try:
-            clients = [pool.submit(client) for _ in range(min(jobs, len(ordered)))]
-            for finished in wait(clients, return_when=FIRST_EXCEPTION).done:
-                finished.result()
-        finally:
-            with taking:
-                positions.close()
+    clients = [threading.Thread(target=client, daemon=True) for _ in ordered[:jobs]]
+    try:
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join()
+    except BaseException as interrupt:
+        errors.append(interrupt)  # a client not yet alive stops before its first query
+        for thread in filter(threading.Thread.is_alive, clients):
+            thread.join()
+    if errors:
+        raise errors[0]
     return traces
 
 

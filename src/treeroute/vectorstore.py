@@ -276,9 +276,8 @@ class VectorStore:
             blocks = matrix
         self._index = _pack(self._passages, blocks, dimension)
         self._row_by_id = {p.id: i for i, p in enumerate(self._passages)}
-        # Worker threads share one store. Two misses on the same key may both
-        # scan; they cache equal results. The cache wraps a partial over the
-        # arrays, not a bound method, so it never keeps the store alive.
+        # A batch's clients share one store. Two misses on the same key may
+        # both scan; they cache equal results.
         self._memo = lru_cache(maxsize=SEARCH_CACHE_SIZE)(
             partial(_scan, self._index, self._passages)
         )
@@ -444,8 +443,5 @@ def build_index(passages: Iterable[Passage], provider: EmbeddingProvider) -> Vec
     its nonzeros are kept.
     """
     ordered = sorted(passages, key=lambda p: p.id)
-    for before, after in zip(ordered, ordered[1:]):
-        if before.id == after.id:
-            raise ValueError(f"duplicate passage id: {after.id}")
     blocks = (provider.embed_many([p.text for p in chunk]) for chunk in _blocks(ordered))
     return VectorStore(ordered, blocks, provider.dimension)

@@ -32,7 +32,7 @@ from treeroute.backends import (
 )
 from treeroute.dataset import QueryRecord
 from treeroute.embeddings import HashedBagEmbedder, RemoteEmbedder
-from treeroute.errors import BackendError
+from treeroute.errors import BackendError, ConfigError
 from treeroute.pipeline import (
     CostLedger,
     ExecutionMode,
@@ -225,9 +225,9 @@ def test_each_ledger_counts_what_its_query_sent(monkeypatch, mode, force_depth):
 
 def test_ledgers_count_what_two_clients_sent(monkeypatch):
     judge_fields = _record_judge_fields(monkeypatch)
-    engine = make_engine()
+    engine = make_engine(run_jobs=2)
     engine.backend = RecordingBackend()
-    traces = _within(60, lambda: run_workload(engine, build_workload(24), jobs=2))
+    traces = _within(60, lambda: run_workload(engine, build_workload(24)))
     assert {t.depth for t in traces} == {0, 1, 2, 3}
     assert len(judge_fields) > 0
     _sent_matches_ledgers(engine.backend.requests, traces, judge_fields)
@@ -379,8 +379,8 @@ def test_fixed3_root_still_searches(monkeypatch):
 
 
 def test_parallel_traces_each_record_their_own_cost_model():
-    engine = make_engine()
-    traces = run_workload(engine, build_workload(24), mode=ExecutionMode.ADAPTIVE, jobs=2)
+    engine = make_engine(run_jobs=2)
+    traces = run_workload(engine, build_workload(24), mode=ExecutionMode.ADAPTIVE)
     assert {t.mode for t in traces} == {"simple", "hybrid", "tree"}
     for trace in traces:
         # Adaptive queries are routed: one plan search plus one per tree node.
@@ -570,8 +570,8 @@ def _within(seconds: float, call):
 @pytest.mark.parametrize("count, jobs", [(24, 2), (24, 4), (3, 8), (0, 4)])
 def test_run_workload_parallel_matches_sequential(count, jobs):
     workload = build_workload(count)
-    sequential = run_workload(make_engine(), workload, jobs=1)
-    parallel = _within(60, lambda: run_workload(make_engine(), workload, jobs=jobs))
+    sequential = run_workload(make_engine(run_jobs=1), workload)
+    parallel = _within(60, lambda: run_workload(make_engine(run_jobs=jobs), workload))
     assert [t.to_json_line() for t in parallel] == [t.to_json_line() for t in sequential]
     assert len(parallel) == count
     if count == 24:
@@ -583,12 +583,12 @@ def test_clients_run_every_query_exactly_once():
     # clients interleave often: a query run twice adds calls the ledgers do
     # not hold, and a skipped one leaves a slot without its trace.
     workload = build_workload(48)
-    engine = make_engine()
+    engine = make_engine(run_jobs=8)
     engine.backend = CountingBackend()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        traces = _within(120, lambda: run_workload(engine, workload, jobs=8))
+        traces = _within(120, lambda: run_workload(engine, workload))
     finally:
         sys.setswitchinterval(interval)
     assert [t.query_id for t in traces] == [r.id for r in workload]
@@ -615,9 +615,9 @@ _ROLE_FAILURE_OUTCOMES = {
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("role", list(BackendRole), ids=attrgetter("value"))
 def test_a_backend_error_from_each_role_has_its_documented_outcome(role, jobs):
-    engine = make_engine()
+    engine = make_engine(run_jobs=jobs)
     engine.backend = _RoleFailingBackend(role)
-    traces = _within(60, lambda: run_workload(engine, build_workload(8), jobs=jobs))
+    traces = _within(60, lambda: run_workload(engine, build_workload(8)))
     kind, message = _ROLE_FAILURE_OUTCOMES[role]
     assert any(t.ledger.calls_by_role[role.value] > 0 for t in traces)
     for trace in traces:
@@ -636,10 +636,10 @@ def test_a_backend_error_from_each_role_has_its_documented_outcome(role, jobs):
 def test_error_outside_engine_errors_escapes_run_workload(role, jobs):
     # process_query turns only an EngineError into a failed trace, so any
     # other error, from any role, stops the batch, at one client or several.
-    engine = make_engine()
+    engine = make_engine(run_jobs=jobs)
     engine.backend = _RoleFailingBackend(role, RuntimeError("backend bug"))
     with pytest.raises(RuntimeError, match="backend bug"):
-        _within(60, lambda: run_workload(engine, build_workload(8), jobs=jobs))
+        _within(60, lambda: run_workload(engine, build_workload(8)))
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 4])
@@ -654,11 +654,24 @@ def test_an_error_stops_every_client_after_its_current_query(monkeypatch, engine
         time.sleep(0.01)
 
     monkeypatch.setattr(pipeline, "process_query", process_query)
+    engine.config.run_jobs = jobs
     with pytest.raises(RuntimeError, match="stand-in bug"):
-        _within(60, lambda: run_workload(engine, workload, jobs=jobs))
+        _within(60, lambda: run_workload(engine, workload))
     # The five queries before the failing one, itself, and at most one more
     # for each other client: the query it was running when the error came.
     assert len(started) < 6 + jobs
+
+
+def _child(script: str, *args: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter that imports treeroute from this source tree."""
+    source = os.path.dirname(os.path.dirname(pipeline.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": source},
+    )
 
 
 # Run in a child process, so that the interrupt reaches no test runner.
@@ -673,11 +686,11 @@ def process_query(engine, record, mode, force_depth):
 
 pipeline.process_query = process_query
 records = [QueryRecord(id=f"q{i:04d}", text="cancel my card", intents=frozenset()) for i in range(400)]
-engine = pipeline.build_engine(EngineConfig(), [])
+engine = pipeline.build_engine(EngineConfig(run_jobs=int(sys.argv[1])), [])
 threading.Timer(0.2, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT)).start()
 started = time.perf_counter()
 try:
-    pipeline.run_workload(engine, records, jobs=int(sys.argv[1]))
+    pipeline.run_workload(engine, records)
 except KeyboardInterrupt:
     print("interrupted", time.perf_counter() - started)
 else:
@@ -688,18 +701,39 @@ else:
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_an_interrupt_stops_every_client_after_its_current_query(jobs):
     # 400 queries of 10 ms take 4 s at one client; the interrupt comes at 0.2 s.
-    source = os.path.dirname(os.path.dirname(pipeline.__file__))
-    env = {**os.environ, "PYTHONPATH": source}
-    result = subprocess.run(
-        [sys.executable, "-c", _INTERRUPTED_RUN, str(jobs)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
+    result = _child(_INTERRUPTED_RUN, str(jobs), timeout=60)
     assert result.returncode == 0, result.stderr
     outcome, seconds = result.stdout.split()
     assert outcome == "interrupted" and float(seconds) < 1.0
+
+
+# Two clients whose queries never return, given up after a short join, as
+# _within gives up on a hung batch.
+_ABANDONED_RUN = """
+import threading
+from treeroute import pipeline
+from treeroute.config import EngineConfig
+from treeroute.dataset import QueryRecord
+
+def process_query(engine, record, mode, force_depth):
+    threading.Event().wait()
+
+pipeline.process_query = process_query
+records = [QueryRecord(id=f"q{i}", text="cancel my card", intents=frozenset()) for i in range(4)]
+engine = pipeline.build_engine(EngineConfig(run_jobs=2), [])
+batch = threading.Thread(target=pipeline.run_workload, args=(engine, records), daemon=True)
+batch.start()
+batch.join(timeout=0.5)
+print("hung" if batch.is_alive() else "returned")
+"""
+
+
+def test_a_hung_batch_does_not_block_exit():
+    # The clients are daemon threads, so the interpreter exits without
+    # waiting for them: a deadlocked batch fails its test, never the run.
+    result = _child(_ABANDONED_RUN, timeout=20)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["hung"]
 
 
 @pytest.mark.parametrize("jobs", [2, 4])
@@ -721,7 +755,8 @@ def test_clients_take_turns_with_the_stub(monkeypatch, engine, jobs):
         return record.id
 
     monkeypatch.setattr(pipeline, "process_query", process_query)
-    traces = _within(60, lambda: run_workload(engine, reversed(workload), jobs=jobs))
+    engine.config.run_jobs = jobs
+    traces = _within(60, lambda: run_workload(engine, reversed(workload)))
     assert peak == [1]
     assert started == traces == [r.id for r in workload]
 
@@ -778,61 +813,40 @@ def delayed_server():
     thread.join(timeout=10)
 
 
-# Run in a child process: a deadlocked run_workload leaves pool threads
-# that no test runner could join at exit, and the child's timeout fails the
-# test instead.
-_REMOTE_CHAT_RUN = """
-import json, sys
-from conftest import build_workload, make_engine
-from treeroute.pipeline import ExecutionMode, run_workload
-
-engine = make_engine(backend_endpoint=sys.argv[1] + "/chat", backend_timeout_ms=5000)
-workload = build_workload(16)
-traces = run_workload(engine, workload, mode=ExecutionMode.STANDARD_RAG, jobs=int(sys.argv[2]))
-print(json.dumps({
-    "in_order": [t.query_id for t in traces] == [r.id for r in workload],
-    "clean": all(t.error is None and t.ledger.total_calls == 2 for t in traces),
-}))
-"""
-
-
 @pytest.mark.parametrize("jobs, peak", [(4, range(2, 5)), (1, range(1, 2))])
 def test_remote_chat_waits_overlap_and_never_deadlock(delayed_server, jobs, peak):
     # Each client hands the turn on while it waits and has one request out,
-    # so the requests overlap up to jobs; the server stays in this process.
-    tests = os.path.dirname(os.path.abspath(__file__))
-    source = os.path.dirname(os.path.dirname(pipeline.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join((source, tests))}
-    result = subprocess.run(
-        [sys.executable, "-c", _REMOTE_CHAT_RUN, delayed_server, str(jobs)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
+    # so the requests overlap up to jobs.
+    engine = make_engine(
+        run_jobs=jobs, backend_endpoint=f"{delayed_server}/chat", backend_timeout_ms=5000
     )
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == {"in_order": True, "clean": True}
+    workload = build_workload(16)
+    traces = _within(60, lambda: run_workload(engine, workload, mode=ExecutionMode.STANDARD_RAG))
+    assert [t.query_id for t in traces] == [r.id for r in workload]
+    assert all(t.error is None and t.ledger.total_calls == 2 for t in traces)
     assert _DelayedHandler.served == 32
     assert _DelayedHandler.peak in peak
 
 
 def test_remote_query_embeddings_overlap(delayed_server):
-    engine = make_engine()
+    engine = make_engine(run_jobs=4)
     _DelayedHandler.embedder = HashedBagEmbedder(engine.embedder.dimension, engine.embedder.seed)
     engine.embedder = RemoteEmbedder(f"{delayed_server}/embed", "m", engine.embedder.dimension)
     workload = build_workload(16)
-    traces = _within(
-        60, lambda: run_workload(engine, workload, mode=ExecutionMode.STANDARD_RAG, jobs=4)
-    )
+    traces = _within(60, lambda: run_workload(engine, workload, mode=ExecutionMode.STANDARD_RAG))
     assert all(t.error is None and t.evidence for t in traces)
     assert _DelayedHandler.served == 16
     assert _DelayedHandler.peak >= 2
 
 
 def test_zero_jobs_is_rejected_before_any_query_runs(engine):
+    with pytest.raises(ConfigError, match="run.jobs"):
+        make_engine(run_jobs=0)
+    # A config changed after the build is checked when the batch starts.
     engine.backend = CountingBackend()
-    with pytest.raises(ValueError):
-        run_workload(engine, build_workload(8), jobs=0)
+    engine.config.run_jobs = 0
+    with pytest.raises(ValueError, match="run.jobs must be at least 1, got 0"):
+        run_workload(engine, build_workload(8))
     assert engine.backend.calls == 0
 
 
@@ -986,7 +1000,7 @@ def test_root_gate_similarities_equal_root_hit_scores(monkeypatch, mode):
     monkeypatch.setattr(pipeline, "expand", spy_expand)
     monkeypatch.setattr(pipeline, "prune", spy_prune)
     monkeypatch.setattr(vectorstore.VectorStore, "similarities", spy_similarities)
-    traces = run_workload(make_engine(), build_workload(48), mode=mode, jobs=1)
+    traces = run_workload(make_engine(run_jobs=1), build_workload(48), mode=mode)
     assert all(t.error is None for t in traces)
     assert checked[0] >= len(root_hits) > 0
 

@@ -204,6 +204,28 @@ def test_duplicate_ids_rejected():
         build_index(passages, HashedBagEmbedder(dimension=8))
 
 
+class _CountingEmbedder(HashedBagEmbedder):
+    def __init__(self):
+        super().__init__(dimension=8)
+        self.blocks = 0
+
+    def embed_many(self, texts):
+        self.blocks += 1
+        return super().embed_many(texts)
+
+
+def test_duplicate_ids_fail_the_build_before_any_embedding():
+    # build_index hands the store a generator of embed_many calls, and the
+    # store checks that its ids ascend strictly before it reads a block.
+    passages = [Passage(id="p1", text="a"), Passage(id="p2", text="b")]
+    provider = _CountingEmbedder()
+    with pytest.raises(ValueError, match="'p1' before 'p1'"):
+        build_index([*passages, Passage(id="p1", text="c")], provider)
+    assert provider.blocks == 0
+    build_index(passages, provider)
+    assert provider.blocks == 1
+
+
 def test_empty_store():
     store = build_index([], HashedBagEmbedder(dimension=8))
     assert store.size == 0
