@@ -14,6 +14,13 @@ response parsing is exercised on every path. build_engine makes the
 remote backend exactly when backend.endpoint is set, and the stub
 otherwise.
 
+post_json is the one transport of both remote clients (this backend and
+embeddings.RemoteEmbedder). It is the standard library's urllib.request:
+one connection per attempt, the http_proxy, https_proxy and no_proxy
+variables honoured, and TLS verified against the system trust store
+(SSL_CERT_FILE). EngineConfig.validate admits only http and https
+endpoints, since urlopen also reads file:, ftp: and data: URLs.
+
 Every call goes through RoleRunner._call, which counts it and its prompt
 tokens for the query before sending it, so a call that raises still counts.
 ChatRequest is a typing.NamedTuple equal to the tuple (role, prompt, payload).
@@ -30,15 +37,18 @@ inside waiting() too, or it keeps the turn while it waits.
 
 from __future__ import annotations
 
+import http.client
+import json
+import math
 import threading
+import urllib.error
+import urllib.request
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Protocol, TypeVar
 from typing import runtime_checkable
-
-import requests
 
 from .errors import BackendError
 from .signals import SignalLexicons, tokenize
@@ -227,23 +237,30 @@ def post_json(
     role: str,
     parse: Callable[[object], T],
 ) -> T:
-    """POST a JSON body and parse the reply, retrying once.
+    """POST body as UTF-8 JSON through urllib.request; parse the reply, retrying once.
 
-    A 4xx other than 429 means the request itself is wrong, so it is not
-    sent again. A failed connection, a timeout, 429, 5xx, or a reply that
-    is not JSON or that parse rejects with ValueError is retried once; a
-    BackendError from parse is not.
+    Each attempt opens one connection. A 4xx other than 429 means the request
+    itself is wrong, so it is not sent again. A failed connection or a
+    timeout (OSError), 429, 5xx, a malformed reply (http.client.HTTPException:
+    a bad status line, a body cut short), or a reply that is not JSON or that
+    parse rejects with ValueError is retried once; a BackendError from parse
+    is not.
     """
+    data = json.dumps(body, allow_nan=False).encode("utf-8")
+    headers = {"Content-Type": "application/json"}
     last_error: Exception | None = None
     for _ in range(2):
         try:
-            response = requests.post(endpoint, json=body, timeout=timeout_s)
-            status = response.status_code
-            if 400 <= status < 500 and status != 429:
-                raise BackendError(role, f"request rejected with HTTP {status}")
-            response.raise_for_status()
-            return parse(response.json())
-        except (requests.RequestException, ValueError) as exc:
+            # In the try: an endpoint without a scheme is a ValueError here.
+            request = urllib.request.Request(endpoint, data=data, headers=headers)
+            with urllib.request.urlopen(request, timeout=timeout_s) as response:
+                return parse(json.loads(response.read()))
+        except urllib.error.HTTPError as exc:  # an OSError, so caught first
+            exc.close()
+            if 400 <= exc.code < 500 and exc.code != 429:
+                raise BackendError(role, f"request rejected with HTTP {exc.code}")
+            last_error = exc
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             last_error = exc
     raise BackendError(role, f"request failed after retry: {last_error}")
 
@@ -263,8 +280,10 @@ class RemoteChatBackend:
         # A role without a temperature fails here, with a KeyError.
         self.temperatures = {role: temperatures[role] for role in BackendRole}
         for role, temperature in self.temperatures.items():
-            if temperature < 0:
-                raise ValueError(f"temperature for {role.value} must be >= 0, got {temperature}")
+            if not 0 <= temperature < math.inf:
+                raise ValueError(
+                    f"temperature for {role.value} must be finite and >= 0, got {temperature}"
+                )
         self.endpoint = endpoint
         self.model = model
         self.timeout_s = timeout_ms / 1000.0

@@ -13,6 +13,7 @@ import hashlib
 import io
 import math
 import os
+import urllib.parse
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -186,6 +187,13 @@ class EngineConfig:
                 raise ConfigError(f"{key}: must be <= {hi}, got {value}")
             if choices and value not in choices:
                 raise ConfigError(f"{key}: must be one of {', '.join(choices)}, got {value!r}")
+        # The remote transport, urllib.request, would also read file:, ftp: and data: URLs.
+        for key, endpoint in (
+            ("backend.endpoint", self.backend_endpoint),
+            ("embed.endpoint", self.embed_endpoint),
+        ):
+            if endpoint and urllib.parse.urlsplit(endpoint).scheme not in ("http", "https"):
+                raise ConfigError(f"{key}: must be an http or https URL, got {endpoint!r}")
         # Rules that relate several keys (apm.lo <= apm.hi) belong to the part built from them.
         try:
             self.weights()

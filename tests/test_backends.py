@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import math
+import socket
+import socketserver
 import threading
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -22,7 +26,7 @@ from treeroute.backends import (
     waiting,
 )
 from treeroute.errors import BackendError
-from treeroute.pipeline import process_query
+from treeroute.pipeline import process_query, run_workload
 from treeroute.roles import RoleRunner
 from treeroute.vectorstore import Passage, ScoredPassage
 
@@ -230,6 +234,10 @@ class _ChatHandler(BaseHTTPRequestHandler):
         cls = type(self)
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
+        if self.headers["Content-Type"] != "application/json":
+            self.send_response(415)  # every request the client sends is JSON
+            self.end_headers()
+            return
         with cls.lock:
             cls.bodies.append(body)
             should_fail = cls.fail_first > 0
@@ -243,6 +251,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
             payload = {"choices": [{"message": {"content": "Relevant"}}]}
         elif cls.shape == "roles":
             payload = {"choices": [{"message": {"content": _ROLE_REPLIES[_role_of(body)]}}]}
+        elif cls.shape == "echo":
+            payload = {"choices": [{"message": {"content": body["messages"][0]["content"]}}]}
         else:
             payload = _OTHER_SHAPES.get(cls.shape, {"mystery": 1})
         data = json.dumps(payload).encode("utf-8")
@@ -284,6 +294,13 @@ def test_remote_chat_happy_path(chat_server):
     assert body["temperature"] == _TEMPERATURES[BackendRole.JUDGE] == 0.2
     assert body["max_tokens"] == MAX_OUTPUT_TOKENS[BackendRole.JUDGE] == 16
     assert "payload" not in body
+
+
+def test_remote_chat_round_trips_a_non_ascii_prompt(chat_server):
+    _ChatHandler.shape = "echo"
+    prompt = "bloquer ma carte — ünïcode, 日本語, \U0001f4b3"
+    assert _remote(chat_server).chat(_request(content=prompt)) == prompt
+    assert _ChatHandler.bodies[0]["messages"] == [{"role": "user", "content": prompt}]
 
 
 @pytest.mark.parametrize("shape", sorted(_OTHER_SHAPES))
@@ -353,8 +370,9 @@ def test_chat_request_validation():
     # A request carries only role, prompt and payload; what the remote model
     # is sent besides is checked once, when the client is built.
     assert _request().prompt == "hello world"
-    with pytest.raises(ValueError, match="judge"):
-        RemoteChatBackend("http://x", "m", {**_TEMPERATURES, BackendRole.JUDGE: -0.1})
+    for temperature in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="judge"):
+            RemoteChatBackend("http://x", "m", {**_TEMPERATURES, BackendRole.JUDGE: temperature})
     without_judge = {r: t for r, t in _TEMPERATURES.items() if r is not BackendRole.JUDGE}
     with pytest.raises(KeyError):
         RemoteChatBackend("http://x", "m", without_judge)
@@ -394,3 +412,102 @@ def test_config_reaches_every_remote_request(chat_server):
         assert body["max_tokens"] == MAX_OUTPUT_TOKENS[role]
     assert {_role_of(body) for body in _ChatHandler.bodies} == set(BackendRole)
     assert len(_ChatHandler.bodies) == trace.ledger.total_calls
+
+
+# Replies no HTTP server sends: a status line that is not one, and a body
+# that stops short of its Content-Length before the connection closes.
+_GARBAGE_STATUS = b"garbage\r\n\r\n"
+_SHORT_BODY = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+    b'{"choices": '
+)
+
+
+def _ok(content: str) -> bytes:
+    data = json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8")
+    head = f"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+    return head.encode("ascii") + b"Connection: close\r\n\r\n" + data
+
+
+class _RawHandler(socketserver.StreamRequestHandler):
+    """Reads one HTTP request and writes the server's reply(body) to the socket as it is."""
+
+    def handle(self):
+        length = 0
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        body = json.loads(self.rfile.read(length))
+        with self.server.lock:
+            self.server.bodies.append(body)
+        self.wfile.write(self.server.reply(body))
+
+
+@pytest.fixture
+def raw_server():
+    """Starts raw servers on 127.0.0.1 for the test; each is (endpoint, bodies received)."""
+    servers = []
+
+    def start(reply):
+        server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _RawHandler)
+        server.daemon_threads = True
+        server.reply, server.bodies, server.lock = reply, [], threading.Lock()
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_address[1]}/chat", server.bodies
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def _closed_port_endpoint() -> str:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{sock.getsockname()[1]}/chat"
+
+
+@pytest.mark.parametrize("fault", ["garbage status line", "short body", "closed port"])
+def test_a_transport_fault_is_retried_once_then_names_the_role(raw_server, monkeypatch, fault):
+    attempts = []
+    urlopen = urllib.request.urlopen
+
+    def counting(*args, **kwargs):
+        attempts.append(args)
+        return urlopen(*args, **kwargs)
+
+    monkeypatch.setattr(urllib.request, "urlopen", counting)
+    if fault == "closed port":
+        endpoint, bodies = _closed_port_endpoint(), None
+    else:
+        reply = _GARBAGE_STATUS if fault == "garbage status line" else _SHORT_BODY
+        endpoint, bodies = raw_server(lambda body: reply)
+    with pytest.raises(BackendError, match="^judge: request failed after retry") as excinfo:
+        _remote(endpoint).chat(_request())
+    assert excinfo.value.role == "judge"
+    assert len(attempts) == 2
+    if bodies is not None:
+        assert len(bodies) == 2
+
+
+def test_a_judge_transport_fault_keeps_the_passage_and_the_batch_finishes(raw_server):
+    def reply(body):
+        role = _role_of(body)
+        return _GARBAGE_STATUS if role is BackendRole.JUDGE else _ok(_ROLE_REPLIES[role])
+
+    endpoint, bodies = raw_server(reply)
+    engine = make_engine(backend_endpoint=endpoint, run_jobs=2)
+    records = build_workload(8)[5:7]
+    traces = run_workload(engine, records)
+    assert [t.query_id for t in traces] == [r.id for r in records]
+    judged = [t for t in traces if t.ledger.calls_by_role["judge"] > 0]
+    assert judged
+    warning = "judge call failed, retaining passage: judge: request failed after retry"
+    for trace in traces:
+        assert trace.error is None, trace.query_id
+    for trace in judged:
+        assert any(w.startswith(warning) for w in trace.warnings), trace.query_id
+    judge_sends = sum(_role_of(body) is BackendRole.JUDGE for body in bodies)
+    assert judge_sends == 2 * sum(t.ledger.calls_by_role["judge"] for t in traces)

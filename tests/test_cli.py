@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from conftest import TEMPLATES, RecordingBackend, assessor_snippets, build_workload
@@ -261,6 +264,45 @@ def test_env_overrides_reach_the_config(capsys, tmp_path, workload_file, monkeyp
     monkeypatch.setenv("TREEROUTE_BACKEND_MODEL", "other-model")
     _, out_b, _ = _run_cli(capsys, ["index", str(workload_file), "--out", str(out_path)])
     assert _last_json(out_a)["config_hash"] != _last_json(out_b)["config_hash"]
+
+
+@pytest.mark.parametrize("key", ["backend.endpoint", "embed.endpoint"])
+def test_an_endpoint_from_the_environment_must_be_http_or_https(
+    capsys, tmp_path, workload_file, monkeypatch, key
+):
+    name = key.partition(".")[0].upper()
+    monkeypatch.setenv(f"TREEROUTE_{name}_ENDPOINT", "file:///etc/passwd")
+    code, out, err = _run_cli(capsys, ["run", str(workload_file), "--out", str(tmp_path / "t")])
+    assert (code, out) == (1, "")
+    message = f"{key}: must be an http or https URL, got 'file:///etc/passwd'"
+    assert json.loads(err)["error"] == message
+
+
+def test_importing_the_cli_loads_only_the_standard_library_numpy_and_treeroute():
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import treeroute.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    source = os.path.dirname(os.path.dirname(cli.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": source},
+        check=True,
+    )
+    loaded = json.loads(child.stdout)
+    assert "treeroute.cli" in loaded
+    foreign = [
+        name
+        for name in loaded
+        if name.partition(".")[0] not in sys.stdlib_module_names
+        and not name.startswith(("numpy", "treeroute"))
+    ]
+    assert foreign == []
 
 
 def test_run_produces_traces_and_manifest(capsys, tmp_path, workload_file):

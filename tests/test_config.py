@@ -177,6 +177,19 @@ def test_remote_backend_with_endpoint_validates():
     config.validate()
 
 
+@pytest.mark.parametrize("key", ["backend.endpoint", "embed.endpoint"])
+def test_an_endpoint_must_be_http_or_https(key):
+    for endpoint in ("", "http://127.0.0.1:8000/v1", "HTTPS://example.test/embed"):
+        config = EngineConfig()
+        config.apply({key: endpoint})
+        config.validate()
+    for endpoint in ("file:///etc/passwd", "ftp://example.test/x", "data:,x", "example.test:80/x"):
+        config = EngineConfig()
+        config.apply({key: endpoint})
+        with pytest.raises(ConfigError) as info:
+            config.validate()
+        assert str(info.value) == f"{key}: must be an http or https URL, got {endpoint!r}"
+
 
 def test_from_text_rejects_garbage():
     with pytest.raises(ConfigError, match="invalid config"):
