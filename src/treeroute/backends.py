@@ -240,7 +240,9 @@ def post_json(
     """POST body as UTF-8 JSON through urllib.request; parse the reply, retrying once.
 
     Each attempt opens one connection. A 4xx other than 429 means the request
-    itself is wrong, so it is not sent again. A failed connection or a
+    itself is wrong, and a 3xx that reaches here (urllib follows no 307 or
+    308 of a POST) would redirect every attempt alike, so neither is sent
+    again; the error of a 3xx names its Location. A failed connection or a
     timeout (OSError), 429, 5xx, a malformed reply (http.client.HTTPException:
     a bad status line, a body cut short), or a reply that is not JSON or that
     parse rejects with ValueError is retried once; a BackendError from parse
@@ -257,6 +259,9 @@ def post_json(
                 return parse(json.loads(response.read()))
         except urllib.error.HTTPError as exc:  # an OSError, so caught first
             exc.close()
+            if 300 <= exc.code < 400:
+                location = exc.headers.get("Location")
+                raise BackendError(role, f"request redirected with HTTP {exc.code} to {location}")
             if 400 <= exc.code < 500 and exc.code != 429:
                 raise BackendError(role, f"request rejected with HTTP {exc.code}")
             last_error = exc

@@ -192,8 +192,13 @@ class EngineConfig:
             ("backend.endpoint", self.backend_endpoint),
             ("embed.endpoint", self.embed_endpoint),
         ):
-            if endpoint and urllib.parse.urlsplit(endpoint).scheme not in ("http", "https"):
+            if not endpoint:
+                continue
+            url = urllib.parse.urlsplit(endpoint)
+            if url.scheme not in ("http", "https"):
                 raise ConfigError(f"{key}: must be an http or https URL, got {endpoint!r}")
+            if not url.hostname:
+                raise ConfigError(f"{key}: must name a host, got {endpoint!r}")
         # Rules that relate several keys (apm.lo <= apm.hi) belong to the part built from them.
         try:
             self.weights()

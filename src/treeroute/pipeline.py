@@ -9,8 +9,10 @@ same four steps:
 1. plan: compute the signals and complexity index, search the store once
    for the query, and pick the route and depth (standard mode and forced
    depths are plan choices; the adaptive mode asks the router);
-2. gather: at depth 0 the evidence pool is the search hits; a tree's root
-   gates those hits and every other node searches its own sub-query;
+2. gather: at depth 0 the evidence pool is the search hits; a tree folds
+   the query over every stored row once (VectorStore.fold), its root gates
+   those hits, and every other node searches its own sub-query and gates
+   its hits; each gate reads its candidates' similarities from that fold;
 3. consolidate: deduplicate by the fold similarities of the stored rows
    (one VectorStore.gram call), rerank once, and select (simple and hybrid
    queries skip this and keep their top hits);
@@ -263,6 +265,9 @@ def process_query(
         # Gather: the hits themselves, or a tree whose root gates them.
         pool = hits
         if depth >= 1:
+            # Every node gates against the original query: fold it over every row once.
+            fold = engine.store.fold(query_embedding)
+
             def pruner(sub_query: str, candidates: list[ScoredPassage]):
                 return prune(
                     query_embedding,
@@ -270,6 +275,7 @@ def process_query(
                     engine.thresholds,
                     partial(roles.judge, sub_query),
                     embedding_of=engine.store,
+                    fold=fold,
                 )
 
             tree = expand(

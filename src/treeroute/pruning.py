@@ -8,13 +8,14 @@ is escalated to a judge call, one candidate at a time in input order, so
 judge volume is exactly the borderline count. Survivors keep their input
 order.
 
-A node's cosines are the vector store's ordered fold over each
-candidate's stored nonzeros, gathered in one call; it is the only fold. A
-plain id -> embedding table is first read into a store of its own over
-the candidates' rows. A candidate's similarity thus has the bits of its
-search score against the same query, before search's clamp. The gate
-does not clamp: with thresholds in [0, 1], only search needs to, since
-its scores reach the traces.
+A node's cosines are read, at its candidates' rows, from the vector
+store's fold of the original query over every row, the only fold. A tree
+folds the query once and hands the same vector to every node; a call
+without one folds its own store. A plain id -> embedding table is first
+read into a store of its own over the candidates' rows. A candidate's
+similarity thus has the bits of its search score against the same query,
+before search's clamp. The gate does not clamp: with thresholds in
+[0, 1], only search needs to, since its scores reach the traces.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ def prune(
     judge: SemanticJudge,
     *,
     embedding_of: VectorStore | Mapping[str, np.ndarray],
+    fold: np.ndarray | None = None,
 ) -> PruneResult:
     """Gate every candidate, escalating only the borderline band.
 
@@ -97,7 +99,9 @@ def prune(
     the candidates, or a table of their embeddings, read into a store over
     the candidates' distinct passages in id order; an embedding whose
     dimension differs from the query's, or that holds a non-finite value,
-    raises ValueError.
+    raises ValueError. fold, when given, is
+    embedding_of.fold(original_embedding), which a tree computes once for
+    all its nodes; without it, the store is folded here.
     """
     if not candidates:
         return PruneResult(survivors=[], judge_calls=0)
@@ -107,7 +111,9 @@ def prune(
         by_id = {c.passage.id: c.passage for c in candidates}
         passages = [by_id[pid] for pid in sorted(by_id)]
         store = VectorStore(passages, np.stack([embedding_of[p.id] for p in passages]))
-    sims = store.similarities([c.passage.id for c in candidates], original_embedding)
+    if fold is None:
+        fold = store.fold(original_embedding)
+    sims = fold[store.rows([c.passage.id for c in candidates])]
     retain, borderline = _bands(sims, thresholds)
     keep = retain.tolist()
     judged = np.flatnonzero(borderline)

@@ -28,11 +28,12 @@ Search, the pruning gate and dedup compute similarities with one ordered
 fold, the only one in the engine (the gate reads a plain table of
 embeddings into a store of its own first): for each nonzero coordinate j
 of the query, in ascending order, add row r's entry in column j times
-q[j] to r's sum, starting from zero. Only stored entries are read; a
-skipped one would add a product of zero (stored rows and provider queries
-are finite), and adding a zero never changes a sum that starts at +0.0.
-So the bits of a similarity depend only on the two vectors, never on the
-BLAS build, the thread split or a passage's row.
+q[j] to r's sum, starting from zero. fold() returns that sum for every
+row, unclamped. Only stored entries are read; a skipped one would add a
+product of zero (stored rows and provider queries are finite), and adding
+a zero never changes a sum that starts at +0.0. So the bits of a
+similarity depend only on the two vectors, never on the BLAS build, the
+thread split or a passage's row.
 
 Search folds the query's columns over every row: all at once when the
 stored entries under them number at most the row count (a hashed-bag
@@ -49,11 +50,12 @@ floor (every row, when the floor is -1 or below, or when k >= n) are
 clamped and partitioned. The row index breaks ties, so results are
 stable under re-indexing in any order.
 
-The gate folds each candidate row's stored entries, in their ascending
-column order, so the root's gate similarities equal its hit scores before
-the clamp. Dedup takes gram(), the fold similarity of every pair of the
-given rows, in one bincount for hashed bags: its [i, j] has the bits of
-similarities([id_i], row j) and equals its [j, i]. No dedup value
+The gate folds the original query over every row once per tree, with
+fold(), and each node reads its candidates' similarities from that vector
+at their rows(), so the root's gate similarities equal its hit scores
+before the clamp. Dedup takes gram(), the fold similarity of every pair
+of the given rows, in one bincount for hashed bags: its [i, j] has the
+bits of fold(row j) at row i and equals its [j, i]. No dedup value
 reaches the traces.
 
 The store never changes after build_index(), so search memoizes its
@@ -307,41 +309,43 @@ class VectorStore:
         vector.setflags(write=False)
         return vector
 
+    def rows(self, passage_ids: Sequence[str]) -> np.ndarray:
+        """The given passages' rows, in order; an unknown id raises KeyError."""
+        return np.fromiter(
+            map(self._row_by_id.__getitem__, passage_ids), dtype=np.intp, count=len(passage_ids)
+        )
+
     def _entries(self, passage_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Positions in by_row of the given passages' stored entries, by
         passage in the given order and columns ascending, and each
         passage's entry count."""
-        rows = np.fromiter(
-            map(self._row_by_id.__getitem__, passage_ids), dtype=np.intp, count=len(passage_ids)
-        )
+        rows = self.rows(passage_ids)
         starts = self._index.row_ptr[rows]
         lengths = self._index.row_ptr[rows + 1] - starts
         return _segments(starts, lengths), lengths
 
-    def similarities(self, passage_ids: Sequence[str], vector: np.ndarray) -> np.ndarray:
-        """Unclamped fold similarities of the given passages to vector, in order.
+    def fold(self, vector: np.ndarray) -> np.ndarray:
+        """Every row's unclamped fold similarity to vector, in row order, read-only.
 
-        Each passage's stored entries are folded in ascending column order,
-        so each value has the bits of the passage's search score before the
-        clamp.
+        It is the fold search ranks by, so each value has the bits of the
+        row's search score before the clamp.
         """
         if vector.shape != (self.dimension,):
             raise ValueError(
                 f"vector has shape {vector.shape}, store dimension is {self.dimension}"
             )
-        entries, lengths = self._entries(passage_ids)
-        index = self._index
-        products = index.values[index.by_row[entries]] * vector[index.columns[entries]]
-        return _fold(np.repeat(np.arange(len(lengths)), lengths), products, len(lengths))
+        scores = _column_fold(self._index, vector, self.size)
+        scores.setflags(write=False)
+        return scores
 
     def gram(self, passage_ids: Sequence[str]) -> np.ndarray:
         """The m x m unclamped fold similarities of the given passages to each other.
 
         [i, j] folds passage i's stored entries against row j, in ascending
-        column order, as similarities([passage_ids[i]], row j) does, with
-        the same bits. It equals [j, i] bit for bit: only the columns the
-        two rows share add a nonzero product, and a zero product never
-        changes a sum that starts at +0.0. Ids may repeat.
+        column order, with the bits of fold(row j) at passage i's row. It
+        equals [j, i] bit for bit: only the columns the two rows share add
+        a nonzero product, and a zero product never changes a sum that
+        starts at +0.0. Ids may repeat.
         """
         entries, lengths = self._entries(passage_ids)
         index = self._index

@@ -4,6 +4,7 @@ import re
 import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from treeroute.backends import BackendRole, StubChatBackend
@@ -57,6 +58,16 @@ def build_workload(n: int) -> list[QueryRecord]:
             )
         )
     return records
+
+
+def scalar_fold(row, query) -> float:
+    """The engine's similarity as a scalar loop: a left-to-right float sum
+    of row[j] * query[j] over the query's nonzero coordinates j, from +0.0,
+    unclamped."""
+    total = 0.0
+    for j in np.flatnonzero(query).tolist():
+        total += float(row[j]) * float(query[j])
+    return total
 
 
 def toy_catalog() -> list[IntentCatalogEntry]:

@@ -245,6 +245,8 @@ class _ChatHandler(BaseHTTPRequestHandler):
                 cls.fail_first -= 1
         if should_fail:
             self.send_response(cls.fail_status)
+            if 300 <= cls.fail_status < 400:
+                self.send_header("Location", "/moved")
             self.end_headers()
             return
         if cls.shape == "chat":
@@ -332,6 +334,24 @@ def test_remote_chat_retries_only_transient_statuses(chat_server, status, sent):
     with pytest.raises(BackendError, match=str(status)):
         _remote(chat_server).chat(_request())
     assert len(_ChatHandler.bodies) == sent
+
+
+@pytest.mark.parametrize("status", [300, 307, 308])
+def test_a_redirect_is_final_and_names_its_location(chat_server, monkeypatch, status):
+    attempts = []
+    urlopen = urllib.request.urlopen
+
+    def counting(*args, **kwargs):
+        attempts.append(args)
+        return urlopen(*args, **kwargs)
+
+    monkeypatch.setattr(urllib.request, "urlopen", counting)
+    _ChatHandler.fail_first = 2
+    _ChatHandler.fail_status = status
+    with pytest.raises(BackendError) as excinfo:
+        _remote(chat_server).chat(_request())
+    assert str(excinfo.value) == f"judge: request redirected with HTTP {status} to /moved"
+    assert len(attempts) == len(_ChatHandler.bodies) == 1
 
 
 def test_remote_chat_unknown_shape(chat_server):

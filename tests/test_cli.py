@@ -278,6 +278,17 @@ def test_an_endpoint_from_the_environment_must_be_http_or_https(
     assert json.loads(err)["error"] == message
 
 
+@pytest.mark.parametrize("key", ["backend.endpoint", "embed.endpoint"])
+def test_an_endpoint_from_the_environment_must_name_a_host(
+    capsys, tmp_path, workload_file, monkeypatch, key
+):
+    name = key.partition(".")[0].upper()
+    monkeypatch.setenv(f"TREEROUTE_{name}_ENDPOINT", "http:x")
+    code, out, err = _run_cli(capsys, ["run", str(workload_file), "--out", str(tmp_path / "t")])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == f"{key}: must name a host, got 'http:x'"
+
+
 def test_importing_the_cli_loads_only_the_standard_library_numpy_and_treeroute():
     script = (
         "import json, sys\n"

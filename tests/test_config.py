@@ -189,6 +189,12 @@ def test_an_endpoint_must_be_http_or_https(key):
         with pytest.raises(ConfigError) as info:
             config.validate()
         assert str(info.value) == f"{key}: must be an http or https URL, got {endpoint!r}"
+    for endpoint in ("http:x", "https://", "http:///chat", "http://:8000/chat"):
+        config = EngineConfig()
+        config.apply({key: endpoint})
+        with pytest.raises(ConfigError) as info:
+            config.validate()
+        assert str(info.value) == f"{key}: must name a host, got {endpoint!r}"
 
 
 def test_from_text_rejects_garbage():

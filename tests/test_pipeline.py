@@ -21,6 +21,7 @@ from conftest import (
     assessor_snippets,
     build_workload,
     make_engine,
+    scalar_fold,
 )
 
 from treeroute import pipeline, rerank, routing, vectorstore
@@ -883,22 +884,16 @@ def _scalar_cosine(a, b) -> float:
     return min(max(float(np.dot(a, b)), -1.0), 1.0)
 
 
-def _scalar_fold(embedding, query) -> float:
-    """Left-to-right float sum over the query's nonzero coordinates."""
-    total = 0.0
-    for j in np.flatnonzero(query).tolist():
-        total += float(embedding[j]) * float(query[j])
-    return total
-
-
-def _reference_prune(original_embedding, candidates, thresholds, judge, *, embedding_of):
-    """The gate as one scalar fold per candidate."""
+def _reference_prune(
+    original_embedding, candidates, thresholds, judge, *, embedding_of, fold=None
+):
+    """The gate as one scalar fold per candidate; it ignores the tree's fold."""
     lookup = (
         embedding_of.__getitem__ if isinstance(embedding_of, Mapping) else embedding_of.embedding_of
     )
     survivors, judge_calls = [], 0
     for candidate in candidates:
-        sim = _scalar_fold(lookup(candidate.passage.id), original_embedding)
+        sim = scalar_fold(lookup(candidate.passage.id), original_embedding)
         outcome = quantitative_gate(sim, thresholds)
         if outcome is GateOutcome.BORDERLINE:
             judge_calls += 1
@@ -975,22 +970,25 @@ def test_matvec_gate_and_dedup_match_scalar_reference(tmp_path, monkeypatch, mod
 
 @pytest.mark.parametrize("mode", [ExecutionMode.ADAPTIVE, ExecutionMode.FIXED_DEPTH_3])
 def test_root_gate_similarities_equal_root_hit_scores(monkeypatch, mode):
-    root_hits, gated, checked = [], [], [0]
+    root_hits, gathered, checked = [], [], [0]
     expand, prune = pipeline.expand, pipeline.prune
-    gate_similarities = vectorstore.VectorStore.similarities
+    store_rows = vectorstore.VectorStore.rows
 
     def spy_expand(*args, **kwargs):
         root_hits.append(kwargs["root_hits"])
         return expand(*args, **kwargs)
 
-    def spy_similarities(store, passage_ids, vector):
-        sims = gate_similarities(store, passage_ids, vector)
-        gated.extend(sims.tolist())
-        return sims
+    def spy_rows(store, passage_ids):
+        rows = store_rows(store, passage_ids)
+        gathered.append(rows)
+        return rows
 
     def spy_prune(embedding, candidates, *args, **kwargs):
-        gated.clear()
+        gathered.clear()
         result = prune(embedding, candidates, *args, **kwargs)
+        # The gate reads its similarities from the tree's fold at these rows.
+        (rows,) = gathered
+        gated = kwargs["fold"][rows].tolist()
         if candidates is root_hits[-1]:
             # The gate does not clamp; search does.
             assert [min(max(s, -1.0), 1.0) for s in gated] == [c.score for c in candidates]
@@ -999,10 +997,36 @@ def test_root_gate_similarities_equal_root_hit_scores(monkeypatch, mode):
 
     monkeypatch.setattr(pipeline, "expand", spy_expand)
     monkeypatch.setattr(pipeline, "prune", spy_prune)
-    monkeypatch.setattr(vectorstore.VectorStore, "similarities", spy_similarities)
+    monkeypatch.setattr(vectorstore.VectorStore, "rows", spy_rows)
     traces = run_workload(make_engine(run_jobs=1), build_workload(48), mode=mode)
     assert all(t.error is None for t in traces)
     assert checked[0] >= len(root_hits) > 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "mode", [ExecutionMode.ADAPTIVE, ExecutionMode.FIXED_DEPTH_3, ExecutionMode.STANDARD_RAG]
+)
+def test_each_tree_folds_its_query_once(monkeypatch, mode, jobs):
+    folds = []
+    store_fold = vectorstore.VectorStore.fold
+
+    def spy_fold(store, vector):
+        folds.append(vector)  # list.append is atomic, so two clients may share it
+        return store_fold(store, vector)
+
+    monkeypatch.setattr(vectorstore.VectorStore, "fold", spy_fold)
+    traces = run_workload(make_engine(run_jobs=jobs), build_workload(48), mode=mode)
+    assert all(t.error is None for t in traces)
+    trees = [t for t in traces if t.depth >= 1]
+    # Not one fold per node, nor one for a depth-0 query.
+    assert len(folds) == len(trees)
+    if mode is ExecutionMode.STANDARD_RAG:
+        assert trees == []
+    else:
+        assert sum(t.node_count for t in trees) > len(trees) > 0
+    if mode is ExecutionMode.ADAPTIVE:
+        assert len(trees) < len(traces)
 
 
 def test_write_and_read_traces(tmp_path, engine):

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import scalar_fold
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -226,14 +227,6 @@ def test_wrong_dimension_embedding_raises():
         prune(query, candidates, GateThresholds(), lambda p, s: True, embedding_of=store)
 
 
-def _scalar_fold(row, query) -> float:
-    """Left-to-right float sum over the query's nonzero coordinates, from +0.0."""
-    total = 0.0
-    for j in np.flatnonzero(query).tolist():
-        total += float(row[j]) * float(query[j])
-    return total
-
-
 def _gate(query, candidates, thresholds, embedding_of, verdict=lambda passage: True):
     """Survivor ids, judge_calls and every judge call as (id, repr(sim))."""
     calls = []
@@ -294,16 +287,21 @@ def test_table_gate_on_nan_and_negative_zero_rows():
 def _loop_prune(original_embedding, candidates, thresholds, judge, *, embedding_of):
     """The gate as one scalar comparison pair per candidate, in input order.
 
-    A store gives its own similarities; a table's are scalar folds, so the
-    property compares the store's fold with an independent one.
+    A store's similarities are its fold at the candidates' rows, checked bit
+    for bit against the scalar fold; a table's are scalar folds.
     """
     if not candidates:
         return [], 0
     ids = [c.passage.id for c in candidates]
     if isinstance(embedding_of, VectorStore):
-        sims = embedding_of.similarities(ids, original_embedding).tolist()
+        fold = embedding_of.fold(original_embedding)
+        sims = fold[embedding_of.rows(ids)].tolist()
+        rows = map(embedding_of.embedding_of, ids)
+        assert np.array(sims).tobytes() == np.array(
+            [scalar_fold(row, original_embedding) for row in rows]
+        ).tobytes()
     else:
-        sims = [_scalar_fold(embedding_of[pid], original_embedding) for pid in ids]
+        sims = [scalar_fold(embedding_of[pid], original_embedding) for pid in ids]
     survivors, judge_calls = [], 0
     for candidate, sim in zip(candidates, sims):
         if sim >= thresholds.hi:

@@ -10,6 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import scalar_fold
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -461,14 +462,9 @@ def test_built_matrix_is_readonly_float64_rows_of_the_provider(monkeypatch):
         assert row.tobytes() == embedder.embed(passage.text).tobytes()
 
 
-def _fold_reference(row, q, clamp=True) -> float:
-    """Left-to-right float sum over the query's nonzero coordinates, clipped
-    unless clamp is False."""
-    total = 0.0
-    for j in range(len(q)):
-        if q[j] != 0.0:
-            total += float(row[j]) * float(q[j])
-    return min(max(total, -1.0), 1.0) if clamp else total
+def _clamped_fold(row, q) -> float:
+    """The scalar fold, clipped to [-1, 1] as a search score is."""
+    return min(max(scalar_fold(row, q), -1.0), 1.0)
 
 
 def _unit_rows(rng, n, dimension):
@@ -480,7 +476,7 @@ def _assert_scores_are_the_fold(store, queries):
     for q in queries:
         hits = store.search(q, k=store.size)
         expected = sorted(
-            ((_fold_reference(store.embedding_of(p.id), q), p.id) for p in store.passages),
+            ((_clamped_fold(store.embedding_of(p.id), q), p.id) for p in store.passages),
             key=lambda pair: (-pair[0], pair[1]),
         )
         assert [(h.score, h.passage.id) for h in hits] == expected
@@ -509,19 +505,20 @@ def _bits(values) -> bytes:
 
 
 def _assert_store_reads_the_provider_rows(store, rows, queries):
-    """search, similarities and embedding_of against the scalar fold, bit for bit."""
+    """search, fold, rows and embedding_of against the scalar fold, bit for bit."""
     ids = [p.id for p in store.passages]
     for pid, row in zip(ids, rows):
         assert _bits(store.embedding_of(pid)) == _bits(row)
     for q in queries:
         scores = {h.passage.id: h.score for h in store.search(q, k=store.size)}
-        assert _bits([scores[pid] for pid in ids]) == _bits(
-            [_fold_reference(row, q) for row in rows]
-        )
+        assert _bits([scores[pid] for pid in ids]) == _bits([_clamped_fold(row, q) for row in rows])
+        fold = store.fold(q)
+        assert not fold.flags.writeable
+        assert _bits(fold) == _bits([scalar_fold(row, q) for row in rows])
         picked = ids[::-1] + ids[:1]
         by_id = dict(zip(ids, rows))
-        assert _bits(store.similarities(picked, q)) == _bits(
-            [_fold_reference(by_id[pid], q, clamp=False) for pid in picked]
+        assert _bits(fold[store.rows(picked)]) == _bits(
+            [scalar_fold(by_id[pid], q) for pid in picked]
         )
 
 
@@ -575,8 +572,11 @@ def test_dense_store_reads_back_the_provider_bit_for_bit(dimension, data):
 def _assert_gram_is_the_fold(store, ids):
     gram = store.gram(ids)
     assert gram.shape == (len(ids), len(ids))
+    rows = store.rows(ids)
     for j, pid in enumerate(ids):
-        assert _bits(gram[:, j]) == _bits(store.similarities(ids, store.embedding_of(pid)))
+        column = store.embedding_of(pid)
+        assert _bits(gram[:, j]) == _bits(store.fold(column)[rows])
+        assert _bits(gram[:, j]) == _bits([scalar_fold(store.embedding_of(i), column) for i in ids])
     assert _bits(gram) == _bits(gram.T)
 
 
@@ -637,19 +637,20 @@ def test_a_passage_score_does_not_depend_on_its_row():
             assert scores[hit.passage.id] == hit.score
 
 
-def test_store_similarities_are_search_scores_before_the_clamp(store):
+def test_store_fold_is_search_scores_before_the_clamp(store):
     embedder = HashedBagEmbedder(dimension=64)
     q = embedder.embed("freeze my card and compare rates")
     hits = store.search(q, k=store.size)
     ids = [h.passage.id for h in reversed(hits)]
-    sims = store.similarities(ids, q)
+    assert store.rows(ids).tolist() == [int(pid[1:]) - 1 for pid in ids]
+    sims = store.fold(q)[store.rows(ids)]
     assert [min(max(s, -1.0), 1.0) for s in sims.tolist()] == [
         h.score for h in reversed(hits)
     ]
     with pytest.raises(ValueError, match="shape"):
-        store.similarities(ids, np.concatenate([q, q]))
+        store.fold(np.concatenate([q, q]))
     with pytest.raises(KeyError):
-        store.similarities(["nope"], q)
+        store.rows(["nope"])
 
 
 def _index_bytes(store) -> int:
@@ -721,7 +722,7 @@ def test_a_dense_search_holds_a_few_score_arrays(holes):
     finally:
         tracemalloc.stop()
     assert [h.score for h in hits] == sorted(
-        (_fold_reference(row, q) for row in matrix), reverse=True
+        (_clamped_fold(row, q) for row in matrix), reverse=True
     )[: len(hits)]
     # A few arrays of n scores; gathering every stored entry under the
     # query would take 4 MB an array.
