@@ -70,7 +70,6 @@ from .rerank import (
 from .roles import PromptLibrary, RoleRunner
 from .routing import (
     RouteMode,
-    RoutingDecision,
     RoutingRule,
     SemanticLevel,
     assign_depth,

@@ -19,7 +19,7 @@ embeddings.RemoteEmbedder). It is the standard library's urllib.request:
 one connection per attempt, the http_proxy, https_proxy and no_proxy
 variables honoured, and TLS verified against the system trust store
 (SSL_CERT_FILE). EngineConfig.validate admits only http and https
-endpoints, since urlopen also reads file:, ftp: and data: URLs.
+endpoints, since the opener also reads file:, ftp: and data: URLs.
 
 Every call goes through RoleRunner._call, which counts it and its prompt
 tokens for the query before sending it, so a call that raises still counts.
@@ -230,6 +230,16 @@ MAX_OUTPUT_TOKENS: Mapping[BackendRole, int] = {
 }
 
 
+class _RefuseRedirects(urllib.request.HTTPRedirectHandler):
+    # urllib would re-send the POST of a 301, 302 or 303 as a GET without its body.
+    def redirect_request(self, *args):
+        return None
+
+
+# It keeps build_opener's ProxyHandler, so the proxy variables still apply.
+_OPENER = urllib.request.build_opener(_RefuseRedirects)
+
+
 def post_json(
     endpoint: str,
     body: Mapping[str, Any],
@@ -240,13 +250,12 @@ def post_json(
     """POST body as UTF-8 JSON through urllib.request; parse the reply, retrying once.
 
     Each attempt opens one connection. A 4xx other than 429 means the request
-    itself is wrong, and a 3xx that reaches here (urllib follows no 307 or
-    308 of a POST) would redirect every attempt alike, so neither is sent
-    again; the error of a 3xx names its Location. A failed connection or a
-    timeout (OSError), 429, 5xx, a malformed reply (http.client.HTTPException:
-    a bad status line, a body cut short), or a reply that is not JSON or that
-    parse rejects with ValueError is retried once; a BackendError from parse
-    is not.
+    itself is wrong, and a 3xx (the opener follows no redirect) would
+    redirect every attempt alike, so neither is sent again; the error of a
+    3xx names its Location. A failed connection or a timeout (OSError), 429,
+    5xx, a malformed reply (http.client.HTTPException: a bad status line, a
+    body cut short), or a reply that is not JSON or that parse rejects with
+    ValueError is retried once; a BackendError from parse is not.
     """
     data = json.dumps(body, allow_nan=False).encode("utf-8")
     headers = {"Content-Type": "application/json"}
@@ -255,7 +264,7 @@ def post_json(
         try:
             # In the try: an endpoint without a scheme is a ValueError here.
             request = urllib.request.Request(endpoint, data=data, headers=headers)
-            with urllib.request.urlopen(request, timeout=timeout_s) as response:
+            with _OPENER.open(request, timeout=timeout_s) as response:
                 return parse(json.loads(response.read()))
         except urllib.error.HTTPError as exc:  # an OSError, so caught first
             exc.close()

@@ -4,7 +4,8 @@ Subcommands: index (build and describe the corpus), route (process one
 query over the corpus, as run does, and print its plan), run (process a
 workload into a trace file), eval (score a trace file against gold labels),
 pareto (dominance analysis over report files). Every failure exits nonzero
-after printing a single-line JSON error record to stderr. Flag values
+after printing a single-line JSON error record to stderr; an output file
+that cannot be opened fails before any input is read. Flag values
 override config file keys, which override defaults; backend endpoint and
 model may also come from TREEROUTE_* environment variables.
 """
@@ -144,7 +145,20 @@ def _corpus_hash(passages: Sequence[Passage]) -> str:
     return digest.hexdigest()
 
 
+def _claim(*paths: Path) -> None:
+    """Open each output file for append, so an unwritable one fails before
+    any input is read and an existing one is not truncated."""
+    for path in paths:
+        try:
+            with open(path, "ab"):
+                pass
+        except OSError as exc:
+            raise EngineError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_index(args: argparse.Namespace) -> int:
+    out = Path(args.out or "index_manifest.json")
+    _claim(out)
     config = _load_config(args.config, seed=args.seed)
     result, catalog, passages = _load_corpus(args)
     build_engine(config, passages)  # validates embeddings and ids
@@ -159,7 +173,6 @@ def cmd_index(args: argparse.Namespace) -> int:
         "corpus_hash": _corpus_hash(passages),
         "catalog": _catalog_source(args),
     }
-    out = Path(args.out or "index_manifest.json")
     out.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     _emit({"manifest": str(out), **manifest})
     return 0
@@ -189,6 +202,9 @@ def cmd_route(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    out = Path(args.out or "traces.jsonl")
+    manifest_path = Path(str(out) + ".manifest.json")
+    _claim(out, manifest_path)
     config = _load_config(args.config, seed=args.seed, jobs=args.jobs)
     result, _, passages = _load_corpus(args)
     engine = build_engine(config, passages)
@@ -196,11 +212,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     started = time.time()
     traces = run_workload(engine, result.records, mode)
     finished = time.time()
-    out = Path(args.out or "traces.jsonl")
     write_traces(out, traces)
     manifest = run_manifest(config, mode, len(traces), started, finished)
     manifest["catalog"] = _catalog_source(args)
-    manifest_path = Path(str(out) + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     n = len(traces)
     _emit(
@@ -222,6 +236,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    out = Path(args.out or "report.json")
+    csv_path = out.with_suffix(".csv")
+    _claim(out, csv_path)
     traces = read_traces(args.traces)
     if not traces:
         raise CliError(f"no traces in {args.traces}")
@@ -271,9 +288,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             },
         },
     }
-    out = Path(args.out or "report.json")
     out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    csv_path = out.with_suffix(".csv")
     _write_depth_csv(csv_path, report_by_depth)
     _emit({"report": str(out), "csv": str(csv_path), "label": label, **overall})
     return 0
@@ -321,6 +336,8 @@ def _axes(point: ParetoPoint) -> str:
 
 
 def cmd_pareto(args: argparse.Namespace) -> int:
+    if args.out:
+        _claim(Path(args.out))
     accuracy_axes = args.accuracy_axes.split(",") if args.accuracy_axes else None
     cost_axes = args.cost_axes.split(",") if args.cost_axes else None
     points = [_load_point(path, accuracy_axes, cost_axes) for path in args.reports]

@@ -251,14 +251,13 @@ def process_query(
         hits = engine.store.search(query_embedding, k=config.store_k)
         searched = True
         if routed:
-            decision = decide(
+            route, depth = decide(
                 signals,
                 qci,
                 [hit.passage.text for hit in hits[: engine.routing.assessor_snippets]],
                 roles.assess_level,
                 engine.routing,
             )
-            route, depth = decision.mode, decision.depth
         elif not standard and force_depth >= 1:
             route, depth = RouteMode.TREE, force_depth
 
@@ -390,8 +389,9 @@ def run_workload(
 
 
 def write_traces(path: str | Path, traces: Sequence[QueryTrace]) -> None:
-    lines = [trace.to_json_line() for trace in traces]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        for trace in traces:
+            out.write(trace.to_json_line() + "\n")
 
 
 def read_traces(path: str | Path) -> list[QueryTrace]:

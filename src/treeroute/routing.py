@@ -3,8 +3,9 @@
 Queries with a conjunction or comparison marker always take the tree path;
 the rest split on the complexity index into a simple path (below the
 threshold) or a hybrid path (at or above it, still depth 0). Tree-path
-queries get a depth of 1 to 3 from a semantic level assessment. The
-[qtc] config section builds one RoutingRule.
+queries get a depth of 1 to 3 from a semantic level assessment; decide
+returns (mode, depth), and DEPTH_BY_LEVEL maps the level to the depth and
+back. The [qtc] config section builds one RoutingRule.
 """
 
 from __future__ import annotations
@@ -51,13 +52,6 @@ class RoutingRule:
     fallback_level: SemanticLevel = SemanticLevel.MID
 
 
-@dataclass(frozen=True)
-class RoutingDecision:
-    mode: RouteMode
-    level: SemanticLevel | None
-    depth: int
-
-
 def route(
     signals: SignalVector, qci: float, tau_simple: float = RoutingRule.tau_simple
 ) -> RouteMode:
@@ -91,7 +85,7 @@ def decide(
     context_snippets: Sequence[str],
     assessor: LevelAssessor,
     rule: RoutingRule = RoutingRule(),
-) -> RoutingDecision:
+) -> tuple[RouteMode, int]:
     """Route a query from its signals and index, then give it a depth.
 
     The signals and index are the ones the plan step already computed.
@@ -103,4 +97,4 @@ def decide(
     level: SemanticLevel | None = None
     if mode is RouteMode.TREE:
         level = assessor(context_snippets, qci)
-    return RoutingDecision(mode=mode, level=level, depth=assign_depth(mode, level))
+    return mode, assign_depth(mode, level)

@@ -9,6 +9,9 @@ no candidate; it grows no children, so irrelevant branches die early. A
 node whose decomposer raises DecompositionError (the decomposer does any
 retrying) stays a leaf: it keeps its candidates, which join the evidence
 like any other leaf's.
+
+A node's id is its path: the root is "n" and the b-th child of node p is
+"p.b", so the id names the node's parent and depth.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ Embedder = Callable[[str], np.ndarray]
 class QueryNode:
     id: str
     text: str
-    depth_level: int
-    parent_id: str | None = None
     child_ids: list[str] = field(default_factory=list)
     candidates: list[ScoredPassage] = field(default_factory=list)
 
@@ -94,7 +95,7 @@ def expand(
         raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {depth}")
 
     tree = RetrievalTree(nodes={})
-    root = QueryNode(id=ROOT_NODE_ID, text=root_query, depth_level=0)
+    root = QueryNode(id=ROOT_NODE_ID, text=root_query)
     tree.nodes[root.id] = root
     if root_hits is None:
         root_hits = store.search(embedder(root_query), k=k)
@@ -113,12 +114,7 @@ def expand(
                 tree.warnings.append(f"node {node.id}: {exc}")
                 continue
             for branch, sub_query in enumerate((first, second)):
-                child = QueryNode(
-                    id=f"{node.id}.{branch}",
-                    text=sub_query,
-                    depth_level=node.depth_level + 1,
-                    parent_id=node.id,
-                )
+                child = QueryNode(id=f"{node.id}.{branch}", text=sub_query)
                 node.child_ids.append(child.id)
                 tree.nodes[child.id] = child
                 hits = store.search(embedder(sub_query), k=k)

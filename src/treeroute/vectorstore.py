@@ -66,7 +66,8 @@ store._memo.cache_info() counts hits and misses. The cache wraps a
 module-level function over the index and passages, never a bound method,
 so it holds no reference back to the store and a dropped store is freed
 at once, without waiting for the cycle collector. A hit is a ScoredPassage,
-a typing.NamedTuple equal to the tuple (passage, score, source).
+a typing.NamedTuple equal to the tuple (passage, score, source). Beyond
+size and dimension, a store answers only rows(), fold(), gram() and search().
 """
 
 from __future__ import annotations
@@ -292,37 +293,11 @@ class VectorStore:
     def dimension(self) -> int:
         return len(self._index.col_ptr) - 1
 
-    @property
-    def passages(self) -> tuple[Passage, ...]:
-        return self._passages
-
-    def embedding_of(self, passage_id: str) -> np.ndarray:
-        """The passage's row as a read-only dense vector."""
-        row = self._row_by_id.get(passage_id)
-        if row is None:
-            raise KeyError(f"unknown passage id: {passage_id}")
-        index = self._index
-        entries = slice(index.row_ptr[row], index.row_ptr[row + 1])
-        vector = np.zeros(self.dimension)
-        # An intp index assigns faster than the stored small one.
-        vector[index.columns[entries].astype(np.intp)] = index.values[index.by_row[entries]]
-        vector.setflags(write=False)
-        return vector
-
     def rows(self, passage_ids: Sequence[str]) -> np.ndarray:
         """The given passages' rows, in order; an unknown id raises KeyError."""
         return np.fromiter(
             map(self._row_by_id.__getitem__, passage_ids), dtype=np.intp, count=len(passage_ids)
         )
-
-    def _entries(self, passage_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Positions in by_row of the given passages' stored entries, by
-        passage in the given order and columns ascending, and each
-        passage's entry count."""
-        rows = self.rows(passage_ids)
-        starts = self._index.row_ptr[rows]
-        lengths = self._index.row_ptr[rows + 1] - starts
-        return _segments(starts, lengths), lengths
 
     def fold(self, vector: np.ndarray) -> np.ndarray:
         """Every row's unclamped fold similarity to vector, in row order, read-only.
@@ -347,8 +322,13 @@ class VectorStore:
         a nonzero product, and a zero product never changes a sum that
         starts at +0.0. Ids may repeat.
         """
-        entries, lengths = self._entries(passage_ids)
         index = self._index
+        given = self.rows(passage_ids)
+        starts = index.row_ptr[given]
+        lengths = index.row_ptr[given + 1] - starts
+        # Positions in by_row of their stored entries, by passage in the
+        # given order and columns ascending.
+        entries = _segments(starts, lengths)
         m = len(lengths)
         columns = index.columns[entries].astype(np.intp)
         values = index.values[index.by_row[entries]]

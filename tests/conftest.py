@@ -70,6 +70,23 @@ def scalar_fold(row, query) -> float:
     return total
 
 
+def stored_passages(store) -> tuple:
+    """The store's passages, in row order."""
+    return store._passages
+
+
+def stored_row(store, passage_id: str) -> np.ndarray:
+    """The passage's stored row as a dense vector, read from the index
+    layout the vectorstore module docstring fixes; an unknown id raises
+    KeyError."""
+    (row,) = store.rows([passage_id])
+    index = store._index
+    entries = slice(index.row_ptr[row], index.row_ptr[row + 1])
+    vector = np.zeros(store.dimension)
+    vector[index.columns[entries].astype(np.intp)] = index.values[index.by_row[entries]]
+    return vector
+
+
 def toy_catalog() -> list[IntentCatalogEntry]:
     return [
         IntentCatalogEntry(

@@ -5,13 +5,13 @@ import math
 import socket
 import socketserver
 import threading
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from conftest import build_workload, make_engine
 
+from treeroute import backends
 from treeroute.backends import (
     MAX_OUTPUT_TOKENS,
     BackendRole,
@@ -228,7 +228,14 @@ class _ChatHandler(BaseHTTPRequestHandler):
     fail_status = 502
     shape = "chat"
     bodies: list[dict] = []
+    gets: list[str] = []
     lock = threading.Lock()
+
+    def do_GET(self):
+        cls = type(self)
+        with cls.lock:
+            cls.gets.append(self.path)
+        self._reply({"choices": [{"message": {"content": "Relevant"}}]})
 
     def do_POST(self):
         cls = type(self)
@@ -257,6 +264,9 @@ class _ChatHandler(BaseHTTPRequestHandler):
             payload = {"choices": [{"message": {"content": body["messages"][0]["content"]}}]}
         else:
             payload = _OTHER_SHAPES.get(cls.shape, {"mystery": 1})
+        self._reply(payload)
+
+    def _reply(self, payload):
         data = json.dumps(payload).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -277,6 +287,7 @@ def chat_server():
     _ChatHandler.fail_status = 502
     _ChatHandler.shape = "chat"
     _ChatHandler.bodies = []
+    _ChatHandler.gets = []
     yield f"http://127.0.0.1:{server.server_port}/chat"
     server.shutdown()
     server.server_close()
@@ -336,22 +347,31 @@ def test_remote_chat_retries_only_transient_statuses(chat_server, status, sent):
     assert len(_ChatHandler.bodies) == sent
 
 
-@pytest.mark.parametrize("status", [300, 307, 308])
-def test_a_redirect_is_final_and_names_its_location(chat_server, monkeypatch, status):
-    attempts = []
-    urlopen = urllib.request.urlopen
+@pytest.fixture
+def attempts(monkeypatch):
+    """The requests post_json's opener is asked to open, in order."""
+    opened = []
+    open_request = backends._OPENER.open
 
     def counting(*args, **kwargs):
-        attempts.append(args)
-        return urlopen(*args, **kwargs)
+        opened.append(args)
+        return open_request(*args, **kwargs)
 
-    monkeypatch.setattr(urllib.request, "urlopen", counting)
+    monkeypatch.setattr(backends._OPENER, "open", counting)
+    return opened
+
+
+@pytest.mark.parametrize("status", [300, 301, 302, 303, 307, 308])
+def test_a_redirect_is_final_and_names_its_location(chat_server, attempts, status):
+    # Followed, a 301, 302 or 303 would turn the POST into a GET, which
+    # the server answers with a reply that parses.
     _ChatHandler.fail_first = 2
     _ChatHandler.fail_status = status
     with pytest.raises(BackendError) as excinfo:
         _remote(chat_server).chat(_request())
     assert str(excinfo.value) == f"judge: request redirected with HTTP {status} to /moved"
     assert len(attempts) == len(_ChatHandler.bodies) == 1
+    assert _ChatHandler.gets == []
 
 
 def test_remote_chat_unknown_shape(chat_server):
@@ -490,15 +510,7 @@ def _closed_port_endpoint() -> str:
 
 
 @pytest.mark.parametrize("fault", ["garbage status line", "short body", "closed port"])
-def test_a_transport_fault_is_retried_once_then_names_the_role(raw_server, monkeypatch, fault):
-    attempts = []
-    urlopen = urllib.request.urlopen
-
-    def counting(*args, **kwargs):
-        attempts.append(args)
-        return urlopen(*args, **kwargs)
-
-    monkeypatch.setattr(urllib.request, "urlopen", counting)
+def test_a_transport_fault_is_retried_once_then_names_the_role(raw_server, attempts, fault):
     if fault == "closed port":
         endpoint, bodies = _closed_port_endpoint(), None
     else:

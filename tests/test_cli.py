@@ -26,6 +26,13 @@ def _write_workload(path, records):
     return path
 
 
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    # A command claims its default output files in the working directory
+    # before it reads any input, even when the input then fails.
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.fixture
 def workload_file(tmp_path):
     return _write_workload(tmp_path / "workload.jsonl", build_workload(16))
@@ -733,6 +740,58 @@ def test_missing_dataset_file_is_engine_error(capsys, tmp_path):
     assert error["command"] == "run"
     assert "cannot read" in error["error"]
     assert err.strip().count("\n") == 0
+
+
+def _unwritable_argv(command, out, tmp_path, workload_file, capsys) -> list[str]:
+    """Valid arguments for command, with --out at out."""
+    if command in ("index", "run"):
+        return [command, str(workload_file), "--out", str(out)]
+    if command == "eval":
+        traces = tmp_path / "t.jsonl"
+        assert _run_cli(capsys, ["run", str(workload_file), "--out", str(traces)])[0] == 0
+        return [command, str(traces), str(workload_file), "--out", str(out)]
+    a = _point_report(tmp_path / "a.json", "a", 0.72, 9.7, 2.0)
+    return [command, str(a), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["index", "run", "eval", "pareto"])
+@pytest.mark.parametrize("place", ["a directory", "a missing directory"])
+def test_an_unwritable_out_fails_before_any_work(
+    capsys, monkeypatch, tmp_path, workload_file, command, place
+):
+    out = tmp_path / "dir" if place == "a directory" else tmp_path / "missing" / "out.json"
+    (tmp_path / "dir").mkdir()
+    argv = _unwritable_argv(command, out, tmp_path, workload_file, capsys)
+    backends = _recording_engines(monkeypatch)
+    code, stdout, err = _run_cli(capsys, argv)
+    reason = "Is a directory" if place == "a directory" else "No such file or directory"
+    assert (code, stdout) == (1, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err) == {"error": f"cannot write {out}: {reason}", "command": command}
+    # No engine was built, so no backend saw a call.
+    assert backends == []
+
+
+@pytest.mark.parametrize("command, name", [("run", "out.jsonl.manifest.json"), ("eval", "out.csv")])
+def test_an_unwritable_second_output_fails_before_any_work(
+    capsys, monkeypatch, tmp_path, workload_file, command, name
+):
+    out, second = tmp_path / "out.jsonl", tmp_path / name
+    second.mkdir()
+    argv = _unwritable_argv(command, out, tmp_path, workload_file, capsys)
+    backends = _recording_engines(monkeypatch)
+    code, _, err = _run_cli(capsys, argv)
+    assert code == 1
+    assert json.loads(err) == {"error": f"cannot write {second}: Is a directory", "command": command}
+    assert backends == []
+
+
+def test_a_claimed_output_keeps_its_bytes_when_the_input_fails(capsys, tmp_path):
+    out = tmp_path / "t.jsonl"
+    out.write_text("earlier traces\n", encoding="utf-8")
+    code, _, err = _run_cli(capsys, ["run", str(tmp_path / "absent.jsonl"), "--out", str(out)])
+    assert code == 1 and "cannot read" in json.loads(err)["error"]
+    assert out.read_text(encoding="utf-8") == "earlier traces\n"
 
 
 def test_bad_usage_exits_two(capsys):

@@ -11,7 +11,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
-from conftest import build_workload, make_engine
+from conftest import build_workload, make_engine, stored_passages, stored_row
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -476,7 +476,7 @@ def test_a_remote_build_sends_one_list_request_per_block(embed_server, n):
     assert _EmbedHandler.requests_seen == math.ceil(n / 32)
     assert _EmbedHandler.inputs == [texts[start : start + 32] for start in range(0, n, 32)]
     for passage in passages:
-        assert store.embedding_of(passage.id).tobytes() == client.embed(passage.text).tobytes()
+        assert stored_row(store, passage.id).tobytes() == client.embed(passage.text).tobytes()
 
 
 def test_a_short_reply_inside_a_block_fails_the_build_and_sends_no_more(embed_server):
@@ -518,7 +518,7 @@ def test_an_endpoint_serving_token_counts_returns_the_local_bits(monkeypatch):
     local = HashedBagEmbedder()
     rng = np.random.default_rng(1)
     vocabulary = [f"w{i}" for i in range(400)]
-    texts = [p.text for p in make_engine().store.passages] + [
+    texts = [p.text for p in stored_passages(make_engine().store)] + [
         " ".join(rng.choice(vocabulary[: rng.integers(1, 400)], size=rng.integers(1, 600)))
         for _ in range(64)
     ]

@@ -9,6 +9,7 @@ import threading
 import time
 from collections import Counter
 from collections.abc import Mapping
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from operator import attrgetter
 
@@ -22,6 +23,7 @@ from conftest import (
     build_workload,
     make_engine,
     scalar_fold,
+    stored_row,
 )
 
 from treeroute import pipeline, rerank, routing, vectorstore
@@ -888,9 +890,10 @@ def _reference_prune(
     original_embedding, candidates, thresholds, judge, *, embedding_of, fold=None
 ):
     """The gate as one scalar fold per candidate; it ignores the tree's fold."""
-    lookup = (
-        embedding_of.__getitem__ if isinstance(embedding_of, Mapping) else embedding_of.embedding_of
-    )
+    if isinstance(embedding_of, Mapping):
+        lookup = embedding_of.__getitem__
+    else:
+        lookup = partial(stored_row, embedding_of)
     survivors, judge_calls = [], 0
     for candidate in candidates:
         sim = scalar_fold(lookup(candidate.passage.id), original_embedding)
@@ -917,7 +920,7 @@ def _reference_deduplicate(candidates, rule, store):
         if normalized in seen_text:
             continue
         seen_text.add(normalized)
-        embedding = store.embedding_of(candidate.passage.id)
+        embedding = stored_row(store, candidate.passage.id)
         if any(
             _scalar_cosine(embedding, other) >= rule.near_dup_threshold
             for other in kept_embeddings

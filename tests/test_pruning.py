@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import scalar_fold
+from conftest import scalar_fold, stored_row
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -165,10 +165,9 @@ def test_similarity_is_against_supplied_query_embedding():
 
 
 def test_embedding_lookup_accepts_a_store():
-    store = VectorStore(
-        (Passage(id="a", text="a"), Passage(id="b", text="b")), np.array([[0.0, 1.0], [1.0, 0.0]])
-    )
-    candidates = [ScoredPassage(passage=p, score=0.1) for p in reversed(store.passages)]
+    passages = (Passage(id="a", text="a"), Passage(id="b", text="b"))
+    store = VectorStore(passages, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    candidates = [ScoredPassage(passage=p, score=0.1) for p in reversed(passages)]
     result = prune(
         np.array([1.0, 0.0]),
         candidates,
@@ -221,8 +220,9 @@ def test_wrong_dimension_embedding_raises():
             prune(query, candidates, GateThresholds(), lambda p, s: True, embedding_of=table)
     # A store reads only the candidates' stored entries, so it checks the
     # query's dimension itself.
-    store = VectorStore((Passage(id="a", text="a"),), np.array([[1.0, 0.0, 0.0]]))
-    candidates = [ScoredPassage(passage=store.passages[0], score=0.5)]
+    passage = Passage(id="a", text="a")
+    store = VectorStore((passage,), np.array([[1.0, 0.0, 0.0]]))
+    candidates = [ScoredPassage(passage=passage, score=0.5)]
     with pytest.raises(ValueError):
         prune(query, candidates, GateThresholds(), lambda p, s: True, embedding_of=store)
 
@@ -296,7 +296,7 @@ def _loop_prune(original_embedding, candidates, thresholds, judge, *, embedding_
     if isinstance(embedding_of, VectorStore):
         fold = embedding_of.fold(original_embedding)
         sims = fold[embedding_of.rows(ids)].tolist()
-        rows = map(embedding_of.embedding_of, ids)
+        rows = (stored_row(embedding_of, pid) for pid in ids)
         assert np.array(sims).tobytes() == np.array(
             [scalar_fold(row, original_embedding) for row in rows]
         ).tobytes()

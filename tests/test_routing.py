@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -11,7 +10,6 @@ from treeroute.routing import (
     DEPTH_BY_LEVEL,
     MAX_DEPTH,
     RouteMode,
-    RoutingDecision,
     RoutingRule,
     SemanticLevel,
     assign_depth,
@@ -98,13 +96,11 @@ def _decide(text: str, snippets, assessor):
 def test_decide_skips_assessor_for_simple_and_hybrid():
     calls = []
     assessor = _assessor(SemanticLevel.HIGH, calls)
-    simple = _decide("cancel my card", [], assessor)
-    hybrid = _decide("what is my account balance please today", [], assessor)
-    assert simple.mode is RouteMode.SIMPLE
-    assert simple.depth == 0
-    assert simple.level is None
-    assert hybrid.mode is RouteMode.HYBRID
-    assert hybrid.depth == 0
+    assert _decide("cancel my card", [], assessor) == (RouteMode.SIMPLE, 0)
+    assert _decide("what is my account balance please today", [], assessor) == (
+        RouteMode.HYBRID,
+        0,
+    )
     assert calls == []
 
 
@@ -115,28 +111,26 @@ def test_decide_consults_assessor_exactly_once_for_tree():
     decision = decide(
         signals, qci, ["snippet a", "snippet b"], _assessor(SemanticLevel.MID, calls)
     )
-    assert decision.mode is RouteMode.TREE
-    assert decision.level is SemanticLevel.MID
-    assert decision.depth == 2
+    assert decision == (RouteMode.TREE, DEPTH_BY_LEVEL[SemanticLevel.MID]) == (RouteMode.TREE, 2)
     assert calls == [(("snippet a", "snippet b"), qci)]
 
 
 def test_decide_qci_matches_signal_arithmetic():
     signals = extract_signals(tokenize("compare savings rates and open the new account"))
     qci = compute_qci(signals)
-    decision = decide(signals, qci, [], _assessor(SemanticLevel.MID, []))
+    mode, _ = decide(signals, qci, [], _assessor(SemanticLevel.MID, []))
     # conj + comp + 8/25 length under default weights.
     assert qci == pytest.approx(0.464, abs=1e-12)
     assert signals.conjunction == 1
     assert signals.comparison == 1
-    assert decision.mode is RouteMode.TREE
+    assert mode is RouteMode.TREE
 
 
 def test_decide_routes_on_the_given_index():
     signals = extract_signals(tokenize("cancel my card"))
-    assert decide(signals, 0.0, [], None).mode is RouteMode.SIMPLE
-    assert decide(signals, 0.5, [], None).mode is RouteMode.HYBRID
-    assert decide(signals, 0.5, [], None, RoutingRule(tau_simple=0.6)).mode is RouteMode.SIMPLE
+    assert decide(signals, 0.0, [], None) == (RouteMode.SIMPLE, 0)
+    assert decide(signals, 0.5, [], None) == (RouteMode.HYBRID, 0)
+    assert decide(signals, 0.5, [], None, RoutingRule(tau_simple=0.6)) == (RouteMode.SIMPLE, 0)
 
 
 def test_decide_lets_the_assessor_exception_through_unchanged():
@@ -148,11 +142,3 @@ def test_decide_lets_the_assessor_exception_through_unchanged():
     with pytest.raises(RuntimeError) as raised:
         _decide("compare rates and fees", [], broken)
     assert raised.value is failure
-
-
-def test_decision_is_immutable_record():
-    decision = _decide("cancel my card", [], None)
-    assert isinstance(decision, RoutingDecision)
-    assert [f.name for f in fields(decision)] == ["mode", "level", "depth"]
-    with pytest.raises(AttributeError):
-        decision.depth = 3

@@ -63,8 +63,6 @@ def test_depth_one_shape():
     assert tree.leaf_count == 2
     root = tree.nodes[ROOT_NODE_ID]
     assert root.child_ids == ["n.0", "n.1"]
-    assert tree.nodes["n.0"].parent_id == ROOT_NODE_ID
-    assert tree.nodes["n.0"].depth_level == 1
 
 
 def test_depth_three_full_binary_tree():
@@ -74,10 +72,13 @@ def test_depth_three_full_binary_tree():
     assert tree.decompose_calls == 7
     assert tree.pruned_count == 0
     leaves = [n for n in tree.nodes.values() if not n.child_ids]
-    assert all(n.depth_level == 3 for n in leaves)
-    # Ids follow the parent.branch scheme at every level.
-    assert "n.0.1.0" in tree.nodes
-    assert tree.nodes["n.0.1.0"].parent_id == "n.0.1"
+    assert all(n.id.count(".") == 3 for n in leaves)
+    # Ids follow the parent.branch scheme at every level: a node's id names its parent.
+    assert tree.nodes["n.0.1"].child_ids == ["n.0.1.0", "n.0.1.1"]
+    for node_id, node in tree.nodes.items():
+        if node_id != ROOT_NODE_ID:
+            parent_id, _, branch = node_id.rpartition(".")
+            assert tree.nodes[parent_id].child_ids[int(branch)] == node_id
 
 
 def test_every_node_retrieves():

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import scalar_fold
+from conftest import scalar_fold, stored_passages, stored_row
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -68,7 +68,7 @@ def test_search_matches_brute_force(store):
         query = " ".join(rng.choices(vocab, k=rng.randint(1, 5)))
         q = embedder.embed(query)
         expected = sorted(
-            ((float(np.dot(store.embedding_of(p.id), q)), p.id) for p in store.passages),
+            ((float(np.dot(stored_row(store, p.id), q)), p.id) for p in stored_passages(store)),
             key=lambda pair: (-pair[0], pair[1]),
         )
         hits = store.search(q, k=3)
@@ -103,7 +103,7 @@ def test_ties_across_the_k_boundary_keep_the_smallest_ids():
 def test_k_larger_than_store_returns_everything(store):
     q = HashedBagEmbedder(dimension=64).embed("card")
     expected = sorted(
-        store.passages, key=lambda p: (-float(np.dot(store.embedding_of(p.id), q)), p.id)
+        stored_passages(store), key=lambda p: (-float(np.dot(stored_row(store, p.id), q)), p.id)
     )
     # k == n is the edge where no partition runs; k > n must behave the same.
     for k in (store.size, 100):
@@ -196,7 +196,9 @@ def test_build_is_input_order_invariant():
     assert [(h.passage.id, h.score) for h in a.search(query)] == [
         (h.passage.id, h.score) for h in b.search(query)
     ]
-    assert [p.id for p in a.passages] == [p.id for p in b.passages]
+    # passages is in ascending id order, so each id keeps its place.
+    ids = [p.id for p in passages]
+    assert a.rows(ids).tolist() == b.rows(ids).tolist() == list(range(len(ids)))
 
 
 def test_duplicate_ids_rejected():
@@ -231,11 +233,6 @@ def test_empty_store():
     store = build_index([], HashedBagEmbedder(dimension=8))
     assert store.size == 0
     assert store.search(HashedBagEmbedder(dimension=8).embed("q")) == []
-
-
-def test_embedding_of_unknown_id(store):
-    with pytest.raises(KeyError):
-        store.embedding_of("nope")
 
 
 def test_rows_must_be_in_ascending_id_order():
@@ -429,7 +426,7 @@ def test_a_malformed_nonzeros_block_fails_the_build_by_passage(monkeypatch, defe
         build_index(passages, _NonzerosProvider(defect))
     # The same provider without a defect builds the dense rows.
     store = build_index(passages, _NonzerosProvider("none"))
-    assert store.embedding_of("p35").tolist() == [0.6, 0.0, 0.8, 0.0]
+    assert stored_row(store, "p35").tolist() == [0.6, 0.0, 0.8, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -455,11 +452,10 @@ def test_built_matrix_is_readonly_float64_rows_of_the_provider(monkeypatch):
     embedder = HashedBagEmbedder(dimension=16)
     texts = {f"p{i}": f"passage {i} about cards" for i in range(6)}
     store = build_index(_passages(texts), embedder)
-    for passage in store.passages:
-        row = store.embedding_of(passage.id)
-        assert row.dtype == np.float64
-        assert not row.flags.writeable
-        assert row.tobytes() == embedder.embed(passage.text).tobytes()
+    assert store._index.values.dtype == np.float64
+    assert not any(array.flags.writeable for array in store._index)
+    for passage in stored_passages(store):
+        assert stored_row(store, passage.id).tobytes() == embedder.embed(passage.text).tobytes()
 
 
 def _clamped_fold(row, q) -> float:
@@ -476,7 +472,7 @@ def _assert_scores_are_the_fold(store, queries):
     for q in queries:
         hits = store.search(q, k=store.size)
         expected = sorted(
-            ((_clamped_fold(store.embedding_of(p.id), q), p.id) for p in store.passages),
+            ((_clamped_fold(stored_row(store, p.id), q), p.id) for p in stored_passages(store)),
             key=lambda pair: (-pair[0], pair[1]),
         )
         assert [(h.score, h.passage.id) for h in hits] == expected
@@ -505,10 +501,10 @@ def _bits(values) -> bytes:
 
 
 def _assert_store_reads_the_provider_rows(store, rows, queries):
-    """search, fold, rows and embedding_of against the scalar fold, bit for bit."""
-    ids = [p.id for p in store.passages]
+    """The stored rows, search, fold and rows against the scalar fold, bit for bit."""
+    ids = [p.id for p in stored_passages(store)]
     for pid, row in zip(ids, rows):
-        assert _bits(store.embedding_of(pid)) == _bits(row)
+        assert _bits(stored_row(store, pid)) == _bits(row)
     for q in queries:
         scores = {h.passage.id: h.score for h in store.search(q, k=store.size)}
         assert _bits([scores[pid] for pid in ids]) == _bits([_clamped_fold(row, q) for row in rows])
@@ -537,7 +533,7 @@ def test_hashed_bag_store_reads_back_the_provider_bit_for_bit(texts, queries, di
     embedder = HashedBagEmbedder(dimension=dimension, seed=seed)
     passages = [Passage(id=f"p{i:02d}", text=text or "-") for i, text in enumerate(texts)]
     store = build_index(passages, embedder)
-    rows = [embedder.embed(p.text) for p in store.passages]
+    rows = [embedder.embed(p.text) for p in stored_passages(store)]
     _assert_store_reads_the_provider_rows(store, rows, [embedder.embed(q) for q in queries])
 
 
@@ -574,9 +570,9 @@ def _assert_gram_is_the_fold(store, ids):
     assert gram.shape == (len(ids), len(ids))
     rows = store.rows(ids)
     for j, pid in enumerate(ids):
-        column = store.embedding_of(pid)
+        column = stored_row(store, pid)
         assert _bits(gram[:, j]) == _bits(store.fold(column)[rows])
-        assert _bits(gram[:, j]) == _bits([scalar_fold(store.embedding_of(i), column) for i in ids])
+        assert _bits(gram[:, j]) == _bits([scalar_fold(stored_row(store, i), column) for i in ids])
     assert _bits(gram) == _bits(gram.T)
 
 
@@ -824,10 +820,10 @@ def test_threaded_searches_match_sequential(store, monkeypatch, bound):
     # A bound of 3 makes the threads evict each other's entries.
     monkeypatch.setattr(vectorstore, "SEARCH_CACHE_SIZE", bound)
     embedder = HashedBagEmbedder(dimension=64)
-    store = build_index(store.passages, embedder)
+    store = build_index(stored_passages(store), embedder)
     texts = ["card", "savings account", "interest rates", "dispute charge", "freeze"] * 40
     queries = [embedder.embed(t) for t in texts]
-    fresh = build_index(store.passages, embedder)
+    fresh = build_index(stored_passages(store), embedder)
     sequential = [_hits(fresh.search(q, k=3)) for q in queries]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
